@@ -44,7 +44,6 @@ __all__ = [
     "cotangent_algebroid",
     "algebroid_from_differential",
     "triangular_dual_algebroid",
-    "pi_sharp",
 ]
 
 
@@ -431,11 +430,6 @@ class PoissonStructure:
 
     def __repr__(self):
         return "PoissonStructure(%s)" % (self.as_elem(),)
-
-
-def pi_sharp(pi: PoissonStructure, xi: GradedElem) -> GradedElem:
-    """Image of a coordinate one-form under contraction into the bivector."""
-    return contract(xi, pi.as_elem())
 
 
 def cotangent_algebroid(pi: PoissonStructure, check=True) -> LieAlgebroid:

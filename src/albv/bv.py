@@ -2,11 +2,13 @@
 
 A ``TopConnection`` stores the connection form of a flat-or-not connection on
 the top exterior power, relative to the reference top section with unit
-coefficient.  Its generating operator is a degree -1 operator on side A
-elements, computed by conjugating the differential (twisted by the connection
-form) with the contraction into the reference volume.  The bracket deficit of
-that operator recovers the graded bracket, and its square is controlled by
-the curvature, which is just the differential of the connection form.
+coefficient.  Its chain boundary is a degree -1 operator on side A elements,
+computed by conjugating the differential (twisted by the connection form)
+with the contraction into the reference volume; this is the one place where
+the sign is set.  The generating operator is the boundary up to the sign of
+the complementary degree.  The bracket deficit of that operator recovers the
+graded bracket, and its square is controlled by the curvature, which is just
+the differential of the connection form.
 
 ``AConnectionOnA`` stores Christoffel data for a connection on the bundle
 itself; when torsion-free it induces the same kind of operator through a
@@ -33,6 +35,7 @@ from .poly import Poly
 
 __all__ = [
     "TopConnection",
+    "boundary",
     "generating_operator",
     "curvature",
     "connection_from_operator",
@@ -71,28 +74,32 @@ class TopConnection:
         return "TopConnection(alpha=%s)" % (self.alpha,)
 
 
-def generating_operator(conn: TopConnection, u: GradedElem) -> GradedElem:
-    """Degree -1 operator attached to a top connection.
+def boundary(conn: TopConnection, u: GradedElem) -> GradedElem:
+    """Chain boundary of a top connection: ``-star((d + alpha^) star_inv(u))``.
 
     The element is carried to the complementary degree by the inverse volume
-    contraction, hit with the twisted differential, and carried back; the
-    overall sign depends on the complementary degree.  Degree-0 elements map
-    to zero because the twisted differential lands above the top degree.
+    contraction, hit with the twisted differential, and carried back.
+    Degree-0 elements map to zero because the twisted differential lands
+    above the top degree, and above the top degree only zero lives.
     """
     a = conn.algebroid
     if u.side != A_SIDE:
         raise ValueError("generating operator acts on side A elements")
-    if u.degree == 0:
-        return a.zero_elem(A_SIDE, 0)
-    if u.degree > a.rank:
-        # above the top degree only the zero element lives
+    if not 0 < u.degree <= a.rank:
         return a.zero_elem(A_SIDE, u.degree - 1)
     vol = conn.reference_volume()
     omega = star_inv(u, vol)
-    formed = differential(a, omega) + wedge(conn.alpha, omega)
-    result = star(formed, vol)
-    codeg = a.rank - u.degree
-    return -result if codeg % 2 == 0 else result
+    return -star(differential(a, omega) + wedge(conn.alpha, omega), vol)
+
+
+def generating_operator(conn: TopConnection, u: GradedElem) -> GradedElem:
+    """Degree -1 operator attached to a top connection.
+
+    It is the boundary up to the sign of the complementary degree.
+    """
+    du = boundary(conn, u)
+    codeg = conn.algebroid.rank - u.degree
+    return -du if codeg % 2 else du
 
 
 def curvature(conn: TopConnection) -> GradedElem:
@@ -289,8 +296,7 @@ def torsion_free_generator(conn: AConnectionOnA, u: GradedElem) -> GradedElem:
     a = conn.algebroid
     if u.side != A_SIDE:
         raise ValueError("torsion_free_generator acts on side A elements")
-    deg = u.degree - 1 if u.degree > 0 else 0
-    out = a.zero_elem(A_SIDE, deg)
+    out = a.zero_elem(A_SIDE, u.degree - 1)
     for i in range(a.rank):
         out = out - contract_or_zero(a.coframe(i), conn.derive(i, u))
     return out

@@ -26,8 +26,6 @@ from .exterior import (
     GradedElem,
     as_side,
     basis_tuples,
-    coframe_elem,
-    contract,
     contract_or_zero,
     pairing,
     scalar_elem,
@@ -98,7 +96,7 @@ def _schouten_monomials(a, p, idx_u, q, idx_v) -> GradedElem:
     u, v = len(idx_u), len(idx_v)
     one = Poly.constant(1, a.variables)
     if u == 0 and v == 0:
-        return a.zero_elem(A_SIDE, 0)
+        return a.zero_elem(A_SIDE, -1)
     if u == 0:
         flipped = _schouten_monomials(a, q, idx_v, p, idx_u)
         return flipped if v % 2 == 0 else -flipped
@@ -128,8 +126,7 @@ def schouten(a: LieAlgebroid, u: GradedElem, v: GradedElem) -> GradedElem:
         raise ValueError("schouten acts on side A elements")
     if u.rank != a.rank or u.variables != a.variables:
         raise ValueError("element does not live on this structure")
-    deg = max(u.degree + v.degree - 1, 0)
-    out = a.zero_elem(A_SIDE, deg)
+    out = a.zero_elem(A_SIDE, u.degree + v.degree - 1)
     for idx_u, p in u.components.items():
         for idx_v, q in v.components.items():
             out = out + _schouten_monomials(a, p, idx_u, q, idx_v)
@@ -149,8 +146,6 @@ def schouten_oracle(a: LieAlgebroid, u: GradedElem, v: GradedElem) -> GradedElem
         raise ValueError("schouten_oracle acts on side A elements")
     du, dv = u.degree, v.degree
     deg = du + dv - 1
-    if deg < 0:
-        return a.zero_elem(A_SIDE, 0)
     n = a.rank
     sign1 = -1 if ((du - 1) * (dv - 1)) % 2 else 1
     sign3 = -1 if (du + 1) % 2 else 1
@@ -160,21 +155,13 @@ def schouten_oracle(a: LieAlgebroid, u: GradedElem, v: GradedElem) -> GradedElem
         eps = GradedElem(
             DUAL_SIDE, deg, n, a.variables, {target: Poly.constant(1, a.variables)}
         )
-        t1 = _full_pair(u, differential(a, contract_or_zero(v, eps)))
-        t2 = _full_pair(v, differential(a, contract_or_zero(u, eps)))
+        t1 = pairing(differential(a, contract_or_zero(v, eps)), u)
+        t2 = pairing(differential(a, contract_or_zero(u, eps)), v)
         t3 = pairing(differential(a, eps), uv)
         total = sign1 * t1 - t2 - sign3 * t3
         if not total.is_zero:
             comps[target] = total
     return GradedElem(A_SIDE, deg, n, a.variables, comps)
-
-
-def _full_pair(u: GradedElem, form: GradedElem) -> Poly:
-    # a degree mismatch only happens after an overflow upstream, where the
-    # true contribution is zero anyway
-    if u.degree != form.degree:
-        return Poly.zero(u.variables)
-    return pairing(form, u)
 
 
 def lie_derivative(a: LieAlgebroid, x: GradedElem, w: GradedElem) -> GradedElem:
@@ -188,10 +175,9 @@ def lie_derivative(a: LieAlgebroid, x: GradedElem, w: GradedElem) -> GradedElem:
         raise ValueError("lie_derivative expects a degree-1 section")
     if w.side == A_SIDE:
         return schouten(a, x, w)
-    term = contract_or_zero(x, differential(a, w))
-    if w.degree >= 1:
-        term = term + differential(a, contract(x, w))
-    return term
+    return contract_or_zero(x, differential(a, w)) + differential(
+        a, contract_or_zero(x, w)
+    )
 
 
 def lichnerowicz(pi, u: GradedElem) -> GradedElem:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
 
 from .albvfile import Document, DocumentError
 from .calculus import lichnerowicz
@@ -27,9 +28,25 @@ from .homology import (
 )
 from .bv import curvature
 from .poly import Poly
-from .verify import SUITES, run_suites
+from .verify import SUITES, CheckResult, run_suites
 
 __all__ = ["main", "build_parser"]
+
+
+def _int_at_least(minimum):
+    """An argparse type: an integer no smaller than ``minimum``."""
+
+    def parse(text):
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                "must be at least %d, got %d" % (minimum, value)
+            )
+        return value
+
+    # argparse names the type in its "invalid int value" message
+    parse.__name__ = "int"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,13 +79,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("validate", parents=[common], help="run the structure checks")
 
     p = sub.add_parser("cohomology", parents=[common], help="differential Betti table")
-    p.add_argument("--max-weight", type=int, default=4)
+    p.add_argument("--max-weight", type=_int_at_least(0), default=4)
 
     p = sub.add_parser("homology", parents=[common], help="boundary Betti table")
     p.add_argument(
         "--kb", action="store_true", help="use the bivector operator on base forms"
     )
-    p.add_argument("--max-weight", type=int, default=4)
+    p.add_argument("--max-weight", type=_int_at_least(0), default=4)
 
     sub.add_parser(
         "modular", parents=[common], help="modular field and the sign of the relation"
@@ -81,13 +98,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common], help="seeded identity suites")
     p.add_argument("--suite", choices=SUITES, default="all")
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=_int_at_least(1), default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-deg", type=int, default=2)
+    p.add_argument("--max-deg", type=_int_at_least(0), default=2)
     return parser
 
 
+@dataclass
+class _StarTable:
+    """Star images of a coframe basis, as ``{"input", "output"}`` records."""
+
+    degree: int
+    entries: list
+
+    def to_text(self) -> str:
+        lines = ["star, degree %d" % self.degree]
+        lines.extend("%s = %s" % (r["input"], r["output"]) for r in self.entries)
+        return "\n".join(lines)
+
+    def to_json(self):
+        return {"operator": "star", "degree": self.degree, "entries": self.entries}
+
+
 class _Report:
+    """Checks as ``CheckResult``; tables as objects with ``to_text``/``to_json``."""
+
     def __init__(self, command):
         self.command = command
         self.checks = []
@@ -96,56 +131,29 @@ class _Report:
         self.info = []
 
     def add_check(self, name, ok, witness=None):
-        self.checks.append({"name": name, "status": "pass" if ok else "fail",
-                            "witness": witness})
+        self.checks.append(CheckResult(name, ok, witness))
 
     @property
     def failed(self) -> bool:
-        return any(c["status"] == "fail" for c in self.checks)
+        return any(not c.ok for c in self.checks)
 
     def to_json(self):
         return {
             "command": self.command,
-            "checks": self.checks,
-            "tables": self.tables,
+            "checks": [c.to_json() for c in self.checks],
+            "tables": [t.to_json() for t in self.tables],
             "sign_s": self.sign,
         }
 
     def print_text(self, out):
         for check in self.checks:
-            line = "%s: %s" % (check["name"], check["status"].upper())
-            if check["witness"]:
-                line += " (%s)" % check["witness"]
-            print(line, file=out)
+            print(check.line(), file=out)
         for line in self.info:
             print(line, file=out)
         if self.sign is not None:
             print("sign_s: %+d" % self.sign, file=out)
         for table in self.tables:
-            print(_table_text(table), file=out)
-
-
-def _table_text(table) -> str:
-    if "records" in table:
-        mode = (
-            "capped at weight %s" % table.get("max_weight")
-            if table.get("capped")
-            else "homogeneous, shift %s" % table.get("shift")
-        )
-        lines = ["%s (%s)" % (table.get("operator", "table"), mode)]
-        ks = sorted({r["k"] for r in table["records"]})
-        ws = sorted({r["w"] for r in table["records"]})
-        grid = {(r["k"], r["w"]): r["dim"] for r in table["records"]}
-        lines.append("      " + "".join("w=%-5d" % w for w in ws))
-        for k in ks:
-            row = "k=%-3d " % k
-            row += "".join("%-7d" % grid.get((k, w), 0) for w in ws)
-            lines.append(row)
-    else:
-        lines = ["%s, degree %s" % (table.get("operator", "table"), table.get("degree"))]
-        for rec in table.get("entries", []):
-            lines.append("%s = %s" % (rec.get("input"), rec.get("output")))
-    return "\n".join(lines)
+            print(table.to_text(), file=out)
 
 
 def _structure_gate(report, doc, a, pi):
@@ -180,7 +188,7 @@ def _cmd_validate(args, doc, report):
 def _cmd_cohomology(args, doc, report):
     a = doc.build_algebroid(check=False)
     table = cohomology_betti(a, args.max_weight)
-    report.tables.append(table.to_json())
+    report.tables.append(table)
     return None
 
 
@@ -200,7 +208,7 @@ def _cmd_homology(args, doc, report):
         if not r.is_zero:
             return None
         table = boundary_betti(conn, args.max_weight)
-    report.tables.append(table.to_json())
+    report.tables.append(table)
     return None
 
 
@@ -239,7 +247,7 @@ def _cmd_star(args, doc, report):
         image = star(eps, vol)
         label = "^".join("eps%d" % (i + 1) for i in idx) or "1"
         records.append({"input": "*(%s)" % label, "output": str(image)})
-    report.tables.append({"operator": "star", "degree": args.degree, "entries": records})
+    report.tables.append(_StarTable(args.degree, records))
     return None
 
 
@@ -247,8 +255,7 @@ def _cmd_verify(args, doc, report):
     results, sign, tables = run_suites(
         doc, args.suite, args.trials, args.seed, args.max_deg
     )
-    for result in results:
-        report.add_check(result.name, result.ok, result.witness)
+    report.checks.extend(results)
     report.sign = sign
     report.tables.extend(tables)
     return None
@@ -277,10 +284,7 @@ def main(argv=None) -> int:
     report = _Report(args.command)
     try:
         doc = Document.load(args.file)
-    except DocumentError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DocumentError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     gated = args.command in _GATED and not args.no_validate
@@ -311,3 +315,7 @@ def _finish(report, args, out):
         print(file=out)
     else:
         report.print_text(out)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -21,6 +21,12 @@ Sign conventions, pinned once and used everywhere downstream:
 
 Degree-0 elements are shared scalars; contraction by a degree-0 element is
 multiplication.
+
+Every element carries its true degree, and a zero element is no exception:
+an operator that lands outside ``0..rank`` (a degree -1 bracket or operator
+on functions, a contraction that overflows) returns the empty element of
+that out-of-range degree, possibly negative.  Addition stays strict, so a
+zero of one degree never absorbs or hides a summand of another.
 """
 
 from __future__ import annotations
@@ -40,7 +46,6 @@ __all__ = [
     "dual_side",
     "as_side",
     "wedge",
-    "graded_sum",
     "pairing",
     "contract",
     "contract_or_zero",
@@ -95,8 +100,11 @@ def sort_with_sign(indices):
 
 
 def basis_tuples(rank, degree):
-    """All strictly increasing index tuples of the given length, in lex order."""
-    return list(combinations(range(rank), degree))
+    """All strictly increasing index tuples of the given length, in lex order.
+
+    There are none of negative length.
+    """
+    return list(combinations(range(rank), degree)) if degree >= 0 else []
 
 
 class GradedElem:
@@ -111,8 +119,6 @@ class GradedElem:
     def __init__(self, side, degree, rank, variables, components=None):
         if side not in (A_SIDE, DUAL_SIDE):
             raise ValueError("unknown side %r" % (side,))
-        if degree < 0:
-            raise ValueError("negative degree %d" % degree)
         self.side = side
         self.degree = int(degree)
         self.rank = int(rank)
@@ -319,27 +325,6 @@ def as_side(elem, side) -> GradedElem:
 # -- multiplicative structure ---------------------------------------------
 
 
-def graded_sum(*elems) -> GradedElem:
-    """Sum that tolerates zero summands of the wrong degree.
-
-    Operator chains that bottom out (a contraction overflowing, an operator
-    hitting degree zero) return zero elements whose recorded degree may not
-    match the other summands.  Such zeros are absorbed; nonzero summands must
-    still agree in degree.
-    """
-    if not elems:
-        raise ValueError("graded_sum needs at least one element")
-    out = elems[0]
-    for elem in elems[1:]:
-        if out.is_zero and out.degree != elem.degree:
-            out = elem
-        elif elem.is_zero and elem.degree != out.degree:
-            continue
-        else:
-            out = out + elem
-    return out
-
-
 def wedge(u, v) -> GradedElem:
     """Exterior product of two elements on the same side."""
     if u.side != v.side:
@@ -407,9 +392,10 @@ def contract(theta, v) -> GradedElem:
 
 
 def contract_or_zero(theta, v) -> GradedElem:
-    """Like contract, but a degree overflow yields zero instead of an error."""
+    """Like contract, but a degree overflow yields the zero of degree
+    ``v.degree - theta.degree`` instead of an error."""
     if theta.degree > v.degree:
-        return GradedElem.zero(v.side, 0, v.rank, v.variables)
+        return GradedElem.zero(v.side, v.degree - theta.degree, v.rank, v.variables)
     return contract(theta, v)
 
 

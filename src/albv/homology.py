@@ -9,11 +9,11 @@ the finite subcomplex of weight at most w; in that capped mode the table
 entry at (k, w) is the homology of the whole truncated subcomplex.  Operators
 that raise weight admit no finite truncation and are refused.
 
-Also here: the sign-adjusted boundary operator, the star-conjugation check,
-the Koszul-Brylinski operator on base forms, the modular vector field and the
-modular relation with its recorded global sign, the homology-versus-
-cohomology duality checks, the anticommutator defect experiment, and the
-connection-homotopy comparison.
+Also here: the star-conjugation check of the boundary (defined in ``bv``
+and re-exported here), the Koszul-Brylinski operator on base forms, the
+modular vector field and the modular relation with its recorded global sign,
+the homology-versus-cohomology duality checks, the anticommutator defect
+experiment, and the connection-homotopy comparison.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .algebroid import (
     cotangent_algebroid,
     tangent_algebroid,
 )
-from .bv import TopConnection, generating_operator
+from .bv import TopConnection, boundary, generating_operator
 from .calculus import differential, lichnerowicz, schouten
 from .exterior import (
     A_SIDE,
@@ -38,7 +38,6 @@ from .exterior import (
     basis_tuples,
     contract,
     contract_or_zero,
-    graded_sum,
     pairing,
     star,
     star_inv,
@@ -69,13 +68,6 @@ __all__ = [
 ]
 
 
-def boundary(conn: TopConnection, u: GradedElem) -> GradedElem:
-    """Sign-adjusted generating operator: the chain boundary."""
-    du = generating_operator(conn, u)
-    codeg = conn.algebroid.rank - u.degree
-    return du if codeg % 2 == 0 else -du
-
-
 def lie_algebra_boundary(a: LieAlgebroid, u: GradedElem) -> GradedElem:
     """Classical chain boundary of a Lie algebra, as the pairing adjoint of d.
 
@@ -86,8 +78,6 @@ def lie_algebra_boundary(a: LieAlgebroid, u: GradedElem) -> GradedElem:
         raise ValueError("chain boundary adjoint needs an empty base")
     if u.side != A_SIDE:
         raise ValueError("chain boundary acts on side A elements")
-    if u.degree == 0:
-        return a.zero_elem(A_SIDE, 0)
     deg = u.degree - 1
     comps = {}
     for target in basis_tuples(a.rank, deg):
@@ -439,10 +429,9 @@ def koszul_brylinski(pi: PoissonStructure, omega: GradedElem) -> GradedElem:
         raise ValueError("operator acts on side A* base forms")
     t = tangent_algebroid(pi.variables)
     pi_elem = pi.as_elem()
-    first = contract_or_zero(pi_elem, differential(t, omega))
-    if omega.degree >= 2:
-        return first - differential(t, contract(pi_elem, omega))
-    return first
+    return contract_or_zero(pi_elem, differential(t, omega)) - differential(
+        t, contract_or_zero(pi_elem, omega)
+    )
 
 
 def modular_vector_field(pi: PoissonStructure, vol_coeff=1) -> GradedElem:
@@ -586,7 +575,7 @@ def anticommutator_defect_check(pi: PoissonStructure, probes, modular_sign=None)
     for pos, u in enumerate(probes):
         first = lichnerowicz(pi, generating_operator(conn0, u))
         second = generating_operator(conn0, lichnerowicz(pi, u))
-        defect = graded_sum(first, second)
+        defect = first + second
         oracle = schouten(t, d0_pi, u)
         if defect != oracle:
             oracle_failures.append({"probe": pos + 1, "residual": str(defect - oracle)})

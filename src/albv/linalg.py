@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-__all__ = ["rank", "mat_mul", "mat_vec", "mat_inv", "mat_transpose", "identity", "det"]
+__all__ = ["rank", "mat_inv", "mat_transpose", "identity"]
 
 
 def rank(rows) -> int:
@@ -55,15 +55,6 @@ def mat_transpose(m):
     return [list(col) for col in zip(*m)]
 
 
-def mat_mul(a, b):
-    bt = mat_transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def mat_vec(m, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in m]
-
-
 def mat_inv(m):
     """Inverse by Gauss-Jordan elimination; raises on a singular matrix."""
     n = len(m)
@@ -91,22 +82,3 @@ def mat_inv(m):
             a[i] = [x - factor * y for x, y in zip(a[i], a[col])]
             out[i] = [x - factor * y for x, y in zip(out[i], out[col])]
     return out
-
-
-def det(m) -> Fraction:
-    """Determinant by cofactor expansion; fine for the small matrices used here."""
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("matrix is not square")
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return Fraction(m[0][0])
-    total = Fraction(0)
-    for j in range(n):
-        if m[0][j] == 0:
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        sign = -1 if j % 2 else 1
-        total += sign * Fraction(m[0][j]) * det(minor)
-    return total

@@ -29,7 +29,6 @@ from .exterior import (
     contract,
     contract_or_zero,
     frame_change_elem,
-    graded_sum,
     pairing,
     star,
     star_inv,
@@ -206,7 +205,7 @@ def _suite_algebroid(s: _Session):
     for pos in range(s.trials):
         u, v = s.elems(rng, 2)
         sign = -1 if ((u.degree - 1) * (v.degree - 1)) % 2 else 1
-        residual = graded_sum(schouten(a, u, v), sign * schouten(a, v, u))
+        residual = schouten(a, u, v) + sign * schouten(a, v, u)
         if not residual.is_zero:
             failures.append(_residual_witness("antisymmetry", pos + 1, residual))
     s.record("bracket-graded-antisymmetry", failures)
@@ -215,10 +214,10 @@ def _suite_algebroid(s: _Session):
     for pos in range(s.trials):
         u, v, w = s.elems(rng, 3)
         sign = -1 if ((u.degree - 1) * (v.degree - 1)) % 2 else 1
-        residual = graded_sum(
-            schouten(a, u, schouten(a, v, w)),
-            -schouten(a, schouten(a, u, v), w),
-            (-sign) * schouten(a, v, schouten(a, u, w)),
+        residual = (
+            schouten(a, u, schouten(a, v, w))
+            - schouten(a, schouten(a, u, v), w)
+            - sign * schouten(a, v, schouten(a, u, w))
         )
         if not residual.is_zero:
             failures.append(_residual_witness("jacobi", pos + 1, residual))
@@ -228,10 +227,10 @@ def _suite_algebroid(s: _Session):
     for pos in range(s.trials):
         u, v, w = s.elems(rng, 3)
         sign = -1 if ((u.degree - 1) * v.degree) % 2 else 1
-        residual = graded_sum(
-            schouten(a, u, wedge(v, w)),
-            -wedge(schouten(a, u, v), w),
-            (-sign) * wedge(v, schouten(a, u, w)),
+        residual = (
+            schouten(a, u, wedge(v, w))
+            - wedge(schouten(a, u, v), w)
+            - sign * wedge(v, schouten(a, u, w))
         )
         if not residual.is_zero:
             failures.append(_residual_witness("derivation", pos + 1, residual))
@@ -240,7 +239,7 @@ def _suite_algebroid(s: _Session):
     failures = []
     for pos in range(s.trials):
         u, v = s.elems(rng, 2)
-        residual = graded_sum(schouten(a, u, v), -schouten_oracle(a, u, v))
+        residual = schouten(a, u, v) - schouten_oracle(a, u, v)
         if not residual.is_zero:
             failures.append(_residual_witness("oracle", pos + 1, residual))
     s.record("bracket-oracle-agreement", failures)
@@ -276,12 +275,12 @@ def _suite_bv(s: _Session):
         u, v = s.elems(rng, 2)
         sign = -1 if u.degree % 2 else 1
         bracket = schouten(a, u, v)
-        expanded = graded_sum(
-            generating_operator(conn, wedge(u, v)),
-            -wedge(generating_operator(conn, u), v),
-            (-sign) * wedge(u, generating_operator(conn, v)),
+        expanded = (
+            generating_operator(conn, wedge(u, v))
+            - wedge(generating_operator(conn, u), v)
+            - sign * wedge(u, generating_operator(conn, v))
         )
-        residual = graded_sum(bracket, (-sign) * expanded)
+        residual = bracket - sign * expanded
         if not residual.is_zero:
             failures.append(_residual_witness("generating", pos + 1, residual))
     s.record("generating-property", failures)
@@ -291,7 +290,7 @@ def _suite_bv(s: _Session):
     for pos in range(s.trials):
         u = s.elems(rng, 1)[0]
         twice = generating_operator(conn, generating_operator(conn, u))
-        residual = graded_sum(twice, contract_or_zero(r, u))
+        residual = twice + contract_or_zero(r, u)
         if not residual.is_zero:
             failures.append(_residual_witness("curvature", pos + 1, residual))
     s.record("square-is-curvature-contraction", failures)
@@ -302,11 +301,11 @@ def _suite_bv(s: _Session):
         u = s.elems(rng, 1)[0]
         sign = -1 if theta.degree % 2 else 1
         lhs = contract_or_zero(theta, generating_operator(conn, u))
-        rhs = graded_sum(
-            sign * generating_operator(conn, contract_or_zero(theta, u)),
-            contract_or_zero(differential(a, theta), u),
+        rhs = (
+            sign * generating_operator(conn, contract_or_zero(theta, u))
+            + contract_or_zero(differential(a, theta), u)
         )
-        residual = graded_sum(lhs, -rhs)
+        residual = lhs - rhs
         if not residual.is_zero:
             failures.append(_residual_witness("contraction", pos + 1, residual))
     s.record("operator-contraction-identity", failures)
@@ -351,7 +350,7 @@ def _suite_bv(s: _Session):
             u = s.elems(rng, 1)[0]
             lhs = frame_change_elem(g, generating_operator(conn, u))
             rhs = generating_operator(moved, frame_change_elem(g, u))
-            residual = graded_sum(lhs, -rhs)
+            residual = lhs - rhs
             if not residual.is_zero:
                 failures.append("frame %d residual %s" % (pos + 1, residual))
     s.record("operator-frame-naturality", failures)
@@ -386,8 +385,8 @@ def _suite_homology(s: _Session):
             "homology-cohomology-duality",
             ["entry %s" % mm for mm in dual["mismatches"]],
         )
-        s.tables.append(dual["homology"].to_json())
-        s.tables.append(dual["cohomology"].to_json())
+        s.tables.append(dual["homology"])
+        s.tables.append(dual["cohomology"])
 
     pi = s.poisson
     if pi is None:
@@ -425,12 +424,12 @@ def _suite_homology(s: _Session):
         bracket = as_side(
             schouten(cot, as_side(w1, A_SIDE), as_side(w2, A_SIDE)), DUAL_SIDE
         )
-        expanded = graded_sum(
-            koszul_brylinski(pi, wedge(w1, w2)),
-            -wedge(koszul_brylinski(pi, w1), w2),
-            (-sign) * wedge(w1, koszul_brylinski(pi, w2)),
+        expanded = (
+            koszul_brylinski(pi, wedge(w1, w2))
+            - wedge(koszul_brylinski(pi, w1), w2)
+            - sign * wedge(w1, koszul_brylinski(pi, w2))
         )
-        residual = graded_sum(bracket, (-sign) * expanded)
+        residual = bracket - sign * expanded
         if not residual.is_zero:
             failures.append(_residual_witness("kb-generating", pos + 1, residual))
     s.record("kb-generates-cotangent-bracket", failures)
@@ -439,14 +438,14 @@ def _suite_homology(s: _Session):
     if outcome["skipped"]:
         s.record("unimodular-duality", [])
         s.results[-1].witness = "skipped: modular field %s" % outcome["modular_field"]
-        s.tables.append(kb_betti(pi, 2).to_json())
-        s.tables.append(lichnerowicz_betti(pi, 2).to_json())
+        s.tables.append(kb_betti(pi, 2))
+        s.tables.append(lichnerowicz_betti(pi, 2))
     else:
         s.record(
             "unimodular-duality", ["entry %s" % mm for mm in outcome["mismatches"]]
         )
-        s.tables.append(outcome["homology"].to_json())
-        s.tables.append(outcome["cohomology"].to_json())
+        s.tables.append(outcome["homology"])
+        s.tables.append(outcome["cohomology"])
 
 
 _SUITE_FUNCS = {
@@ -458,7 +457,11 @@ _SUITE_FUNCS = {
 
 
 def run_suites(doc: Document, suite="all", trials=20, seed=0, max_deg=2):
-    """Run one or all suites; returns (results, sign, tables)."""
+    """Run one or all suites; returns (results, sign, tables).
+
+    ``results`` are ``CheckResult`` objects and ``tables`` are ``BettiTable``
+    objects, in report order.
+    """
     if suite not in SUITES:
         raise ValueError("unknown suite %r" % suite)
     session = _Session(doc, trials, seed, max_deg)

@@ -47,7 +47,6 @@ from albv.exterior import (
     A_SIDE,
     DUAL_SIDE,
     contract_or_zero,
-    graded_sum,
     pairing,
     wedge,
 )
@@ -115,25 +114,25 @@ def test_criterion_02_bracket_laws_and_oracle_agreement_on_the_roster():
             u, v, w = draw(), draw(), draw()
             sign = -1 if ((u.degree - 1) * (v.degree - 1)) % 2 else 1
 
-            anti = graded_sum(schouten(a, u, v), sign * schouten(a, v, u))
+            anti = schouten(a, u, v) + sign * schouten(a, v, u)
             assert anti.is_zero, "%s antisymmetry probe %d: %s" % (name, pos + 1, anti)
 
-            jac = graded_sum(
-                schouten(a, u, schouten(a, v, w)),
-                -schouten(a, schouten(a, u, v), w),
-                (-sign) * schouten(a, v, schouten(a, u, w)),
+            jac = (
+                schouten(a, u, schouten(a, v, w))
+                - schouten(a, schouten(a, u, v), w)
+                - sign * schouten(a, v, schouten(a, u, w))
             )
             assert jac.is_zero, "%s jacobi probe %d: %s" % (name, pos + 1, jac)
 
             dsign = -1 if ((u.degree - 1) * v.degree) % 2 else 1
-            der = graded_sum(
-                schouten(a, u, wedge(v, w)),
-                -wedge(schouten(a, u, v), w),
-                (-dsign) * wedge(v, schouten(a, u, w)),
+            der = (
+                schouten(a, u, wedge(v, w))
+                - wedge(schouten(a, u, v), w)
+                - dsign * wedge(v, schouten(a, u, w))
             )
             assert der.is_zero, "%s derivation probe %d: %s" % (name, pos + 1, der)
 
-            orc = graded_sum(schouten(a, u, v), -schouten_oracle(a, u, v))
+            orc = schouten(a, u, v) - schouten_oracle(a, u, v)
             assert orc.is_zero, "%s oracle probe %d: %s" % (name, pos + 1, orc)
 
 
@@ -209,12 +208,12 @@ def test_criterion_04_generating_property_for_flat_and_curved_forms():
             u = random_elem(rng, a, A_SIDE, rng.randrange(a.rank + 1), 2)
             v = random_elem(rng, a, A_SIDE, rng.randrange(a.rank + 1), 2)
             sign = -1 if u.degree % 2 else 1
-            expanded = graded_sum(
-                generating_operator(conn, wedge(u, v)),
-                -wedge(generating_operator(conn, u), v),
-                (-sign) * wedge(u, generating_operator(conn, v)),
+            expanded = (
+                generating_operator(conn, wedge(u, v))
+                - wedge(generating_operator(conn, u), v)
+                - sign * wedge(u, generating_operator(conn, v))
             )
-            residual = graded_sum(schouten(a, u, v), (-sign) * expanded)
+            residual = schouten(a, u, v) - sign * expanded
             assert residual.is_zero, "%s probe %d: %s" % (label, pos + 1, residual)
 
 
@@ -228,7 +227,7 @@ def test_criterion_05_squared_operator_is_curvature_contraction():
     for pos in range(40):
         u = random_elem(rng, plane, A_SIDE, rng.randrange(3), 2)
         twice = generating_operator(curved, generating_operator(curved, u))
-        residual = graded_sum(twice, contract_or_zero(r, u))
+        residual = twice + contract_or_zero(r, u)
         assert residual.is_zero, "curved square probe %d: %s" % (pos + 1, residual)
 
     for label, alpha in (
@@ -269,11 +268,11 @@ def test_criterion_06_round_trips_contraction_identity_and_torsion_free_route():
             u = random_elem(rng, a, A_SIDE, rng.randrange(a.rank + 1), 2)
             sign = -1 if theta.degree % 2 else 1
             lhs = contract_or_zero(theta, generating_operator(conn, u))
-            rhs = graded_sum(
-                sign * generating_operator(conn, contract_or_zero(theta, u)),
-                contract_or_zero(differential(a, theta), u),
+            rhs = (
+                sign * generating_operator(conn, contract_or_zero(theta, u))
+                + contract_or_zero(differential(a, theta), u)
             )
-            residual = graded_sum(lhs, -rhs)
+            residual = lhs - rhs
             assert residual.is_zero, "%s contraction probe %d: %s" % (
                 label,
                 pos + 1,
@@ -292,9 +291,9 @@ def test_criterion_06_round_trips_contraction_identity_and_torsion_free_route():
     induced_s = conn_s.induced_top_connection()
     assert induced_s.alpha.is_zero
     for elem in lie_basis(s):
-        residual = graded_sum(
-            torsion_free_generator(conn_s, elem),
-            -generating_operator(induced_s, elem),
+        residual = (
+            torsion_free_generator(conn_s, elem)
+            - generating_operator(induced_s, elem)
         )
         assert residual.is_zero, "sl2 basis element %s: %s" % (elem, residual)
 
@@ -310,8 +309,9 @@ def test_criterion_06_round_trips_contraction_identity_and_torsion_free_route():
     rng = random.Random("acceptance-6:plane")
     for pos in range(30):
         u = random_elem(rng, plane, A_SIDE, rng.randrange(3), 2)
-        residual = graded_sum(
-            torsion_free_generator(conn_p, u), -generating_operator(induced_p, u)
+        residual = (
+            torsion_free_generator(conn_p, u)
+            - generating_operator(induced_p, u)
         )
         assert residual.is_zero, "plane probe %d: %s" % (pos + 1, residual)
 

@@ -19,7 +19,7 @@ from albv.calculus import (
     schouten,
     schouten_oracle,
 )
-from albv.exterior import A_SIDE, DUAL_SIDE, graded_sum, wedge
+from albv.exterior import A_SIDE, DUAL_SIDE, wedge
 from albv.randgen import random_elem
 from conftest import aff1, heisenberg, sl2
 
@@ -68,6 +68,9 @@ def test_schouten_small_frozen_values():
     assert schouten(a, x * dx, dx) == -dx
     assert schouten(a, dx, x * dy) == dy
     assert schouten(a, wedge(dx, dy), a.scalar(x)) == -dy
+    functions = schouten(a, a.scalar(x), a.scalar("y"))
+    assert functions.is_zero and functions.degree == -1
+    assert schouten_oracle(a, a.scalar(x), a.scalar("y")) == functions
 
 
 def test_schouten_graded_laws_on_samples():
@@ -81,18 +84,18 @@ def test_schouten_graded_laws_on_samples():
             v = random_elem(rng, a, A_SIDE, dv)
             w = random_elem(rng, a, A_SIDE, dw)
             sign = -1 if ((du - 1) * (dv - 1)) % 2 else 1
-            assert graded_sum(schouten(a, u, v), sign * schouten(a, v, u)).is_zero
-            jacobi = graded_sum(
-                schouten(a, u, schouten(a, v, w)),
-                -schouten(a, schouten(a, u, v), w),
-                (-sign) * schouten(a, v, schouten(a, u, w)),
+            assert (schouten(a, u, v) + sign * schouten(a, v, u)).is_zero
+            jacobi = (
+                schouten(a, u, schouten(a, v, w))
+                - schouten(a, schouten(a, u, v), w)
+                - sign * schouten(a, v, schouten(a, u, w))
             )
             assert jacobi.is_zero
             dsign = -1 if ((du - 1) * dv) % 2 else 1
-            leibniz = graded_sum(
-                schouten(a, u, wedge(v, w)),
-                -wedge(schouten(a, u, v), w),
-                (-dsign) * wedge(v, schouten(a, u, w)),
+            leibniz = (
+                schouten(a, u, wedge(v, w))
+                - wedge(schouten(a, u, v), w)
+                - dsign * wedge(v, schouten(a, u, w))
             )
             assert leibniz.is_zero
 
@@ -103,9 +106,7 @@ def test_schouten_agrees_with_pairing_route():
         for _ in range(10):
             u = random_elem(rng, a, A_SIDE, rng.randrange(0, a.rank + 1))
             v = random_elem(rng, a, A_SIDE, rng.randrange(0, a.rank + 1))
-            assert graded_sum(
-                schouten(a, u, v), -schouten_oracle(a, u, v)
-            ).is_zero
+            assert (schouten(a, u, v) - schouten_oracle(a, u, v)).is_zero
 
 
 def test_lie_derivative_on_forms():

@@ -1,7 +1,14 @@
 """End-to-end runs of the command line front end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import albv
 from albv.cli import main
 
 PLANE_TEXT = """\
@@ -177,3 +184,43 @@ def test_global_flags_work_in_both_positions(tmp_path, capsys):
     assert main(["cohomology", path, "--json"]) == 0
     after = capsys.readouterr().out
     assert json.loads(before) == json.loads(after)
+
+
+def test_verify_rejects_zero_trials_and_negative_degrees(tmp_path, capsys):
+    path = put(tmp_path, "plane.albv", PLANE_TEXT)
+    for flag, value, message in (
+        ("--trials", "0", "--trials: must be at least 1, got 0"),
+        ("--max-deg", "-1", "--max-deg: must be at least 0, got -1"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", path, flag, value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+
+def test_tables_reject_a_negative_weight_cap(tmp_path, capsys):
+    path = put(tmp_path, "plane.albv", PLANE_TEXT)
+    for command in (["cohomology"], ["homology"], ["homology", "--kb"]):
+        with pytest.raises(SystemExit) as exc:
+            main(command + [path, "--max-weight", "-3"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--max-weight: must be at least 0, got -3" in captured.err
+
+
+def test_module_entry_point_runs_the_cli(tmp_path):
+    path = put(tmp_path, "sl2.albv", SL2_TEXT)
+    src = str(Path(albv.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "albv.cli", "validate", path],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("axioms: PASS\n")

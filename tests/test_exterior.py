@@ -15,7 +15,6 @@ from albv.exterior import (
     contract_or_zero,
     frame_change_elem,
     frame_elem,
-    graded_sum,
     pairing,
     shuffle_sign,
     sort_with_sign,
@@ -95,7 +94,9 @@ def test_contract_overflow_raises_and_or_zero_variant():
     e0 = frame_elem(0, 2, XY)
     with pytest.raises(ValueError, match="degree overflow"):
         contract(eps01, e0)
-    assert contract_or_zero(eps01, e0).is_zero
+    overflow = contract_or_zero(eps01, e0)
+    assert overflow.is_zero
+    assert overflow.degree == -1
 
 
 def test_contraction_by_degree_zero_multiplies():
@@ -152,13 +153,23 @@ def test_weight_parts_split_by_coefficient_degree():
     assert u.max_coeff_degree() == 2
 
 
-def test_graded_sum_absorbs_degree_tagged_zeros():
-    z0 = GradedElem.zero(A_SIDE, 0, 2, XY)
-    z3 = GradedElem.zero(A_SIDE, 3, 2, XY)
+def test_addition_across_degrees_raises_even_for_zeros():
     u = elem(A_SIDE, 1, 2, {(1,): "x"})
-    assert graded_sum(z0, u) == u
-    assert graded_sum(u, z3, u) == 2 * u
-    assert graded_sum(z0, z3).is_zero
+    for degree in (-1, 0, 3):
+        zero = GradedElem.zero(A_SIDE, degree, 2, XY)
+        with pytest.raises(ValueError, match="incompatible elements"):
+            zero + u
+        with pytest.raises(ValueError, match="incompatible elements"):
+            u - zero
+    assert GradedElem.zero(A_SIDE, 1, 2, XY) + u == u
+
+
+def test_only_zero_lives_in_negative_degree():
+    zero = GradedElem.zero(A_SIDE, -1, 2, XY)
+    assert zero.is_zero and zero.degree == -1
+    assert basis_tuples(2, -1) == []
+    with pytest.raises(ValueError):
+        GradedElem(A_SIDE, -1, 2, XY, {(): parse_poly("1", XY)})
 
 
 def test_above_top_degree_must_be_empty():
