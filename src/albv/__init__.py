@@ -6,149 +6,48 @@ algebroid structures and their validation, the differential and the graded
 bracket (each with an independently coded cross-check), generating operators
 attached to top-degree connections, weight-graded homology tables, and the
 ``albv`` command line front end over the .albv file format.
+
+The package namespace holds the names of the README's library example and
+those the command line uses; everything else is imported from its module.
 """
 
-from .algebroid import (
-    LieAlgebroid,
-    PoissonStructure,
-    ValidationReport,
-    algebroid_from_differential,
-    cotangent_algebroid,
-    custom_algebroid,
-    lie_algebra,
-    tangent_algebroid,
-    triangular_dual_algebroid,
-)
+from .algebroid import tangent_algebroid
 from .albvfile import Document, DocumentError
-from .bv import (
-    AConnectionOnA,
-    TopConnection,
-    connection_from_operator,
-    curvature,
-    divergence,
-    generating_operator,
-    operator_difference,
-    torsion_free_generator,
-)
-from .calculus import (
-    bialgebroid_check,
-    differential,
-    dual_differential,
-    lichnerowicz,
-    lie_derivative,
-    schouten,
-    schouten_oracle,
-)
-from .exterior import (
-    A_SIDE,
-    DUAL_SIDE,
-    GradedElem,
-    Volume,
-    as_side,
-    basis_tuples,
-    coframe_elem,
-    contract,
-    contract_or_zero,
-    frame_change_elem,
-    frame_elem,
-    pairing,
-    scalar_elem,
-    shuffle_sign,
-    star,
-    star_inv,
-    top_elem,
-    wedge,
-)
+from .bv import TopConnection, curvature, generating_operator
+from .calculus import lichnerowicz, schouten
+from .exterior import DUAL_SIDE, GradedElem, basis_tuples, star
 from .homology import (
-    BettiTable,
-    anticommutator_defect_check,
-    betti_table,
-    boundary,
     boundary_betti,
     cohomology_betti,
-    duality_check,
-    homotopy_invariance_check,
     kb_betti,
-    koszul_brylinski,
-    lichnerowicz_betti,
-    lie_algebra_boundary,
     modular_relation_check,
     modular_vector_field,
-    monomial_basis_elems,
-    star_conjugation_check,
-    unimodular_duality_check,
 )
-from .poly import Poly, PolyParseError, parse_poly
-from .verify import CheckResult, SUITES, run_suites
+from .poly import Poly
+from .verify import SUITES, CheckResult, run_suites
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "A_SIDE",
-    "AConnectionOnA",
-    "BettiTable",
     "CheckResult",
     "DUAL_SIDE",
     "Document",
     "DocumentError",
     "GradedElem",
-    "LieAlgebroid",
     "Poly",
-    "PolyParseError",
-    "PoissonStructure",
     "SUITES",
     "TopConnection",
-    "ValidationReport",
-    "Volume",
-    "algebroid_from_differential",
-    "anticommutator_defect_check",
-    "as_side",
     "basis_tuples",
-    "betti_table",
-    "bialgebroid_check",
-    "boundary",
     "boundary_betti",
-    "coframe_elem",
     "cohomology_betti",
-    "connection_from_operator",
-    "contract",
-    "contract_or_zero",
-    "cotangent_algebroid",
     "curvature",
-    "custom_algebroid",
-    "differential",
-    "divergence",
-    "dual_differential",
-    "duality_check",
-    "frame_change_elem",
-    "frame_elem",
     "generating_operator",
-    "homotopy_invariance_check",
     "kb_betti",
-    "koszul_brylinski",
     "lichnerowicz",
-    "lichnerowicz_betti",
-    "lie_algebra",
-    "lie_algebra_boundary",
-    "lie_derivative",
     "modular_relation_check",
     "modular_vector_field",
-    "monomial_basis_elems",
-    "operator_difference",
-    "pairing",
-    "parse_poly",
     "run_suites",
-    "scalar_elem",
     "schouten",
-    "schouten_oracle",
-    "shuffle_sign",
     "star",
-    "star_conjugation_check",
-    "star_inv",
     "tangent_algebroid",
-    "top_elem",
-    "torsion_free_generator",
-    "triangular_dual_algebroid",
-    "unimodular_duality_check",
-    "wedge",
 ]

@@ -93,13 +93,6 @@ class ValidationReport:
             out.append("jacobi identity: ok")
         return out
 
-    def to_json(self):
-        return {
-            "ok": self.ok,
-            "anchor_failures": self.anchor_failures,
-            "jacobi_failures": self.jacobi_failures,
-        }
-
 
 class LieAlgebroid:
     """Frame presentation of a Lie algebroid over a polynomial base."""
@@ -199,16 +192,6 @@ class LieAlgebroid:
         for (i,), coeff in x.components.items():
             out = out + coeff * self.anchor_frame(i, f)
         return out
-
-    def anchor_vector(self, x: GradedElem):
-        """Base vector field of a section, as a tuple of coefficient polys."""
-        if x.side != A_SIDE or x.degree != 1:
-            raise ValueError("anchor_vector expects a degree-1 section")
-        out = [Poly.zero(self.variables) for _ in range(self.base_dim)]
-        for (i,), coeff in x.components.items():
-            for mu in range(self.base_dim):
-                out[mu] = out[mu] + coeff * self.anchor[i][mu]
-        return tuple(out)
 
     # -- bracket of sections ----------------------------------------------
 

@@ -247,15 +247,6 @@ class AConnectionOnA:
                     )
         return out
 
-    def derive_along(self, x: GradedElem, w: GradedElem) -> GradedElem:
-        """Covariant derivative along a section, function-linear in the section."""
-        if x.side != A_SIDE or x.degree != 1:
-            raise ValueError("derive_along expects a degree-1 section")
-        out = self.algebroid.zero_elem(w.side, w.degree)
-        for (i,), coeff in x.components.items():
-            out = out + coeff * self.derive(i, w)
-        return out
-
     def torsion(self, i, j) -> GradedElem:
         a = self.algebroid
         return self.nabla_frame(i, j) - self.nabla_frame(j, i) - a.bracket_frame(i, j)

@@ -156,14 +156,13 @@ class _Report:
             print(table.to_text(), file=out)
 
 
-def _structure_gate(report, doc, a, pi):
-    gate_ok = True
+def _structure_gate(report, a, pi):
+    """Add the axiom and bivector checks to the report; returns the axiom report."""
     vreport = a.validate()
     witness = None
     if not vreport.ok:
         details = vreport.anchor_failures + vreport.jacobi_failures
         witness = str(details[0]) if details else "structure checks failed"
-        gate_ok = False
     report.add_check("axioms", vreport.ok, witness)
     if pi is not None:
         bad = pi.jacobiator()
@@ -172,15 +171,13 @@ def _structure_gate(report, doc, a, pi):
             bad.is_zero,
             None if bad.is_zero else "self-bracket is %s" % bad,
         )
-        gate_ok = gate_ok and bad.is_zero
-    return gate_ok
+    return vreport
 
 
 def _cmd_validate(args, doc, report):
     a = doc.build_algebroid(check=False)
     pi = doc.build_poisson(check=False)
-    _structure_gate(report, doc, a, pi)
-    vreport = a.validate()
+    vreport = _structure_gate(report, a, pi)
     report.info.extend(vreport.lines())
     return None
 
@@ -295,7 +292,8 @@ def main(argv=None) -> int:
         if gated:
             a = doc.build_algebroid(check=False)
             pi = doc.build_poisson(check=False)
-            if not _structure_gate(report, doc, a, pi):
+            _structure_gate(report, a, pi)
+            if report.failed:
                 _finish(report, args, out)
                 return 1
         handler = _HANDLERS[args.command]

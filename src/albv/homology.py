@@ -1,13 +1,15 @@
 """Weight-graded chain complexes, Betti tables, and the Poisson operators.
 
 The weight of a monomial section is the total degree of its polynomial
-coefficient.  An operator that is weight-homogeneous of a single shift s
-splits the complex into finite slices, one per (exterior degree k, weight w),
-and homology is computed slice by slice with exact rational ranks.  An
-operator whose weight shifts are mixed but all nonpositive still preserves
-the finite subcomplex of weight at most w; in that capped mode the table
-entry at (k, w) is the homology of the whole truncated subcomplex.  Operators
-that raise weight admit no finite truncation and are refused.
+coefficient.  Table entry (k, w) is the homology at a weight window of
+exterior degree k.  The window is ``(w,)`` when the operator is
+weight-homogeneous of a single shift s, and ``range(w + 1)`` when the table is
+capped: an operator whose weight shifts are mixed but all nonpositive still
+preserves the finite subcomplex of weight at most w, and any table may be
+capped on request.  The operator maps the window of (k, w) into the window of
+(k + k_step, w + lift), where the lift is s, or 0 when capped; each window's
+rank is computed once, with exact rational arithmetic.  Operators that raise
+weight admit no finite truncation and are refused.
 
 Also here: the star-conjugation check of the boundary (defined in ``bv``
 and re-exported here), the Koszul-Brylinski operator on base forms, the
@@ -27,7 +29,13 @@ from .algebroid import (
     cotangent_algebroid,
     tangent_algebroid,
 )
-from .bv import TopConnection, boundary, generating_operator
+from .bv import (
+    AConnectionOnA,
+    TopConnection,
+    boundary,
+    generating_operator,
+    torsion_free_generator,
+)
 from .calculus import differential, lichnerowicz, schouten
 from .exterior import (
     A_SIDE,
@@ -94,6 +102,8 @@ def lie_algebra_boundary(a: LieAlgebroid, u: GradedElem) -> GradedElem:
 
 
 def _exponents(m, w):
+    if w < 0:
+        return []
     if m == 0:
         return [()] if w == 0 else []
     if m == 1:
@@ -122,10 +132,13 @@ class BettiTable:
     entries: dict
     rank: int
     max_weight: int
-    homogeneous: bool
     capped: bool
     shift: int | None
     operator_tag: str = ""
+
+    @property
+    def homogeneous(self) -> bool:
+        return not self.capped
 
     def entry(self, k, w=0) -> int:
         return self.entries.get((k, w), 0)
@@ -162,7 +175,8 @@ class BettiTable:
 
 
 class WeightedComplex:
-    """Slice bookkeeping for one operator of fixed exterior-degree step."""
+    """Weight windows and their memoised ranks for one operator of fixed
+    exterior-degree step (the window rule is in the module docstring)."""
 
     def __init__(
         self,
@@ -186,29 +200,26 @@ class WeightedComplex:
         self.operator_tag = operator_tag
         self._basis_cache = {}
         self._image_cache = {}
-        shifts = set()
-        for k in range(rank + 1):
-            for w in range(self.max_weight + 1):
-                for src, img in zip(self._basis(k, w), self._images(k, w)):
-                    for w_out in img.weight_parts():
-                        shifts.add(w_out - w)
-        if not shifts:
-            self.homogeneous, self.shift = True, 0
-        elif len(shifts) == 1:
-            self.homogeneous, self.shift = True, shifts.pop()
-        elif max(shifts) <= 0:
-            self.homogeneous, self.shift = False, None
-        else:
+        self._rank_cache = {}
+        shifts = {
+            w_out - w
+            for k in range(rank + 1)
+            for w in range(self.max_weight + 1)
+            for img in self._images(k, w)
+            for w_out in img.weight_parts()
+        }
+        if shifts and max(shifts) > 0:
             raise ValueError(
                 "operator raises weight by %d; no finite truncation exists"
                 % max(shifts)
             )
-        if self.homogeneous and self.shift > 0:
-            raise ValueError(
-                "operator raises weight by %d; no finite truncation exists"
-                % self.shift
-            )
-        self.capped = force_capped or not self.homogeneous
+        homogeneous = len(shifts) <= 1
+        self.shift = min(shifts, default=0) if homogeneous else None
+        self.capped = force_capped or not homogeneous
+        self.lift = 0 if self.capped else self.shift
+
+    def _window(self, w):
+        return range(w + 1) if self.capped else (w,)
 
     def _basis(self, k, w):
         key = (k, w)
@@ -223,91 +234,52 @@ class WeightedComplex:
     def _images(self, k, w):
         key = (k, w)
         if key not in self._image_cache:
-            images = []
-            for idx, expo in self._basis(k, w):
-                coeff = Poly(self.variables, {expo: Fraction(1)})
-                elem = GradedElem(self.side, k, self.rank, self.variables, {idx: coeff})
-                images.append(self.op(elem))
-            self._image_cache[key] = images
+            self._image_cache[key] = [
+                self.op(elem)
+                for elem in monomial_basis_elems(
+                    self.variables, self.rank, self.side, k, w
+                )
+            ]
         return self._image_cache[key]
 
-    def _vectorize(self, elem, index_map, width):
-        row = [Fraction(0)] * width
-        for idx, poly in elem.components.items():
-            for expo, c in poly.terms.items():
-                pos = index_map.get((idx, expo))
-                if pos is None:
-                    raise ValueError("operator image leaves the expected slice")
-                row[pos] = row[pos] + c
-        return row
-
-    def _slice_rank(self, k_src, w_src):
-        """Rank of the slice matrix out of (k_src, w_src), homogeneous mode."""
-        k_dst = k_src + self.k_step
-        if not 0 <= k_src <= self.rank or w_src < 0:
-            return 0
-        src = self._basis(k_src, w_src)
-        if not src:
-            return 0
-        images = self._images(k_src, w_src)
-        if not 0 <= k_dst <= self.rank:
-            if any(not img.is_zero for img in images):
-                raise ValueError("nonzero image outside the degree range")
-            return 0
-        dst = self._basis(k_dst, w_src + self.shift)
-        if not dst:
-            if any(not img.is_zero for img in images):
-                raise ValueError("operator image leaves the expected slice")
-            return 0
-        index_map = {mono: pos for pos, mono in enumerate(dst)}
-        rows = [self._vectorize(img, index_map, len(dst)) for img in images]
-        return matrix_rank(rows)
-
-    def _capped_rank(self, k_src, w_cap):
-        k_dst = k_src + self.k_step
-        if not 0 <= k_src <= self.rank:
-            return 0
-        src, images = [], []
-        for w in range(w_cap + 1):
-            src.extend(self._basis(k_src, w))
-            images.extend(self._images(k_src, w))
-        if not src:
-            return 0
-        if not 0 <= k_dst <= self.rank:
-            if any(not img.is_zero for img in images):
-                raise ValueError("nonzero image outside the degree range")
-            return 0
-        dst = []
-        for w in range(w_cap + 1):
-            dst.extend(self._basis(k_dst, w))
-        if not dst:
-            if any(not img.is_zero for img in images):
-                raise ValueError("operator image leaves the truncated subcomplex")
-            return 0
-        index_map = {mono: pos for pos, mono in enumerate(dst)}
-        rows = [self._vectorize(img, index_map, len(dst)) for img in images]
-        return matrix_rank(rows)
+    def _rank(self, k, w):
+        """Rank of the operator out of the window of (k, w)."""
+        key = (k, w)
+        if key not in self._rank_cache:
+            dst = [
+                mono
+                for wp in self._window(w + self.lift)
+                for mono in self._basis(k + self.k_step, wp)
+            ]
+            index_map = {mono: pos for pos, mono in enumerate(dst)}
+            rows = []
+            for wp in self._window(w):
+                for img in self._images(k, wp):
+                    row = [Fraction(0)] * len(dst)
+                    for idx, poly in img.components.items():
+                        for expo, c in poly.terms.items():
+                            pos = index_map.get((idx, expo))
+                            if pos is None:
+                                raise ValueError(
+                                    "operator image leaves the expected slice"
+                                )
+                            row[pos] = row[pos] + c
+                    rows.append(row)
+            self._rank_cache[key] = matrix_rank(rows) if rows and dst else 0
+        return self._rank_cache[key]
 
     def table(self) -> BettiTable:
         entries = {}
         for k in range(self.rank + 1):
             for w in range(self.max_weight + 1):
-                if self.capped:
-                    dim = 0
-                    for wp in range(w + 1):
-                        dim += len(self._basis(k, wp))
-                    rank_out = self._capped_rank(k, w)
-                    rank_in = self._capped_rank(k - self.k_step, w)
-                else:
-                    dim = len(self._basis(k, w))
-                    rank_out = self._slice_rank(k, w)
-                    rank_in = self._slice_rank(k - self.k_step, w - self.shift)
+                dim = sum(len(self._basis(k, wp)) for wp in self._window(w))
+                rank_out = self._rank(k, w)
+                rank_in = self._rank(k - self.k_step, w - self.lift)
                 entries[(k, w)] = dim - rank_out - rank_in
         return BettiTable(
             entries=entries,
             rank=self.rank,
             max_weight=self.max_weight,
-            homogeneous=self.homogeneous and not self.capped,
             capped=self.capped,
             shift=None if self.capped else self.shift,
             operator_tag=self.operator_tag,
@@ -373,18 +345,29 @@ def lichnerowicz_betti(pi: PoissonStructure, max_weight=4) -> BettiTable:
     )
 
 
+def _mismatches(left, right, left_key, right_key, reverse=False, top_w=None):
+    """Slots (k, w) where two tables differ, as records keyed k, w and the names.
+
+    ``right`` is read at degree rank - k when ``reverse`` is set.  Weights run
+    up to ``top_w``, by default up to the cap of ``left``.
+    """
+    top_w = left.max_weight if top_w is None else top_w
+    out = []
+    for k in range(left.rank + 1):
+        for w in range(top_w + 1):
+            mine = left.entry(k, w)
+            theirs = right.entry(left.rank - k if reverse else k, w)
+            if mine != theirs:
+                out.append({"k": k, "w": w, left_key: mine, right_key: theirs})
+    return out
+
+
 def duality_check(a: LieAlgebroid, max_weight=4):
     """Compare homology of the trivial flat connection with reversed cohomology."""
     conn0 = TopConnection(a)
     hom = boundary_betti(conn0, max_weight)
     coh = cohomology_betti(a, max_weight)
-    mismatches = []
-    for k in range(a.rank + 1):
-        for w in range(hom.max_weight + 1):
-            left = hom.entry(k, w)
-            right = coh.entry(a.rank - k, w)
-            if left != right:
-                mismatches.append({"k": k, "w": w, "homology": left, "cohomology": right})
+    mismatches = _mismatches(hom, coh, "homology", "cohomology", reverse=True)
     return {"ok": not mismatches, "homology": hom, "cohomology": coh, "mismatches": mismatches}
 
 
@@ -395,18 +378,31 @@ def star_conjugation_check(a: LieAlgebroid, vol: Volume, probes=None, max_weight
     """Check the boundary of the trivial connection against star conjugation.
 
     The claim: on every element, the boundary equals minus the star of the
-    differential of the inverse star.  Runs on the supplied probes plus the
-    full monomial basis up to the given weight in every degree.
+    differential of the inverse star.  The boundary side is computed without
+    stars, frame-wise: the torsion-free connection with Christoffel data half
+    the structure coefficients has the operator ``torsion_free_generator``;
+    adding the contraction by its trace form moves that operator to the
+    trivial top connection, and the sign of the complementary degree turns
+    it into the boundary.  Runs on the supplied probes plus the full monomial
+    basis up to the given weight in every degree.
     """
-    conn0 = TopConnection(a)
+    n = a.rank
+    half = [
+        [[a.structure_coeff(i, j, k) / 2 for k in range(n)] for j in range(n)]
+        for i in range(n)
+    ]
+    nabla = AConnectionOnA(a, half)
+    tau = nabla.induced_top_connection().alpha
     todo = list(probes or [])
     top_w = 0 if a.base_dim == 0 else max_weight
-    for k in range(a.rank + 1):
+    for k in range(n + 1):
         for w in range(top_w + 1):
-            todo.extend(monomial_basis_elems(a.variables, a.rank, A_SIDE, k, w))
+            todo.extend(monomial_basis_elems(a.variables, n, A_SIDE, k, w))
     failures = []
     for pos, u in enumerate(todo):
-        lhs = boundary(conn0, u)
+        lhs = torsion_free_generator(nabla, u) + contract_or_zero(tau, u)
+        if (n - u.degree) % 2:
+            lhs = -lhs
         if u.degree == 0:
             # the conjugated route vanishes identically here: the inverse
             # star of a coefficient is top degree, and its differential has
@@ -536,14 +532,7 @@ def unimodular_duality_check(pi: PoissonStructure, max_weight=4):
         }
     hom = kb_betti(pi, max_weight)
     coh = lichnerowicz_betti(pi, max_weight)
-    m = pi.base_dim
-    mismatches = []
-    for k in range(m + 1):
-        for w in range(hom.max_weight + 1):
-            left = hom.entry(k, w)
-            right = coh.entry(m - k, w)
-            if left != right:
-                mismatches.append({"k": k, "w": w, "homology": left, "cohomology": right})
+    mismatches = _mismatches(hom, coh, "homology", "cohomology", reverse=True)
     return {
         "ok": not mismatches,
         "skipped": False,
@@ -660,13 +649,7 @@ def homotopy_invariance_check(a: LieAlgebroid, alpha1: GradedElem, alpha2: Grade
             "reason": str(exc),
             "mismatches": [],
         }
-    mismatches = []
-    for k in range(a.rank + 1):
-        for w in range(min(window, t1.max_weight) + 1):
-            left = t1.entry(k, w)
-            right = t2.entry(k, w)
-            if left != right:
-                mismatches.append({"k": k, "w": w, "first": left, "second": right})
+    mismatches = _mismatches(t1, t2, "first", "second", top_w=min(window, t1.max_weight))
     return {
         "ok": not mismatches,
         "inconclusive": False,

@@ -75,10 +75,6 @@ class Poly:
         expo = tuple(1 if v == name else 0 for v in variables)
         return cls(variables, {expo: Fraction(1)})
 
-    @classmethod
-    def monomial(cls, exponents, coeff, variables):
-        return cls(variables, {tuple(exponents): coeff})
-
     # -- predicates --------------------------------------------------------
 
     @property

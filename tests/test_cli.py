@@ -62,6 +62,24 @@ def test_validate_passes_on_good_file(tmp_path, capsys):
     assert "jacobi identity: ok" in out
 
 
+def test_validate_runs_the_structure_checks_once(tmp_path, capsys, monkeypatch):
+    from albv.algebroid import LieAlgebroid
+
+    calls = []
+    validate = LieAlgebroid.validate
+
+    def counting_validate(self):
+        calls.append(self)
+        return validate(self)
+
+    monkeypatch.setattr(LieAlgebroid, "validate", counting_validate)
+    path = put(tmp_path, "plane.albv", PLANE_TEXT)
+    assert main(["validate", path]) == 0
+    assert len(calls) == 1
+    out = capsys.readouterr().out
+    assert "axioms: PASS" in out and "jacobi identity: ok" in out
+
+
 def test_validate_reports_broken_structure(tmp_path, capsys):
     path = put(tmp_path, "broken.albv", BROKEN_TEXT)
     assert main(["validate", path]) == 1
