@@ -255,7 +255,7 @@ class WeightedComplex:
             rows = []
             for wp in self._window(w):
                 for img in self._images(k, wp):
-                    row = [Fraction(0)] * len(dst)
+                    row = [0] * len(dst)
                     for idx, poly in img.components.items():
                         for expo, c in poly.terms.items():
                             pos = index_map.get((idx, expo))

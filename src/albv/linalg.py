@@ -1,50 +1,55 @@
 """Exact linear algebra over the rationals.
 
-Rank computation uses fraction-free (Bareiss) elimination: rows are first
-scaled to integers, after which every intermediate entry stays an exact
-integer.  There is no tolerance anywhere; a pivot is nonzero or it is not.
+``rank`` is fraction-free Gaussian elimination over the nonzero entries only.
+Each row becomes a map from column to integer, its denominators cleared by
+their least common multiple.  It is then reduced against the pivot rows found
+so far, keyed by their leading column: with a and b the leading entries of
+the row and of the pivot, divided by their gcd, the row becomes
+``b * row - a * pivot``, which cancels the leading entry in integers.  Before
+each step the row is divided by the gcd of its entries (its content), so it
+and every pivot stay primitive and entries grow with the minors of the
+matrix rather than with the number of steps.  A row whose leading column has
+no pivot yet becomes one; a row that cancels to nothing adds no rank.  The
+rank is the number of pivots.  There is no tolerance anywhere; an entry is
+zero or it is not.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 __all__ = ["rank", "mat_inv", "mat_transpose", "identity"]
 
 
 def rank(rows) -> int:
-    """Rank of a matrix given as an iterable of rows of rationals."""
-    mat = []
+    """Rank of a matrix given as an iterable of equal-length rows of ints and
+    Fractions."""
+    pivots = {}  # leading column -> primitive integer row {column: entry}
     for row in rows:
-        row = [Fraction(x) for x in row]
-        scale = 1
-        for x in row:
-            scale = scale * x.denominator // gcd(scale, x.denominator)
-        mat.append([int(x * scale) for x in row])
-    if not mat or not mat[0]:
-        return 0
-    nrows, ncols = len(mat), len(mat[0])
-    r = 0
-    prev = 1
-    for col in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if mat[i][col] != 0:
-                pivot = i
+        entries = {col: x for col, x in enumerate(row) if x}
+        scale = lcm(*(x.denominator for x in entries.values()))
+        vec = {col: x.numerator * (scale // x.denominator) for col, x in entries.items()}
+        while vec:
+            content = gcd(*vec.values())
+            if content > 1:
+                vec = {col: x // content for col, x in vec.items()}
+            lead = min(vec)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = vec
                 break
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        for i in range(r + 1, nrows):
-            for j in range(col + 1, ncols):
-                mat[i][j] = (mat[r][col] * mat[i][j] - mat[i][col] * mat[r][j]) // prev
-            mat[i][col] = 0
-        prev = mat[r][col]
-        r += 1
-        if r == nrows:
-            break
-    return r
+            a, b = vec[lead], pivot[lead]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            vec = {col: b * x for col, x in vec.items()}
+            for col, y in pivot.items():
+                x = vec.get(col, 0) - a * y
+                if x:
+                    vec[col] = x
+                else:
+                    del vec[col]
+    return len(pivots)
 
 
 def identity(n):

@@ -270,19 +270,26 @@ def _tokenize(text):
     return tokens
 
 
+# parentheses and unary signs nested deeper than this are refused with a parse
+# error instead of exhausting the interpreter stack
+MAX_NESTING = 100
+
+
 class _Parser:
     """Recursive-descent parser for the polynomial literal grammar.
 
     Grammar: integer and rational (p/q) literals, declared variable names,
     the operators + - * / ^ (with / restricted to division by a nonzero
-    constant), and parentheses.  Whitespace is insignificant; there is no
-    implicit multiplication.
+    constant), and parentheses nested at most ``MAX_NESTING`` deep, unary
+    signs included.  Whitespace is insignificant; there is no implicit
+    multiplication.
     """
 
     def __init__(self, tokens, variables):
         self.tokens = tokens
         self.pos = 0
         self.variables = tuple(variables)
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -325,13 +332,19 @@ class _Parser:
         return value
 
     def factor(self):
-        if self.peek()[0] == "-":
-            self.take()
-            return -self.factor()
-        if self.peek()[0] == "+":
-            self.take()
-            return self.factor()
-        return self.power()
+        # every recursion of the grammar passes through here
+        kind, _, where = self.peek()
+        if self.depth > MAX_NESTING:
+            raise PolyParseError("nesting deeper than %d levels" % MAX_NESTING, where)
+        self.depth += 1
+        try:
+            if kind in ("-", "+"):
+                self.take()
+                value = self.factor()
+                return -value if kind == "-" else value
+            return self.power()
+        finally:
+            self.depth -= 1
 
     def power(self):
         base = self.atom()

@@ -1,8 +1,10 @@
 """The per-layer tracer in ``bench/`` patches albv names by module and path.
 
 It raises ``KeyError`` on a name that no longer exists, so every traced name
-must keep resolving.  The tracer module is read from the bench directory and
-left untouched.
+must keep resolving, and it sizes each rank input as a dense matrix, so the
+slice matrices must keep reaching ``matrix_rank`` as lists of equal-length
+rows.  The tracer module is read from the bench directory and left
+untouched.
 """
 
 import importlib
@@ -27,3 +29,33 @@ def test_every_traced_name_resolves():
         importlib.import_module(module)
         value = tracer._raw(module, path)
         assert callable(getattr(value, "__func__", value)), (module, path)
+
+
+def test_rank_inputs_are_dense_rows_the_tracer_can_size(monkeypatch):
+    import albv.homology
+    from albv.algebroid import tangent_algebroid
+    from albv.bv import TopConnection
+
+    tracer = load_tracer()
+    seen = []
+    rank = albv.homology.matrix_rank
+
+    def capture(rows):
+        seen.append(rows)
+        return rank(rows)
+
+    monkeypatch.setattr(albv.homology, "matrix_rank", capture)
+    flat = TopConnection(tangent_algebroid(("x", "y")))
+    albv.homology.boundary_betti(flat, 2, force_capped=True)
+    total_nnz = 0
+    for rows in seen:
+        assert isinstance(rows, list) and rows
+        assert all(isinstance(row, list) and len(row) == len(rows[0]) for row in rows)
+        nnz = sum(1 for row in rows for x in row if x != 0)
+        total_nnz += nnz
+        assert tracer._rank_shape(rows) == (
+            len(rows) * len(rows[0]),
+            nnz,
+            max(len(rows), len(rows[0])),
+        )
+    assert total_nnz > 0

@@ -53,6 +53,16 @@ def put(tmp_path, name, text):
     return str(path)
 
 
+def run_module(*args):
+    """Run ``python -m albv.cli`` in a fresh interpreter on this checkout."""
+    src = str(Path(albv.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "albv.cli", *args], capture_output=True, text=True, env=env
+    )
+
+
 def test_validate_passes_on_good_file(tmp_path, capsys):
     path = put(tmp_path, "sl2.albv", SL2_TEXT)
     assert main(["validate", path]) == 0
@@ -99,6 +109,18 @@ def test_parse_error_reports_the_line(tmp_path, capsys):
     assert main(["validate", path]) == 2
     err = capsys.readouterr().err
     assert "line 4" in err and "i<j" in err
+
+
+def test_deeply_nested_polynomial_is_a_usage_error(tmp_path):
+    # 2000 nested parentheses used to exhaust the stack inside the parser
+    nested = "(" * 2000 + "x" + ")" * 2000
+    path = put(tmp_path, "deep.albv", PLANE_TEXT.replace('"x"]', '"%s"]' % nested))
+    proc = run_module("validate", path)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: line 9: bad polynomial")
+    assert "nesting deeper than" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_cohomology_json_schema_and_values(tmp_path, capsys):
@@ -231,14 +253,6 @@ def test_tables_reject_a_negative_weight_cap(tmp_path, capsys):
 
 def test_module_entry_point_runs_the_cli(tmp_path):
     path = put(tmp_path, "sl2.albv", SL2_TEXT)
-    src = str(Path(albv.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "albv.cli", "validate", path],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    proc = run_module("validate", path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("axioms: PASS\n")

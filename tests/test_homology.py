@@ -4,7 +4,12 @@ import random
 
 import pytest
 
-from albv.algebroid import PoissonStructure, lie_algebra, tangent_algebroid
+from albv.algebroid import (
+    PoissonStructure,
+    cotangent_algebroid,
+    lie_algebra,
+    tangent_algebroid,
+)
 from albv.bv import TopConnection, generating_operator
 from albv.calculus import lichnerowicz
 from albv.exterior import A_SIDE, DUAL_SIDE, star, wedge
@@ -149,6 +154,41 @@ def test_each_weight_window_is_ranked_once(monkeypatch):
         table = make()
         assert len(table.entries) == 16
         assert 0 < len(calls) <= len(table.entries)
+
+
+def test_so3_tables_are_invariants_times_lie_algebra_homology():
+    """so(3)*: {x,y} = z, {y,z} = x, {z,x} = y, on weights 0 to 6.
+
+    The Koszul-Brylinski operator of a linear Poisson structure on g*
+    preserves weight (contraction by the bivector raises the coefficient
+    degree by one and d lowers it by one), and on the weight-w slice it is
+    the Chevalley-Eilenberg boundary of g with coefficients in S^w(g), the
+    polynomials of degree w on g*.  Each S^w(g) is a finite-dimensional
+    g-module; so(3) is semisimple, so by the Whitehead lemmas (the Casimir
+    element acts on homology by zero and on a nontrivial irreducible module
+    invertibly) only the trivial summand contributes:
+    H_k = H_k(g) (x) S^w(g)^g.  For so(3), H(g) is one-dimensional in
+    degrees 0 and 3 and zero in degrees 1 and 2.  The invariant polynomials
+    are the polynomials in the Casimir x^2 + y^2 + z^2 (the rotation
+    invariants of 3-space), so S^w(g)^g has dimension 1 for even w and 0 for
+    odd w.  Hence rows k = 0 and k = 3 read 1, 0, 1, 0, 1, 0, 1 and rows 1
+    and 2 vanish.  so(3) is unimodular, its modular field is zero, and the
+    flat-volume boundary of the cotangent algebroid has the same table,
+    with k read as the multivector degree.
+    """
+    so3 = PoissonStructure(("x", "y", "z"), {(0, 1): "z", (1, 2): "x", (0, 2): "-y"})
+    expected = {
+        0: [1, 0, 1, 0, 1, 0, 1],
+        1: [0] * 7,
+        2: [0] * 7,
+        3: [1, 0, 1, 0, 1, 0, 1],
+    }
+    for table in (
+        kb_betti(so3, max_weight=6),
+        boundary_betti(TopConnection(cotangent_algebroid(so3)), max_weight=6),
+    ):
+        assert table.homogeneous and table.shift == 0
+        assert {k: [table.entry(k, w) for w in range(7)] for k in range(4)} == expected
 
 
 def test_duality_reverses_the_degree():

@@ -1,0 +1,92 @@
+"""Exact rank against an independent Gauss-Jordan oracle and known answers."""
+
+import random
+from fractions import Fraction
+
+from albv.linalg import rank
+
+
+def oracle_rank(rows):
+    """Textbook Gauss-Jordan over Fraction: count the pivots of the reduced form."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    r = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        m[r] = [x / m[r][col] for x in m[r]]
+        for i in range(len(m)):
+            f = m[i][col]
+            if i != r and f != 0:
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        r += 1
+    return r
+
+
+def random_entry(rng, big):
+    if rng.random() < 0.5:
+        return 0
+    num = rng.randint(-(10**30), 10**30) if big else rng.randint(-10, 10)
+    return Fraction(num, rng.randint(1, 12))
+
+
+def random_matrix(rng, nrows, ncols, big=False):
+    return [[random_entry(rng, big) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def test_random_rational_matrices_match_the_oracle():
+    rng = random.Random(20240)
+    for trial in range(300):
+        nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
+        rows = random_matrix(rng, nrows, ncols, big=trial % 3 == 0)
+        if trial % 4 == 0:
+            rows.append(list(rng.choice(rows)))  # a duplicate row
+        if trial % 5 == 0:
+            rows.insert(rng.randrange(len(rows) + 1), [0] * ncols)
+        rng.shuffle(rows)
+        assert rank(rows) == oracle_rank(rows), rows
+
+
+def test_products_of_known_inner_dimension_match_the_oracle():
+    rng = random.Random(7)
+    for trial in range(100):
+        inner = rng.randint(1, 4)
+        nrows, ncols = rng.randint(inner, 9), rng.randint(inner, 9)
+        a = random_matrix(rng, nrows, inner, big=trial % 2 == 0)
+        b = random_matrix(rng, inner, ncols)
+        prod = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+        got = rank(prod)
+        assert got <= inner
+        assert got == oracle_rank(prod), prod
+
+
+def test_dense_multi_digit_matrices_match_the_oracle():
+    # every entry nonzero, so each row is reduced against every earlier pivot
+    rng = random.Random(30)
+    full = [[rng.randint(1, 10**6) * rng.choice((-1, 1)) for _ in range(30)] for _ in range(30)]
+    a = [[rng.randint(-(10**6), 10**6) for _ in range(25)] for _ in range(30)]
+    b = [[rng.randint(-(10**6), 10**6) for _ in range(30)] for _ in range(25)]
+    low = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+    assert rank(full) == oracle_rank(full) == 30
+    assert rank(low) == oracle_rank(low) == 25
+    # powers of 1..30: a Vandermonde matrix with entries up to 30**29
+    vandermonde = [[i**j for j in range(30)] for i in range(1, 31)]
+    assert rank(vandermonde) == 30
+    # values of 30 polynomials of degree below 12 at 30 points span 12 dimensions
+    assert rank([[sum(c * x**j for j, c in enumerate(row[:12])) for x in range(30)] for row in full]) == 12
+
+
+def test_known_answers():
+    for n in range(6):
+        ident = [[int(i == j) for j in range(n)] for i in range(n)]
+        assert rank(ident) == n
+    assert rank([[0] * 4 for _ in range(3)]) == 0
+    assert rank([[Fraction(0)] * 3]) == 0
+    assert rank([]) == 0
+    assert rank([[], [], []]) == 0
+    assert rank([1, 2 * i, Fraction(i, 3)] for i in range(5)) == 2
+    # one apart in 10**30: equal as floats, independent as rationals
+    assert rank([[10**30, 1], [10**30 + 1, 1]]) == 2
+    hilbert = [[Fraction(1, i + j + 1) for j in range(7)] for i in range(7)]
+    assert rank(hilbert) == 7

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from albv.poly import Poly, PolyParseError, parse_poly
+from albv.poly import MAX_NESTING, Poly, PolyParseError, parse_poly
 
 XY = ("x", "y")
 
@@ -73,6 +73,18 @@ def test_parse_rejects_garbage():
     for bad in ("x +", "2x", "x^", "(x", "z", "xughh", "1/0"):
         with pytest.raises(PolyParseError):
             parse_poly(bad, XY)
+
+
+def test_nesting_is_bounded_by_a_parse_error():
+    n = MAX_NESTING
+    assert parse_poly("(" * n + "x" + ")" * n, XY) == Poly.variable("x", XY)
+    assert parse_poly("-" * n + "x", XY) == Poly.variable("x", XY)
+    for text in ("(" * (n + 1) + "x" + ")" * (n + 1), "-" * (n + 1) + "x", "-(" * n + "x"):
+        with pytest.raises(PolyParseError, match="nesting deeper than %d" % n) as exc:
+            parse_poly(text, XY)
+        assert exc.value.position == n + 1
+    with pytest.raises(PolyParseError, match="nesting"):
+        parse_poly("(" * 5000 + "x" + ")" * 5000, XY)
 
 
 def test_empty_variable_tuple_is_plain_rationals():
