@@ -321,13 +321,20 @@ class Document:
         return a.volume(Fraction(self.volume))
 
 
+_EXCERPT = 30  # characters quoted on each side of the error in a long entry
+
+
 def _check_poly_string(entry, variables, line):
     if not isinstance(entry, str):
         raise DocumentError("polynomials must be quoted strings", line)
     try:
         parse_poly(entry, variables)
     except PolyParseError as exc:
-        raise DocumentError("bad polynomial %r: %s" % (entry, exc), line) from exc
+        shown = repr(entry)
+        if len(entry) > 2 * _EXCERPT:
+            lo, hi = max(exc.position - _EXCERPT, 0), exc.position + _EXCERPT
+            shown = "%s%r%s" % ("..." * (lo > 0), entry[lo:hi], "..." * (hi < len(entry)))
+        raise DocumentError("bad polynomial %s: %s" % (shown, exc), line) from exc
 
 
 def _read_indexed(value, line, keys, bound, variables, what):

@@ -100,6 +100,7 @@ class LieAlgebroid:
     def __init__(self, variables, rank, anchor, structure):
         self.variables = tuple(variables)
         self.rank = int(rank)
+        self._zero = Poly.zero(self.variables)  # shared by every structure_coeff miss
         m = len(self.variables)
         anchor = tuple(tuple(_coerce_poly(v, self.variables) for v in row) for row in anchor)
         if len(anchor) != self.rank or any(len(row) != m for row in anchor):
@@ -113,7 +114,7 @@ class LieAlgebroid:
             if not 0 <= i < j < self.rank:
                 raise ValueError("structure key %r must satisfy 0 <= i < j < rank" % (key,))
             if isinstance(comps, dict):
-                row = [Poly.zero(self.variables)] * self.rank
+                row = [self._zero] * self.rank
                 for k, v in comps.items():
                     row[k] = _coerce_poly(v, self.variables)
                 comps = row
@@ -158,13 +159,10 @@ class LieAlgebroid:
 
     def structure_coeff(self, i, j, k) -> Poly:
         """Coefficient of the k-th frame section in the bracket of i and j."""
-        if i == j:
-            return Poly.zero(self.variables)
-        if i < j:
-            entry = self.structure.get((i, j))
-            return entry[k] if entry else Poly.zero(self.variables)
-        entry = self.structure.get((j, i))
-        return -entry[k] if entry else Poly.zero(self.variables)
+        entry = self.structure.get((min(i, j), max(i, j)))
+        if entry is None:
+            return self._zero
+        return entry[k] if i < j else -entry[k]
 
     def bracket_frame(self, i, j) -> GradedElem:
         comps = {}
@@ -372,6 +370,7 @@ class PoissonStructure:
             if not coeff.is_zero:
                 clean[(mu, nu)] = coeff
         self.components = dict(sorted(clean.items()))
+        self._elem = GradedElem(A_SIDE, 2, m, self.variables, self.components)
         if check:
             bad = self.jacobiator()
             if not bad.is_zero:
@@ -391,8 +390,8 @@ class PoissonStructure:
         return -self.components.get((nu, mu), Poly.zero(self.variables))
 
     def as_elem(self) -> GradedElem:
-        m = self.base_dim
-        return GradedElem(A_SIDE, 2, m, self.variables, dict(self.components))
+        """The bivector as a degree-2 side A element, built once."""
+        return self._elem
 
     def tangent(self) -> LieAlgebroid:
         return tangent_algebroid(self.variables)

@@ -5,16 +5,14 @@ Three operators, all exact:
 * ``differential``: the degree +1 operator on side A* elements built from the
   anchor and the structure functions; it squares to zero exactly when the
   structure checks pass.
-* ``schouten``: the degree -1 graded bracket on side A elements, computed by
-  the Leibniz recursion from the section bracket and the anchor.
+* ``schouten``: the degree -1 graded bracket on side A elements, by a closed
+  Leibniz formula on monomials (signs in its docstring).  It extends the
+  section bracket and the anchor, [u, v] = -(-1)^((a-1)(b-1)) [v, u] in
+  degrees a and b, and [u, -] is a wedge derivation of degree a - 1.
 * ``schouten_oracle``: the same bracket computed along an independent route,
   by pairing against basis coframe monomials and using only ``differential``,
   contraction and wedge.  Kept separate on purpose so the two routes can be
   compared term by term.
-
-Sign conventions match the section bracket: for degree-1 sections the bracket
-is the section bracket, for a section and a function it is the anchor
-derivative, and the recursion splits off degree-1 factors from the left.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ from .exterior import (
     basis_tuples,
     contract_or_zero,
     pairing,
-    scalar_elem,
     sort_with_sign,
     wedge,
 )
@@ -87,50 +84,47 @@ def differential(a: LieAlgebroid, omega: GradedElem) -> GradedElem:
     return GradedElem(DUAL_SIDE, k + 1, n, a.variables, out)
 
 
-def _mono(a, coeff, idx):
-    return GradedElem(A_SIDE, len(idx), a.rank, a.variables, {idx: coeff})
-
-
-def _schouten_monomials(a, p, idx_u, q, idx_v) -> GradedElem:
-    """Bracket of two monomial multivectors, by the Leibniz recursion."""
-    u, v = len(idx_u), len(idx_v)
-    one = Poly.constant(1, a.variables)
-    if u == 0 and v == 0:
-        return a.zero_elem(A_SIDE, -1)
-    if u == 0:
-        flipped = _schouten_monomials(a, q, idx_v, p, idx_u)
-        return flipped if v % 2 == 0 else -flipped
-    if u == 1:
-        if v == 0:
-            return scalar_elem(a.anchor_apply(_mono(a, p, idx_u), q), A_SIDE, a.rank)
-        if v == 1:
-            return a.bracket_sections(_mono(a, p, idx_u), _mono(a, q, idx_v))
-        head = _mono(a, q, idx_v[:1])
-        tail = _mono(a, one, idx_v[1:])
-        x = _mono(a, p, idx_u)
-        left = wedge(a.bracket_sections(x, head), tail)
-        right = wedge(head, _schouten_monomials(a, p, idx_u, one, idx_v[1:]))
-        return left + right
-    head = idx_u[:1]
-    tail = idx_u[1:]
-    first = wedge(_schouten_monomials(a, p, head, q, idx_v), _mono(a, one, tail))
-    if ((u - 1) * (v - 1)) % 2:
-        first = -first
-    second = wedge(_mono(a, p, head), _schouten_monomials(a, one, tail, q, idx_v))
-    return first + second
-
-
 def schouten(a: LieAlgebroid, u: GradedElem, v: GradedElem) -> GradedElem:
-    """Graded bracket of two side A elements, degree u + v - 1."""
+    """Graded bracket of two side A elements, degree u + v - 1.
+
+    On monomials, with du = |I|, dv = |J| and 0-based positions s, t::
+
+        [p e_I, q e_J] = pq [e_I, e_J] + p [e_I, q] ^ e_J
+                         + (-1)^(du(dv-1)+dv) q [e_J, p] ^ e_I
+        [e_I, e_J] = sum_{s,t} (-1)^(s+t) c_{I_s J_t}^k e_k ^ e_{I-s} ^ e_{J-t}
+        [e_I, f] = sum_s (-1)^(du-1-s) rho(e_{I_s})(f) e_{I-s}
+
+    Each term is sorted by ``sort_with_sign`` into one coefficient dict.
+    """
     if u.side != A_SIDE or v.side != A_SIDE:
         raise ValueError("schouten acts on side A elements")
     if u.rank != a.rank or u.variables != a.variables:
         raise ValueError("element does not live on this structure")
-    out = a.zero_elem(A_SIDE, u.degree + v.degree - 1)
+    out = {}
     for idx_u, p in u.components.items():
         for idx_v, q in v.components.items():
-            out = out + _schouten_monomials(a, p, idx_u, q, idx_v)
-    return out
+            du, dv = len(idx_u), len(idx_v)
+            pq = p * q
+            terms = []  # (unsorted index tuple, sign exponent, coefficient)
+            for s, i in enumerate(idx_u):
+                rest_u = idx_u[:s] + idx_u[s + 1 :]
+                terms.append((rest_u + idx_v, du - 1 - s, p * a.anchor_frame(i, q)))
+                for t, j in enumerate(idx_v):
+                    rest_v = idx_v[:t] + idx_v[t + 1 :]
+                    for k in range(a.rank):
+                        c = a.structure_coeff(i, j, k)
+                        if not c.is_zero:
+                            terms.append(((k,) + rest_u + rest_v, s + t, pq * c))
+            for t, j in enumerate(idx_v):
+                rest_v = idx_v[:t] + idx_v[t + 1 :]
+                parity = du * (dv - 1) + dv + dv - 1 - t
+                terms.append((rest_v + idx_u, parity, q * a.anchor_frame(j, p)))
+            for raw, parity, coeff in terms:
+                key, sign = sort_with_sign(raw)
+                if sign and not coeff.is_zero:
+                    coeff = coeff if sign * (-1) ** parity > 0 else -coeff
+                    out[key] = out[key] + coeff if key in out else coeff
+    return GradedElem(A_SIDE, u.degree + v.degree - 1, a.rank, a.variables, out)
 
 
 def schouten_oracle(a: LieAlgebroid, u: GradedElem, v: GradedElem) -> GradedElem:

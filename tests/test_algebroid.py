@@ -12,7 +12,7 @@ from albv.algebroid import (
     tangent_algebroid,
     triangular_dual_algebroid,
 )
-from albv.exterior import DUAL_SIDE, frame_change_elem, wedge
+from albv.exterior import A_SIDE, DUAL_SIDE, frame_change_elem, wedge
 from conftest import aff1, heisenberg, sl2
 
 
@@ -81,6 +81,23 @@ def test_poisson_structure_accepts_jacobi_bivector():
     assert pi.jacobiator().is_zero
     assert pi.matrix_entry(0, 1) == pi.tangent().poly("y")
     assert pi.matrix_entry(1, 0) == -pi.tangent().poly("y")
+
+
+def test_poisson_bivector_is_built_once():
+    pi = PoissonStructure(("x", "y", "z"), {(0, 1): "z", (1, 2): "x", (0, 2): "-y"})
+    elem = pi.as_elem()
+    assert pi.as_elem() is elem
+    assert (elem.side, elem.degree, elem.rank) == (A_SIDE, 2, 3)
+    assert elem.components == pi.components
+
+
+def test_structure_coeff_misses_share_one_zero():
+    h = heisenberg()
+    zero = h.structure_coeff(0, 0, 0)
+    assert zero.is_zero
+    assert h.structure_coeff(0, 2, 1) is zero
+    assert h.structure_coeff(2, 1, 0) is h.structure_coeff(1, 2, 2) is zero
+    assert h.structure_coeff(1, 0, 2) == -h.structure_coeff(0, 1, 2) == -1
 
 
 def test_poisson_structure_rejects_non_jacobi_bivector():

@@ -19,7 +19,7 @@ from albv.calculus import (
     schouten,
     schouten_oracle,
 )
-from albv.exterior import A_SIDE, DUAL_SIDE, wedge
+from albv.exterior import A_SIDE, DUAL_SIDE, GradedElem, wedge
 from albv.randgen import random_elem
 from conftest import aff1, heisenberg, sl2
 
@@ -73,9 +73,16 @@ def test_schouten_small_frozen_values():
     assert schouten_oracle(a, a.scalar(x), a.scalar("y")) == functions
 
 
+def poisson_cotangents():
+    """Cotangent structures with a polynomial anchor and polynomial brackets."""
+    so3 = PoissonStructure(("x", "y", "z"), {(0, 1): "z", (1, 2): "x", (0, 2): "-y"})
+    quadratic = PoissonStructure(("x", "y"), {(0, 1): "x*y"})
+    return cotangent_algebroid(so3), cotangent_algebroid(quadratic)
+
+
 def test_schouten_graded_laws_on_samples():
     rng = random.Random(23)
-    for a in (tangent_algebroid(("x", "y")), sl2()):
+    for a in (tangent_algebroid(("x", "y")), sl2(), *poisson_cotangents()):
         for _ in range(8):
             du = rng.randrange(0, a.rank + 1)
             dv = rng.randrange(0, a.rank + 1)
@@ -102,11 +109,29 @@ def test_schouten_graded_laws_on_samples():
 
 def test_schouten_agrees_with_pairing_route():
     rng = random.Random(5)
-    for a in (tangent_algebroid(("x", "y")), sl2(), aff1()):
+    for a in (tangent_algebroid(("x", "y")), sl2(), aff1(), *poisson_cotangents()):
         for _ in range(10):
             u = random_elem(rng, a, A_SIDE, rng.randrange(0, a.rank + 1))
             v = random_elem(rng, a, A_SIDE, rng.randrange(0, a.rank + 1))
             assert (schouten(a, u, v) - schouten_oracle(a, u, v)).is_zero
+
+
+def test_schouten_builds_one_element_per_call(monkeypatch):
+    a = poisson_cotangents()[0]
+    rng = random.Random(3)
+    u = random_elem(rng, a, A_SIDE, 2)
+    v = random_elem(rng, a, A_SIDE, 1)
+    assert len(u.components) > 1 and len(v.components) > 1
+    built = []
+    init = GradedElem.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GradedElem, "__init__", counting_init)
+    w = schouten(a, u, v)
+    assert len(built) == 1 and not w.is_zero
 
 
 def test_lie_derivative_on_forms():

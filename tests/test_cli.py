@@ -121,6 +121,10 @@ def test_deeply_nested_polynomial_is_a_usage_error(tmp_path):
     assert proc.stderr.startswith("error: line 9: bad polynomial")
     assert "nesting deeper than" in proc.stderr
     assert "Traceback" not in proc.stderr
+    # the 4001-character entry is clipped to an excerpt around the position
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+    assert len(proc.stderr) < 200
+    assert "(at position 101)" in proc.stderr
 
 
 def test_cohomology_json_schema_and_values(tmp_path, capsys):
