@@ -56,6 +56,9 @@ def differential(a: LieAlgebroid, omega: GradedElem) -> GradedElem:
         raise ValueError("element does not live on this structure")
     k = omega.degree
     n = a.rank
+    pairs = []  # a bracket-free structure, such as the tangent one, has no pair terms
+    if a.structure:
+        pairs = [(p, q) for p in range(k + 1) for q in range(p + 1, k + 1)]
     out = {}
     for target in basis_tuples(n, k + 1):
         total = Poly.zero(a.variables)
@@ -65,20 +68,19 @@ def differential(a: LieAlgebroid, omega: GradedElem) -> GradedElem:
             if coeff is not None:
                 term = a.anchor_frame(target[p], coeff)
                 total = total + (term if p % 2 == 0 else -term)
-        for p in range(k + 1):
-            for q in range(p + 1, k + 1):
-                rest = target[:p] + target[p + 1 : q] + target[q + 1 :]
-                pair_sign = -1 if (p + q) % 2 else 1
-                for r in range(n):
-                    c = a.structure_coeff(target[p], target[q], r)
-                    if c.is_zero:
-                        continue
-                    sorted_idx, s = sort_with_sign((r,) + rest)
-                    if s == 0:
-                        continue
-                    comp = omega.components.get(sorted_idx)
-                    if comp is not None:
-                        total = total + (pair_sign * s) * c * comp
+        for p, q in pairs:
+            rest = target[:p] + target[p + 1 : q] + target[q + 1 :]
+            pair_sign = -1 if (p + q) % 2 else 1
+            for r in range(n):
+                c = a.structure_coeff(target[p], target[q], r)
+                if c.is_zero:
+                    continue
+                sorted_idx, s = sort_with_sign((r,) + rest)
+                if s == 0:
+                    continue
+                comp = omega.components.get(sorted_idx)
+                if comp is not None:
+                    total = total + (pair_sign * s) * c * comp
         if not total.is_zero:
             out[target] = total
     return GradedElem(DUAL_SIDE, k + 1, n, a.variables, out)
@@ -109,6 +111,8 @@ def schouten(a: LieAlgebroid, u: GradedElem, v: GradedElem) -> GradedElem:
             for s, i in enumerate(idx_u):
                 rest_u = idx_u[:s] + idx_u[s + 1 :]
                 terms.append((rest_u + idx_v, du - 1 - s, p * a.anchor_frame(i, q)))
+                if not a.structure:
+                    continue  # bracket-free: no c_ij^k terms
                 for t, j in enumerate(idx_v):
                     rest_v = idx_v[:t] + idx_v[t + 1 :]
                     for k in range(a.rank):

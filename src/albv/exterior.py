@@ -247,17 +247,6 @@ class GradedElem:
 
     # -- weight grading ----------------------------------------------------
 
-    def weight_parts(self):
-        """Split by total coefficient degree, as {weight: GradedElem}."""
-        buckets = {}
-        for idx, coeff in self.components.items():
-            for w, part in coeff.homogeneous_parts().items():
-                buckets.setdefault(w, {})[idx] = part
-        return {
-            w: GradedElem(self.side, self.degree, self.rank, self.variables, comps)
-            for w, comps in sorted(buckets.items())
-        }
-
     def max_coeff_degree(self) -> int:
         if self.is_zero:
             return -1

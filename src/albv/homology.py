@@ -7,9 +7,10 @@ weight-homogeneous of a single shift s, and ``range(w + 1)`` when the table is
 capped: an operator whose weight shifts are mixed but all nonpositive still
 preserves the finite subcomplex of weight at most w, and any table may be
 capped on request.  The operator maps the window of (k, w) into the window of
-(k + k_step, w + lift), where the lift is s, or 0 when capped; each window's
-rank is computed once, with exact rational arithmetic.  Operators that raise
-weight admit no finite truncation and are refused.
+(k + k_step, w + lift), where the lift is s, or 0 when capped.  Operators
+that raise weight admit no finite truncation and are refused.  The image of
+each basis monomial is computed once and kept as a sparse row, and each
+window's rank is computed once, with exact rational arithmetic.
 
 Also here: the star-conjugation check of the boundary (defined in ``bv``
 and re-exported here), the Koszul-Brylinski operator on base forms, the
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .algebroid import (
     LieAlgebroid,
@@ -57,7 +59,6 @@ from .poly import Poly
 __all__ = [
     "boundary",
     "BettiTable",
-    "WeightedComplex",
     "betti_table",
     "cohomology_betti",
     "boundary_betti",
@@ -174,125 +175,92 @@ class BettiTable:
         }
 
 
-class WeightedComplex:
-    """Weight windows and their memoised ranks for one operator of fixed
-    exterior-degree step (the window rule is in the module docstring)."""
-
-    def __init__(
-        self,
-        variables,
-        rank,
-        side,
-        op,
-        k_step,
-        max_weight,
-        operator_tag="",
-        force_capped=False,
-    ):
-        if k_step not in (1, -1):
-            raise ValueError("k_step must be +1 or -1")
-        self.variables = tuple(variables)
-        self.rank = rank
-        self.side = side
-        self.op = op
-        self.k_step = k_step
-        self.max_weight = 0 if not self.variables else max_weight
-        self.operator_tag = operator_tag
-        self._basis_cache = {}
-        self._image_cache = {}
-        self._rank_cache = {}
-        shifts = {
-            w_out - w
-            for k in range(rank + 1)
-            for w in range(self.max_weight + 1)
-            for img in self._images(k, w)
-            for w_out in img.weight_parts()
-        }
-        if shifts and max(shifts) > 0:
-            raise ValueError(
-                "operator raises weight by %d; no finite truncation exists"
-                % max(shifts)
-            )
-        homogeneous = len(shifts) <= 1
-        self.shift = min(shifts, default=0) if homogeneous else None
-        self.capped = force_capped or not homogeneous
-        self.lift = 0 if self.capped else self.shift
-
-    def _window(self, w):
-        return range(w + 1) if self.capped else (w,)
-
-    def _basis(self, k, w):
-        key = (k, w)
-        if key not in self._basis_cache:
-            self._basis_cache[key] = [
-                (idx, expo)
-                for idx in basis_tuples(self.rank, k)
-                for expo in _exponents(len(self.variables), w)
-            ]
-        return self._basis_cache[key]
-
-    def _images(self, k, w):
-        key = (k, w)
-        if key not in self._image_cache:
-            self._image_cache[key] = [
-                self.op(elem)
-                for elem in monomial_basis_elems(
-                    self.variables, self.rank, self.side, k, w
-                )
-            ]
-        return self._image_cache[key]
-
-    def _rank(self, k, w):
-        """Rank of the operator out of the window of (k, w)."""
-        key = (k, w)
-        if key not in self._rank_cache:
-            dst = [
-                mono
-                for wp in self._window(w + self.lift)
-                for mono in self._basis(k + self.k_step, wp)
-            ]
-            index_map = {mono: pos for pos, mono in enumerate(dst)}
-            rows = []
-            for wp in self._window(w):
-                for img in self._images(k, wp):
-                    row = [0] * len(dst)
-                    for idx, poly in img.components.items():
-                        for expo, c in poly.terms.items():
-                            pos = index_map.get((idx, expo))
-                            if pos is None:
-                                raise ValueError(
-                                    "operator image leaves the expected slice"
-                                )
-                            row[pos] = row[pos] + c
-                    rows.append(row)
-            self._rank_cache[key] = matrix_rank(rows) if rows and dst else 0
-        return self._rank_cache[key]
-
-    def table(self) -> BettiTable:
-        entries = {}
-        for k in range(self.rank + 1):
-            for w in range(self.max_weight + 1):
-                dim = sum(len(self._basis(k, wp)) for wp in self._window(w))
-                rank_out = self._rank(k, w)
-                rank_in = self._rank(k - self.k_step, w - self.lift)
-                entries[(k, w)] = dim - rank_out - rank_in
-        return BettiTable(
-            entries=entries,
-            rank=self.rank,
-            max_weight=self.max_weight,
-            capped=self.capped,
-            shift=None if self.capped else self.shift,
-            operator_tag=self.operator_tag,
-        )
-
-
 def betti_table(
     variables, rank, side, op, k_step, max_weight, operator_tag="", force_capped=False
 ) -> BettiTable:
-    wc = WeightedComplex(
-        variables, rank, side, op, k_step, max_weight, operator_tag, force_capped
+    """Betti table of one operator of exterior-degree step ``k_step``.
+
+    Entry (k, w) is the homology at the window of (k, w): ``(w,)`` when the
+    weight shifts of ``op`` are one shift s, ``range(w + 1)`` when they are
+    mixed or ``force_capped`` is set.  ``op`` maps the window of (k, w) into
+    that of (k + k_step, w + lift), with lift s, or 0 when capped.  ``op`` is
+    applied once to each basis monomial, and its image is kept only as a
+    sparse row keyed by (index tuple, exponent tuple); the shifts are read
+    off those keys.  The rank out of each window is computed once, exactly.
+    """
+    if k_step not in (1, -1):
+        raise ValueError("k_step must be +1 or -1")
+    variables = tuple(variables)
+    max_weight = 0 if not variables else max_weight
+
+    @cache
+    def basis(k, w):
+        return [
+            (idx, expo)
+            for idx in basis_tuples(rank, k)
+            for expo in _exponents(len(variables), w)
+        ]
+
+    @cache
+    def images(k, w):
+        return [
+            {
+                (idx, expo): c
+                for idx, poly in op(elem).components.items()
+                for expo, c in poly.terms.items()
+            }
+            for elem in monomial_basis_elems(variables, rank, side, k, w)
+        ]
+
+    shifts = {
+        sum(expo) - w
+        for k in range(rank + 1)
+        for w in range(max_weight + 1)
+        for row in images(k, w)
+        for _, expo in row
+    }
+    if shifts and max(shifts) > 0:
+        raise ValueError(
+            "operator raises weight by %d; no finite truncation exists" % max(shifts)
+        )
+    homogeneous = len(shifts) <= 1
+    shift = min(shifts, default=0) if homogeneous else None
+    capped = force_capped or not homogeneous
+    lift = 0 if capped else shift
+
+    def window(w):
+        return range(w + 1) if capped else (w,)
+
+    @cache
+    def rank_out(k, w):
+        """Rank of the operator out of the window of (k, w)."""
+        dst = [mono for wp in window(w + lift) for mono in basis(k + k_step, wp)]
+        index_map = {mono: pos for pos, mono in enumerate(dst)}
+        rows = []
+        for wp in window(w):
+            for image in images(k, wp):
+                row = [0] * len(dst)
+                for key, c in image.items():
+                    pos = index_map.get(key)
+                    if pos is None:
+                        raise ValueError("operator image leaves the expected slice")
+                    row[pos] = c
+                rows.append(row)
+        return matrix_rank(rows) if rows and dst else 0
+
+    entries = {}
+    for k in range(rank + 1):
+        for w in range(max_weight + 1):
+            dim = sum(len(basis(k, wp)) for wp in window(w))
+            entries[(k, w)] = dim - rank_out(k, w) - rank_out(k - k_step, w - lift)
+    return BettiTable(
+        entries=entries,
+        rank=rank,
+        max_weight=max_weight,
+        capped=capped,
+        shift=None if capped else shift,
+        operator_tag=operator_tag,
     )
-    return wc.table()
 
 
 def cohomology_betti(a: LieAlgebroid, max_weight=4) -> BettiTable:

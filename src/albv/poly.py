@@ -52,7 +52,7 @@ class Poly:
                     clean[expo] = clean.get(expo, Fraction(0)) + coeff
                     if clean[expo] == 0:
                         del clean[expo]
-        self.terms = dict(sorted(clean.items()))
+        self.terms = clean
 
     # -- constructors ------------------------------------------------------
 
@@ -179,13 +179,6 @@ class Poly:
             new = tuple(new)
             terms[new] = terms.get(new, Fraction(0)) + coeff * k
         return Poly(self.variables, terms)
-
-    def homogeneous_parts(self):
-        """Split into total-degree homogeneous pieces, as {degree: Poly}."""
-        buckets = {}
-        for expo, coeff in self.terms.items():
-            buckets.setdefault(sum(expo), {})[expo] = coeff
-        return {d: Poly(self.variables, t) for d, t in sorted(buckets.items())}
 
     # -- comparison / display ----------------------------------------------
 

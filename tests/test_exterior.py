@@ -145,11 +145,8 @@ def test_frame_change_preserves_pairing():
     )
 
 
-def test_weight_parts_split_by_coefficient_degree():
+def test_max_coeff_degree_is_the_top_coefficient_degree():
     u = elem(A_SIDE, 1, 2, {(0,): "x^2 + 1", (1,): "y"})
-    parts = u.weight_parts()
-    assert sorted(parts) == [0, 1, 2]
-    assert parts[2] == elem(A_SIDE, 1, 2, {(0,): "x^2"})
     assert u.max_coeff_degree() == 2
 
 

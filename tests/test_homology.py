@@ -5,6 +5,7 @@ import random
 import pytest
 
 from albv.algebroid import (
+    LieAlgebroid,
     PoissonStructure,
     cotangent_algebroid,
     lie_algebra,
@@ -12,7 +13,7 @@ from albv.algebroid import (
 )
 from albv.bv import TopConnection, generating_operator
 from albv.calculus import lichnerowicz
-from albv.exterior import A_SIDE, DUAL_SIDE, star, wedge
+from albv.exterior import A_SIDE, DUAL_SIDE, GradedElem, star, wedge
 from albv.homology import (
     anticommutator_defect_check,
     betti_table,
@@ -154,6 +155,72 @@ def test_each_weight_window_is_ranked_once(monkeypatch):
         table = make()
         assert len(table.entries) == 16
         assert 0 < len(calls) <= len(table.entries)
+
+
+def test_each_basis_monomial_reaches_the_operator_once(monkeypatch):
+    """One GradedElem per basis monomial, and one operator call each.
+
+    The operator hands back images computed beforehand, so every
+    GradedElem built while the table runs is the table's own: the basis
+    monomial passed to the operator.  The images themselves are read as
+    sparse rows, never rebuilt.
+    """
+    so3 = PoissonStructure(("x", "y", "z"), {(0, 1): "z", (1, 2): "x", (0, 2): "-y"})
+
+    def key(elem):
+        ((idx, coeff),) = elem.components.items()
+        (expo,) = coeff.terms
+        return idx, expo
+
+    # the operator keeps weight, so weights 0 to 3 are all the table asks for
+    precomputed = {
+        key(elem): koszul_brylinski(so3, elem)
+        for k in range(4)
+        for w in range(4)
+        for elem in monomial_basis_elems(so3.variables, 3, DUAL_SIDE, k, w)
+    }
+    expected = kb_betti(so3, max_weight=3).entries
+    seen = []
+
+    def op(elem):
+        seen.append(key(elem))
+        return precomputed[key(elem)]
+
+    built = []
+    init = GradedElem.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GradedElem, "__init__", counting_init)
+    table = betti_table(so3.variables, 3, DUAL_SIDE, op, -1, 3)
+    monkeypatch.undo()
+    assert table.entries == expected
+    assert sorted(seen) == sorted(precomputed) and len(seen) == 8 * 20
+    assert len(built) == len(seen)
+
+
+def test_bracket_free_tables_never_ask_for_structure_coefficients(monkeypatch):
+    """The tangent algebroid has no brackets: its differential and the
+    Lichnerowicz bracket skip the structure terms altogether."""
+    plane = PoissonStructure(XY, {(0, 1): "y"})
+    t = tangent_algebroid(XY)
+    s = sl2()
+    calls = []
+    coeff = LieAlgebroid.structure_coeff
+
+    def counting(self, i, j, k):
+        calls.append((i, j, k))
+        return coeff(self, i, j, k)
+
+    monkeypatch.setattr(LieAlgebroid, "structure_coeff", counting)
+    lichnerowicz_betti(plane, max_weight=3)
+    coh = cohomology_betti(t, max_weight=3)
+    assert calls == []
+    assert coh.entry(0, 0) == 1 and sum(coh.entries.values()) == 1
+    assert tuple_of(cohomology_betti(s)) == (1, 0, 0, 1)
+    assert calls  # a bracketed structure still asks
 
 
 def test_so3_tables_are_invariants_times_lie_algebra_homology():

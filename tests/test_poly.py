@@ -43,16 +43,6 @@ def test_partial_derivatives():
     assert p.partial(1) == x**2 + 3
 
 
-def test_homogeneous_parts_recombine():
-    p = parse_poly("x^2*y - 3*x + 1/2", XY)
-    parts = p.homogeneous_parts()
-    assert sorted(parts) == [0, 1, 3]
-    total = Poly.zero(XY)
-    for part in parts.values():
-        total = total + part
-    assert total == p
-
-
 def test_parse_round_trip_through_str():
     samples = [
         "0",
