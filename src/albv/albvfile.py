@@ -307,11 +307,9 @@ class Document:
     def build_connection(self, a: LieAlgebroid) -> TopConnection:
         if self.alpha is None:
             return TopConnection(a)
-        comps = {}
-        for pos, text in enumerate(self.alpha):
-            p = parse_poly(text, self.base_vars)
-            if not p.is_zero:
-                comps[(pos,)] = p
+        comps = {
+            (pos,): parse_poly(text, self.base_vars) for pos, text in enumerate(self.alpha)
+        }
         form = GradedElem(DUAL_SIDE, 1, a.rank, a.variables, comps)
         return TopConnection(a, form)
 

@@ -165,11 +165,7 @@ class LieAlgebroid:
         return entry[k] if i < j else -entry[k]
 
     def bracket_frame(self, i, j) -> GradedElem:
-        comps = {}
-        for k in range(self.rank):
-            c = self.structure_coeff(i, j, k)
-            if not c.is_zero:
-                comps[(k,)] = c
+        comps = {(k,): self.structure_coeff(i, j, k) for k in range(self.rank)}
         return GradedElem(A_SIDE, 1, self.rank, self.variables, comps)
 
     # -- anchor ------------------------------------------------------------
@@ -383,11 +379,10 @@ class PoissonStructure:
         return len(self.variables)
 
     def matrix_entry(self, mu, nu) -> Poly:
-        if mu == nu:
+        entry = self.components.get((min(mu, nu), max(mu, nu)))
+        if entry is None:
             return Poly.zero(self.variables)
-        if mu < nu:
-            return self.components.get((mu, nu), Poly.zero(self.variables))
-        return -self.components.get((nu, mu), Poly.zero(self.variables))
+        return entry if mu < nu else -entry
 
     def as_elem(self) -> GradedElem:
         """The bivector as a degree-2 side A element, built once."""

@@ -127,11 +127,7 @@ def connection_from_operator(a: LieAlgebroid, op) -> TopConnection:
     n = a.rank
     full = tuple(range(n))
     image = op(a.top())
-    comps = {}
-    for i in range(n):
-        p = wedge(a.frame(i), image).coefficient(full)
-        if not p.is_zero:
-            comps[(i,)] = -p
+    comps = {(i,): -wedge(a.frame(i), image).coefficient(full) for i in range(n)}
     alpha = GradedElem(DUAL_SIDE, 1, n, a.variables, comps)
     return TopConnection(a, alpha)
 
@@ -145,12 +141,7 @@ def operator_difference(a: LieAlgebroid, op1, op2, probes=None):
     contraction with its differential.
     """
     n = a.rank
-    comps = {}
-    for i in range(n):
-        delta = op1(a.frame(i)) - op2(a.frame(i))
-        val = delta.scalar()
-        if not val.is_zero:
-            comps[(i,)] = val
+    comps = {(i,): (op1(a.frame(i)) - op2(a.frame(i))).scalar() for i in range(n)}
     alpha = GradedElem(DUAL_SIDE, 1, n, a.variables, comps)
     d_alpha = differential(a, alpha)
     failures = []
@@ -204,20 +195,12 @@ class AConnectionOnA:
 
     def nabla_frame(self, i, j) -> GradedElem:
         a = self.algebroid
-        comps = {}
-        for k in range(a.rank):
-            c = self.gamma[i][j][k]
-            if not c.is_zero:
-                comps[(k,)] = c
+        comps = {(k,): self.gamma[i][j][k] for k in range(a.rank)}
         return GradedElem(A_SIDE, 1, a.rank, a.variables, comps)
 
     def nabla_coframe(self, i, j) -> GradedElem:
         a = self.algebroid
-        comps = {}
-        for l in range(a.rank):
-            c = self.gamma[i][l][j]
-            if not c.is_zero:
-                comps[(l,)] = -c
+        comps = {(l,): -self.gamma[i][l][j] for l in range(a.rank)}
         return GradedElem(DUAL_SIDE, 1, a.rank, a.variables, comps)
 
     def derive(self, i, w: GradedElem) -> GradedElem:
@@ -272,8 +255,7 @@ class AConnectionOnA:
             total = Poly.zero(a.variables)
             for j in range(a.rank):
                 total = total + self.gamma[i][j][j]
-            if not total.is_zero:
-                comps[(i,)] = total
+            comps[(i,)] = total
         return TopConnection(a, GradedElem(DUAL_SIDE, 1, a.rank, a.variables, comps))
 
 

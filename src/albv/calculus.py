@@ -81,8 +81,7 @@ def differential(a: LieAlgebroid, omega: GradedElem) -> GradedElem:
                 comp = omega.components.get(sorted_idx)
                 if comp is not None:
                     total = total + (pair_sign * s) * c * comp
-        if not total.is_zero:
-            out[target] = total
+        out[target] = total
     return GradedElem(DUAL_SIDE, k + 1, n, a.variables, out)
 
 
@@ -156,9 +155,7 @@ def schouten_oracle(a: LieAlgebroid, u: GradedElem, v: GradedElem) -> GradedElem
         t1 = pairing(differential(a, contract_or_zero(v, eps)), u)
         t2 = pairing(differential(a, contract_or_zero(u, eps)), v)
         t3 = pairing(differential(a, eps), uv)
-        total = sign1 * t1 - t2 - sign3 * t3
-        if not total.is_zero:
-            comps[target] = total
+        comps[target] = sign1 * t1 - t2 - sign3 * t3
     return GradedElem(A_SIDE, deg, n, a.variables, comps)
 
 

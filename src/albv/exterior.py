@@ -2,8 +2,8 @@
 
 Elements live on one of two mutually dual sides: side ``"A"`` (frame
 ``e_1..e_n``, multivector-like) or side ``"A*"`` (coframe ``eps_1..eps_n``,
-form-like).  Components are stored densely on strictly increasing 0-based
-index tuples.
+form-like).  Components are stored sparsely on strictly increasing 0-based
+index tuples, with zero coefficients dropped.
 
 Sign conventions, pinned once and used everywhere downstream:
 
@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import index
 
 from .linalg import mat_inv, mat_transpose
 from .poly import Poly
@@ -111,7 +112,9 @@ class GradedElem:
     """A homogeneous element of the exterior algebra on one side.
 
     ``components`` maps strictly increasing index tuples of length ``degree``
-    to Poly coefficients; zero coefficients are dropped.
+    to Poly coefficients; zero coefficients are dropped.  An element is
+    immutable after construction, and coefficient objects are shared between
+    elements.
     """
 
     __slots__ = ("side", "degree", "rank", "variables", "components")
@@ -125,8 +128,10 @@ class GradedElem:
         self.variables = tuple(variables)
         clean = {}
         if components:
+            # keys are distinct, so each coefficient is kept as given: closed
+            # operations merge their terms before they get here
             for idx, coeff in components.items():
-                idx = tuple(int(i) for i in idx)
+                idx = tuple(map(index, idx))
                 if len(idx) != self.degree:
                     raise ValueError(
                         "index tuple %r has length %d, expected degree %d"
@@ -144,9 +149,7 @@ class GradedElem:
                         % (coeff.variables, self.variables)
                     )
                 if not coeff.is_zero:
-                    clean[idx] = clean.get(idx, Poly.zero(self.variables)) + coeff
-                    if clean[idx].is_zero:
-                        del clean[idx]
+                    clean[idx] = coeff
         self.components = dict(sorted(clean.items()))
 
     # -- constructors ------------------------------------------------------
@@ -160,7 +163,8 @@ class GradedElem:
         return not self.components
 
     def coefficient(self, idx) -> Poly:
-        return self.components.get(tuple(idx), Poly.zero(self.variables))
+        coeff = self.components.get(tuple(idx))
+        return Poly.zero(self.variables) if coeff is None else coeff
 
     def scalar(self) -> Poly:
         """The coefficient of a degree-0 element."""
@@ -188,7 +192,7 @@ class GradedElem:
         self._check_compatible(other)
         comps = dict(self.components)
         for idx, coeff in other.components.items():
-            comps[idx] = comps.get(idx, Poly.zero(self.variables)) + coeff
+            comps[idx] = comps[idx] + coeff if idx in comps else coeff
         return GradedElem(self.side, self.degree, self.rank, self.variables, comps)
 
     def __neg__(self):
@@ -328,7 +332,7 @@ def wedge(u, v) -> GradedElem:
             sign = shuffle_sign(iu, iv)
             target = tuple(sorted(iu + iv))
             coeff = cu * cv * sign
-            out[target] = out.get(target, Poly.zero(u.variables)) + coeff
+            out[target] = out[target] + coeff if target in out else coeff
     return GradedElem(u.side, u.degree + v.degree, u.rank, u.variables, out)
 
 
@@ -376,7 +380,7 @@ def contract(theta, v) -> GradedElem:
             rest = tuple(i for i in iv if i not in wanted)
             sign = shuffle_sign(it, rest)
             coeff = ct * cv * sign
-            out[rest] = out.get(rest, Poly.zero(v.variables)) + coeff
+            out[rest] = out[rest] + coeff if rest in out else coeff
     return GradedElem(v.side, v.degree - theta.degree, v.rank, v.variables, out)
 
 
@@ -451,6 +455,5 @@ def frame_change_elem(g, elem) -> GradedElem:
             minor = _minor_det(mat, target, idx)
             if minor != 0:
                 total = total + coeff * minor
-        if not total.is_zero:
-            out[target] = total
+        out[target] = total
     return GradedElem(elem.side, elem.degree, n, elem.variables, out)

@@ -93,9 +93,7 @@ def lie_algebra_boundary(a: LieAlgebroid, u: GradedElem) -> GradedElem:
         eps = GradedElem(
             DUAL_SIDE, deg, a.rank, a.variables, {target: Poly.constant(1, a.variables)}
         )
-        val = pairing(differential(a, eps), u)
-        if not val.is_zero:
-            comps[target] = val
+        comps[target] = pairing(differential(a, eps), u)
     return GradedElem(A_SIDE, deg, a.rank, a.variables, comps)
 
 
@@ -416,9 +414,7 @@ def modular_vector_field(pi: PoissonStructure, vol_coeff=1) -> GradedElem:
     for mu in range(m):
         ham = contract(t.coframe(mu), pi.as_elem())
         lie = differential(t, contract_or_zero(ham, omega))
-        val = lie.coefficient(full) / c
-        if not val.is_zero:
-            comps[(mu,)] = val
+        comps[(mu,)] = lie.coefficient(full) / c
     return GradedElem(A_SIDE, 1, m, pi.variables, comps)
 
 

@@ -10,6 +10,7 @@ rationals themselves (the only exponent tuple is ``()``).
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import index
 
 __all__ = ["Poly", "parse_poly", "PolyParseError"]
 
@@ -28,7 +29,9 @@ class Poly:
     """A polynomial with exact rational coefficients.
 
     ``variables`` is the ordered tuple of variable names and ``terms`` maps
-    exponent tuples (one entry per variable) to nonzero Fractions.
+    exponent tuples (one entry per variable) to nonzero Fractions.  A Poly is
+    immutable after construction, and coefficient objects are shared
+    between polynomials.
     """
 
     __slots__ = ("variables", "terms")
@@ -38,8 +41,10 @@ class Poly:
         clean = {}
         if terms:
             width = len(self.variables)
+            # keys are distinct, so each coefficient is kept as given: closed
+            # operations merge their terms before they get here
             for expo, coeff in terms.items():
-                expo = tuple(int(e) for e in expo)
+                expo = tuple(map(index, expo))
                 if len(expo) != width:
                     raise ValueError(
                         "exponent tuple %r does not match variables %r"
@@ -49,9 +54,7 @@ class Poly:
                     raise ValueError("negative exponent in %r" % (expo,))
                 coeff = _coerce(coeff)
                 if coeff != 0:
-                    clean[expo] = clean.get(expo, Fraction(0)) + coeff
-                    if clean[expo] == 0:
-                        del clean[expo]
+                    clean[expo] = coeff
         self.terms = clean
 
     # -- constructors ------------------------------------------------------
@@ -114,7 +117,7 @@ class Poly:
         self._check_compatible(other)
         terms = dict(self.terms)
         for expo, coeff in other.terms.items():
-            terms[expo] = terms.get(expo, Fraction(0)) + coeff
+            terms[expo] = terms[expo] + coeff if expo in terms else coeff
         return Poly(self.variables, terms)
 
     __radd__ = __add__
@@ -146,7 +149,8 @@ class Poly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 expo = tuple(a + b for a, b in zip(e1, e2))
-                terms[expo] = terms.get(expo, Fraction(0)) + c1 * c2
+                coeff = c1 * c2
+                terms[expo] = terms[expo] + coeff if expo in terms else coeff
         return Poly(self.variables, terms)
 
     __rmul__ = __mul__
@@ -176,8 +180,8 @@ class Poly:
                 continue
             new = list(expo)
             new[index] = k - 1
-            new = tuple(new)
-            terms[new] = terms.get(new, Fraction(0)) + coeff * k
+            # lowering one exponent is injective, so no two terms meet
+            terms[tuple(new)] = coeff * k
         return Poly(self.variables, terms)
 
     # -- comparison / display ----------------------------------------------

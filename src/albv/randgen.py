@@ -36,9 +36,9 @@ def random_poly(rng: random.Random, variables, max_deg=2) -> Poly:
                 cand = tuple(rng.randint(0, max_deg) for _ in range(m))
                 if sum(cand) <= max_deg:
                     expo = cand
-        coeff = rng.randint(-3, 3)
+        coeff = Fraction(rng.randint(-3, 3))
         if coeff:
-            terms[expo] = terms.get(expo, Fraction(0)) + Fraction(coeff)
+            terms[expo] = terms[expo] + coeff if expo in terms else coeff
     return Poly(variables, terms)
 
 

@@ -169,6 +169,29 @@ def test_only_zero_lives_in_negative_degree():
         GradedElem(A_SIDE, -1, 2, XY, {(): parse_poly("1", XY)})
 
 
+def test_non_integral_indices_are_refused():
+    """A float index is refused, not truncated into another component's key."""
+    with pytest.raises(TypeError):
+        GradedElem("A", 1, 2, (), {(0.5,): 1, (0,): 2})
+
+
+def test_a_one_component_element_builds_no_poly(monkeypatch):
+    """The constructor keeps the Poly it is given: no zero, no sum."""
+    coeff = parse_poly("x*y", XY)
+    built = []
+    init = Poly.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Poly, "__init__", counting_init)
+    u = GradedElem(DUAL_SIDE, 1, 2, XY, {(1,): coeff})
+    monkeypatch.undo()
+    assert built == []
+    assert u.coefficient((1,)) is coeff
+
+
 def test_above_top_degree_must_be_empty():
     with pytest.raises(ValueError):
         GradedElem(A_SIDE, 3, 2, XY, {(0, 1): parse_poly("1", XY)})

@@ -32,6 +32,7 @@ from albv.homology import (
     star_conjugation_check,
     unimodular_duality_check,
 )
+from albv.poly import Poly
 from albv.randgen import random_elem
 from conftest import aff1, heisenberg, sl2
 
@@ -155,6 +156,22 @@ def test_each_weight_window_is_ranked_once(monkeypatch):
         table = make()
         assert len(table.entries) == 16
         assert 0 < len(calls) <= len(table.entries)
+
+
+def test_each_basis_monomial_builds_one_poly(monkeypatch):
+    """18 monomials of degree 1 and weight 2 on 3-space cost 18 Polys."""
+    built = []
+    init = Poly.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Poly, "__init__", counting_init)
+    elems = monomial_basis_elems(("x", "y", "z"), 3, DUAL_SIDE, 1, 2)
+    monkeypatch.undo()
+    assert len(elems) == 18
+    assert len(built) == 18
 
 
 def test_each_basis_monomial_reaches_the_operator_once(monkeypatch):

@@ -43,6 +43,12 @@ def test_partial_derivatives():
     assert p.partial(1) == x**2 + 3
 
 
+def test_non_integral_exponents_are_refused():
+    """A float exponent is refused, not truncated into another term's key."""
+    with pytest.raises(TypeError):
+        Poly(("x",), {(1.5,): 1, (1,): 2})
+
+
 def test_parse_round_trip_through_str():
     samples = [
         "0",
