@@ -289,11 +289,7 @@ class Document:
                 )
             a = LieAlgebroid(self.base_vars, self.rank, anchor, structure)
         if check:
-            report = a.validate()
-            if not report.ok:
-                raise ValueError(
-                    "structure checks failed:\n" + "\n".join(report.lines())
-                )
+            a.validate().raise_if_failed("structure checks failed")
         return a
 
     def build_poisson(self, check=True) -> PoissonStructure | None:

@@ -93,6 +93,11 @@ class ValidationReport:
             out.append("jacobi identity: ok")
         return out
 
+    def raise_if_failed(self, heading):
+        """Raise ValueError with ``heading`` over the report lines unless ok."""
+        if not self.ok:
+            raise ValueError(heading + ":\n" + "\n".join(self.lines()))
+
 
 class LieAlgebroid:
     """Frame presentation of a Lie algebroid over a polynomial base."""
@@ -172,12 +177,12 @@ class LieAlgebroid:
 
     def anchor_frame(self, i, f: Poly) -> Poly:
         """Apply the anchor image of the i-th frame section to a function."""
-        out = Poly.zero(self.variables)
-        for mu in range(self.base_dim):
-            coeff = self.anchor[i][mu]
+        out = None
+        for mu, coeff in enumerate(self.anchor[i]):
             if not coeff.is_zero:
-                out = out + coeff * f.partial(mu)
-        return out
+                term = coeff * f.partial(mu)
+                out = term if out is None else out + term
+        return self._zero if out is None else out
 
     def anchor_apply(self, x: GradedElem, f: Poly) -> Poly:
         if x.side != A_SIDE or x.degree != 1:
@@ -298,8 +303,7 @@ class LieAlgebroid:
                         if mat[l][k] and not mixed[k].is_zero:
                             total = total + mixed[k] * mat[l][k]
                     comps.append(total)
-                if any(not c.is_zero for c in comps):
-                    structure[(i, j)] = tuple(comps)
+                structure[(i, j)] = tuple(comps)
         return LieAlgebroid(self.variables, n, anchor, structure)
 
     def __eq__(self, other):
@@ -342,9 +346,7 @@ def lie_algebra(rank, brackets) -> LieAlgebroid:
 def custom_algebroid(variables, rank, anchor, structure, check=True) -> LieAlgebroid:
     a = LieAlgebroid(variables, rank, anchor, structure)
     if check:
-        report = a.validate()
-        if not report.ok:
-            raise ValueError("structure checks failed:\n" + "\n".join(report.lines()))
+        a.validate().raise_if_failed("structure checks failed")
     return a
 
 
@@ -421,18 +423,13 @@ def cotangent_algebroid(pi: PoissonStructure, check=True) -> LieAlgebroid:
     variables = pi.variables
     m = len(variables)
     anchor = [[pi.matrix_entry(mu, nu) for nu in range(m)] for mu in range(m)]
-    structure = {}
-    for (mu, nu), coeff in pi.components.items():
-        comps = tuple(coeff.partial(sigma) for sigma in range(m))
-        if any(not c.is_zero for c in comps):
-            structure[(mu, nu)] = comps
+    structure = {
+        key: tuple(coeff.partial(sigma) for sigma in range(m))
+        for key, coeff in pi.components.items()
+    }
     out = LieAlgebroid(variables, m, anchor, structure)
     if check:
-        report = out.validate()
-        if not report.ok:
-            raise ValueError(
-                "cotangent structure checks failed:\n" + "\n".join(report.lines())
-            )
+        out.validate().raise_if_failed("cotangent structure checks failed")
     return out
 
 
@@ -454,19 +451,14 @@ def algebroid_from_differential(variables, rank, d_coords, d_coframe, check=True
     anchor = []
     for i in range(rank):
         anchor.append(tuple(d_coords[mu].coefficient((i,)) for mu in range(m)))
-    structure = {}
-    for i in range(rank):
-        for j in range(i + 1, rank):
-            comps = tuple(-d_coframe[k].coefficient((i, j)) for k in range(rank))
-            if any(not c.is_zero for c in comps):
-                structure[(i, j)] = comps
+    structure = {
+        (i, j): tuple(-d_coframe[k].coefficient((i, j)) for k in range(rank))
+        for i in range(rank)
+        for j in range(i + 1, rank)
+    }
     out = LieAlgebroid(variables, rank, anchor, structure)
     if check:
-        report = out.validate()
-        if not report.ok:
-            raise ValueError(
-                "differential does not square to zero:\n" + "\n".join(report.lines())
-            )
+        out.validate().raise_if_failed("differential does not square to zero")
     return out
 
 
@@ -514,14 +506,8 @@ def triangular_dual_algebroid(a: LieAlgebroid, r: GradedElem, check=True):
     for i in range(n):
         for j in range(i + 1, n):
             entry = one_form_bracket(a.coframe(i), a.coframe(j))
-            comps = tuple(entry.coefficient((k,)) for k in range(n))
-            if any(not c.is_zero for c in comps):
-                structure[(i, j)] = comps
+            structure[(i, j)] = tuple(entry.coefficient((k,)) for k in range(n))
     out = LieAlgebroid(variables, n, anchor, structure)
     if check:
-        report = out.validate()
-        if not report.ok:
-            raise ValueError(
-                "dual structure checks failed:\n" + "\n".join(report.lines())
-            )
+        out.validate().raise_if_failed("dual structure checks failed")
     return out

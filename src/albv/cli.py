@@ -130,8 +130,8 @@ class _Report:
         self.sign = None
         self.info = []
 
-    def add_check(self, name, ok, witness=None):
-        self.checks.append(CheckResult(name, ok, witness))
+    def record(self, name, failures):
+        self.checks.append(CheckResult.of(name, failures))
 
     @property
     def failed(self) -> bool:
@@ -159,17 +159,12 @@ class _Report:
 def _structure_gate(report, a, pi):
     """Add the axiom and bivector checks to the report; returns the axiom report."""
     vreport = a.validate()
-    witness = None
-    if not vreport.ok:
-        details = vreport.anchor_failures + vreport.jacobi_failures
-        witness = str(details[0]) if details else "structure checks failed"
-    report.add_check("axioms", vreport.ok, witness)
+    # the report fails exactly when it lists a failure
+    report.record("axioms", vreport.anchor_failures + vreport.jacobi_failures)
     if pi is not None:
         bad = pi.jacobiator()
-        report.add_check(
-            "bivector-self-commutes",
-            bad.is_zero,
-            None if bad.is_zero else "self-bracket is %s" % bad,
+        report.record(
+            "bivector-self-commutes", [] if bad.is_zero else ["self-bracket is %s" % bad]
         )
     return vreport
 
@@ -199,9 +194,7 @@ def _cmd_homology(args, doc, report):
     else:
         conn = doc.build_connection(a)
         r = curvature(conn)
-        report.add_check(
-            "flat-connection", r.is_zero, None if r.is_zero else "curvature %s" % r
-        )
+        report.record("flat-connection", [] if r.is_zero else ["curvature %s" % r])
         if not r.is_zero:
             return None
         table = boundary_betti(conn, args.max_weight)
@@ -216,16 +209,12 @@ def _cmd_modular(args, doc, report):
     nu = modular_vector_field(pi)
     report.info.append("modular field: %s" % nu)
     closed = lichnerowicz(pi, nu)
-    report.add_check(
+    report.record(
         "modular-field-closed",
-        closed.is_zero,
-        None if closed.is_zero else "bracket with bivector is %s" % closed,
+        [] if closed.is_zero else ["bracket with bivector is %s" % closed],
     )
     outcome = modular_relation_check(pi)
-    witness = None
-    if outcome["failures"]:
-        witness = str(outcome["failures"][0])
-    report.add_check("modular-relation", outcome["ok"], witness)
+    report.record("modular-relation", outcome["failures"])
     report.sign = outcome["sign"]
     return None
 
@@ -302,7 +291,7 @@ def main(argv=None) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except ValueError as exc:
-        report.add_check("computation", False, str(exc))
+        report.record("computation", [str(exc)])
     _finish(report, args, out)
     return 1 if report.failed else 0
 

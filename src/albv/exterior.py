@@ -272,13 +272,7 @@ class Volume:
             raise ValueError("volume coefficient must be nonzero")
 
     def as_elem(self, side=A_SIDE) -> GradedElem:
-        return GradedElem(
-            side,
-            self.rank,
-            self.rank,
-            self.variables,
-            {tuple(range(self.rank)): Poly.constant(self.coeff, self.variables)},
-        )
+        return top_elem(self.rank, self.variables, side, self.coeff)
 
 
 # -- basis helpers ---------------------------------------------------------

@@ -4,6 +4,12 @@ Each suite draws seeded probes, evaluates the exact identities, and records
 one result per identity.  The same seed always produces the same probes, the
 same ordering, and hence byte-identical reports.  These functions back the
 ``verify`` command, and the test suite calls them directly.
+
+Most identities are laws: a local function draws one probe and returns the
+identity's residual on it; ``_Session.law`` calls it once per probe and lists
+each nonzero residual as ``"<tag> probe <n> residual <r>"``.  Other checks
+build their failure list themselves.  ``CheckResult.of`` turns a list into the
+result: pass when it is empty, else its first entry is the witness.
 """
 
 from __future__ import annotations
@@ -63,6 +69,11 @@ class CheckResult:
     ok: bool
     witness: str | None = None
 
+    @classmethod
+    def of(cls, name, failures) -> "CheckResult":
+        """Pass when ``failures`` is empty, else witness its first entry as text."""
+        return cls(name, not failures, str(failures[0]) if failures else None)
+
     @property
     def status(self) -> str:
         return "pass" if self.ok else "fail"
@@ -95,12 +106,17 @@ class _Session:
         return random.Random("%s:%s" % (self.seed, label))
 
     def record(self, name, failures):
-        witness = None
-        if failures:
-            witness = failures[0]
-            if not isinstance(witness, str):
-                witness = str(witness)
-        self.results.append(CheckResult(name, not failures, witness))
+        self.results.append(CheckResult.of(name, failures))
+
+    def law(self, name, tag, residual, probes=None):
+        """Record ``name`` from ``residual()`` on each of ``probes`` probes
+        (``trials`` by default); every nonzero residual is a failure."""
+        failures = []
+        for pos in range(self.trials if probes is None else probes):
+            r = residual()
+            if not r.is_zero:
+                failures.append("%s probe %d residual %s" % (tag, pos + 1, r))
+        self.record(name, failures)
 
     def elems(self, rng, count, side=A_SIDE, degrees=None):
         a = self.algebroid
@@ -114,10 +130,6 @@ class _Session:
         return out
 
 
-def _residual_witness(tag, pos, residual):
-    return "%s probe %d residual %s" % (tag, pos, residual)
-
-
 # -- core: graded algebra of one frame ------------------------------------
 
 
@@ -126,45 +138,36 @@ def _suite_core(s: _Session):
     n = a.rank
     rng = s.rng("core")
 
-    failures = []
-    for pos in range(s.trials):
+    def symmetry():
         u = s.elems(rng, 1)[0]
         v = s.elems(rng, 1)[0]
         sign = -1 if (u.degree * v.degree) % 2 else 1
-        residual = wedge(u, v) - sign * wedge(v, u)
-        if not residual.is_zero:
-            failures.append(_residual_witness("symmetry", pos + 1, residual))
-    s.record("wedge-graded-symmetry", failures)
+        return wedge(u, v) - sign * wedge(v, u)
 
-    failures = []
-    for pos in range(s.trials):
+    s.law("wedge-graded-symmetry", "symmetry", symmetry)
+
+    def associativity():
         u, v, w = s.elems(rng, 3)
-        residual = wedge(wedge(u, v), w) - wedge(u, wedge(v, w))
-        if not residual.is_zero:
-            failures.append(_residual_witness("associativity", pos + 1, residual))
-    s.record("wedge-associativity", failures)
+        return wedge(wedge(u, v), w) - wedge(u, wedge(v, w))
 
-    failures = []
-    for pos in range(s.trials):
+    s.law("wedge-associativity", "associativity", associativity)
+
+    def adjunction():
         k = rng.randrange(n + 1)
         t = rng.randrange(k + 1)
         theta = s.elems(rng, 1, DUAL_SIDE, [t])[0]
         omega = s.elems(rng, 1, DUAL_SIDE, [k - t])[0]
         v = s.elems(rng, 1, A_SIDE, [k])[0]
-        residual = pairing(omega, contract(theta, v)) - pairing(wedge(theta, omega), v)
-        if not residual.is_zero:
-            failures.append(_residual_witness("adjunction", pos + 1, residual))
-    s.record("contraction-wedge-adjunction", failures)
+        return pairing(omega, contract(theta, v)) - pairing(wedge(theta, omega), v)
 
-    failures = []
-    if n >= 2:
-        for pos in range(s.trials):
-            theta = s.elems(rng, 1, DUAL_SIDE, [1])[0]
-            v = s.elems(rng, 1, A_SIDE, [rng.randrange(2, n + 1)])[0]
-            residual = contract(theta, contract(theta, v))
-            if not residual.is_zero:
-                failures.append(_residual_witness("square", pos + 1, residual))
-    s.record("interior-product-square", failures)
+    s.law("contraction-wedge-adjunction", "adjunction", adjunction)
+
+    def square():
+        theta = s.elems(rng, 1, DUAL_SIDE, [1])[0]
+        v = s.elems(rng, 1, A_SIDE, [rng.randrange(2, n + 1)])[0]
+        return contract(theta, contract(theta, v))
+
+    s.law("interior-product-square", "square", square, s.trials if n >= 2 else 0)
 
     failures = []
     for pos in range(s.trials):
@@ -201,56 +204,46 @@ def _suite_algebroid(s: _Session):
     report = a.validate()
     s.record("axioms", [] if report.ok else [report.lines()[-1]])
 
-    failures = []
-    for pos in range(s.trials):
+    def antisymmetry():
         u, v = s.elems(rng, 2)
         sign = -1 if ((u.degree - 1) * (v.degree - 1)) % 2 else 1
-        residual = schouten(a, u, v) + sign * schouten(a, v, u)
-        if not residual.is_zero:
-            failures.append(_residual_witness("antisymmetry", pos + 1, residual))
-    s.record("bracket-graded-antisymmetry", failures)
+        return schouten(a, u, v) + sign * schouten(a, v, u)
 
-    failures = []
-    for pos in range(s.trials):
+    s.law("bracket-graded-antisymmetry", "antisymmetry", antisymmetry)
+
+    def jacobi():
         u, v, w = s.elems(rng, 3)
         sign = -1 if ((u.degree - 1) * (v.degree - 1)) % 2 else 1
-        residual = (
+        return (
             schouten(a, u, schouten(a, v, w))
             - schouten(a, schouten(a, u, v), w)
             - sign * schouten(a, v, schouten(a, u, w))
         )
-        if not residual.is_zero:
-            failures.append(_residual_witness("jacobi", pos + 1, residual))
-    s.record("bracket-graded-jacobi", failures)
 
-    failures = []
-    for pos in range(s.trials):
+    s.law("bracket-graded-jacobi", "jacobi", jacobi)
+
+    def derivation():
         u, v, w = s.elems(rng, 3)
         sign = -1 if ((u.degree - 1) * v.degree) % 2 else 1
-        residual = (
+        return (
             schouten(a, u, wedge(v, w))
             - wedge(schouten(a, u, v), w)
             - sign * wedge(v, schouten(a, u, w))
         )
-        if not residual.is_zero:
-            failures.append(_residual_witness("derivation", pos + 1, residual))
-    s.record("bracket-wedge-derivation", failures)
 
-    failures = []
-    for pos in range(s.trials):
+    s.law("bracket-wedge-derivation", "derivation", derivation)
+
+    def oracle():
         u, v = s.elems(rng, 2)
-        residual = schouten(a, u, v) - schouten_oracle(a, u, v)
-        if not residual.is_zero:
-            failures.append(_residual_witness("oracle", pos + 1, residual))
-    s.record("bracket-oracle-agreement", failures)
+        return schouten(a, u, v) - schouten_oracle(a, u, v)
 
-    failures = []
-    for pos in range(s.trials):
+    s.law("bracket-oracle-agreement", "oracle", oracle)
+
+    def square():
         omega = s.elems(rng, 1, DUAL_SIDE)[0]
-        residual = differential(a, differential(a, omega))
-        if not residual.is_zero:
-            failures.append(_residual_witness("square", pos + 1, residual))
-    s.record("differential-squares-to-zero", failures)
+        return differential(a, differential(a, omega))
+
+    s.law("differential-squares-to-zero", "square", square)
 
     if s.poisson is not None and s.doc.kind == "tangent":
         dual = cotangent_algebroid(s.poisson, check=False)
@@ -270,8 +263,7 @@ def _suite_bv(s: _Session):
     conn = s.connection
     rng = s.rng("bv")
 
-    failures = []
-    for pos in range(s.trials):
+    def generating():
         u, v = s.elems(rng, 2)
         sign = -1 if u.degree % 2 else 1
         bracket = schouten(a, u, v)
@@ -280,23 +272,20 @@ def _suite_bv(s: _Session):
             - wedge(generating_operator(conn, u), v)
             - sign * wedge(u, generating_operator(conn, v))
         )
-        residual = bracket - sign * expanded
-        if not residual.is_zero:
-            failures.append(_residual_witness("generating", pos + 1, residual))
-    s.record("generating-property", failures)
+        return bracket - sign * expanded
+
+    s.law("generating-property", "generating", generating)
 
     r = curvature(conn)
-    failures = []
-    for pos in range(s.trials):
+
+    def squared():
         u = s.elems(rng, 1)[0]
         twice = generating_operator(conn, generating_operator(conn, u))
-        residual = twice + contract_or_zero(r, u)
-        if not residual.is_zero:
-            failures.append(_residual_witness("curvature", pos + 1, residual))
-    s.record("square-is-curvature-contraction", failures)
+        return twice + contract_or_zero(r, u)
 
-    failures = []
-    for pos in range(s.trials):
+    s.law("square-is-curvature-contraction", "curvature", squared)
+
+    def contraction():
         theta = s.elems(rng, 1, DUAL_SIDE)[0]
         u = s.elems(rng, 1)[0]
         sign = -1 if theta.degree % 2 else 1
@@ -305,10 +294,9 @@ def _suite_bv(s: _Session):
             sign * generating_operator(conn, contract_or_zero(theta, u))
             + contract_or_zero(differential(a, theta), u)
         )
-        residual = lhs - rhs
-        if not residual.is_zero:
-            failures.append(_residual_witness("contraction", pos + 1, residual))
-    s.record("operator-contraction-identity", failures)
+        return lhs - rhs
+
+    s.law("operator-contraction-identity", "contraction", contraction)
 
     failures = []
     recovered = connection_from_operator(a, conn.operator())
@@ -322,16 +310,14 @@ def _suite_bv(s: _Session):
             failures.append("flat probe %d recovered %s" % (pos + 1, back.alpha))
     s.record("connection-operator-round-trip", failures)
 
-    failures = []
     top = a.top()
-    for pos in range(s.trials):
+
+    def divergence_law():
         x = random_section(rng, a, s.max_deg)
         lhs = schouten(a, x, top) - pairing(conn.alpha, x) * top
-        rhs = divergence(conn, x) * top
-        residual = lhs - rhs
-        if not residual.is_zero:
-            failures.append(_residual_witness("divergence", pos + 1, residual))
-    s.record("divergence-identity", failures)
+        return lhs - divergence(conn, x) * top
+
+    s.law("divergence-identity", "divergence", divergence_law)
 
     flat = random_flat_form(rng, a, s.max_deg)
     shifted = TopConnection(a, conn.alpha + flat)
@@ -365,13 +351,11 @@ def _suite_homology(s: _Session):
     rng = s.rng("homology")
 
     if curvature(conn).is_zero:
-        failures = []
-        for pos in range(s.trials):
-            u = s.elems(rng, 1)[0]
-            residual = boundary(conn, boundary(conn, u))
-            if not residual.is_zero:
-                failures.append(_residual_witness("square", pos + 1, residual))
-        s.record("boundary-squares-to-zero", failures)
+        s.law(
+            "boundary-squares-to-zero",
+            "square",
+            lambda: boundary(conn, boundary(conn, s.elems(rng, 1)[0])),
+        )
 
     outcome = star_conjugation_check(a, s.volume, s.elems(rng, s.trials // 2))
     s.record("star-conjugation", outcome["failures"])
@@ -396,12 +380,13 @@ def _suite_homology(s: _Session):
         s.elems(rng, 1, DUAL_SIDE)[0] for _ in range(s.trials)
     ]
 
-    failures = []
-    for pos, omega in enumerate(form_probes):
-        residual = koszul_brylinski(pi, koszul_brylinski(pi, omega))
-        if not residual.is_zero:
-            failures.append(_residual_witness("square", pos + 1, residual))
-    s.record("kb-squares-to-zero", failures)
+    walk = iter(form_probes)
+    s.law(
+        "kb-squares-to-zero",
+        "square",
+        lambda: koszul_brylinski(pi, koszul_brylinski(pi, next(walk))),
+        len(form_probes),
+    )
 
     nu = modular_vector_field(pi)
     closed = lichnerowicz(pi, nu)
@@ -416,8 +401,7 @@ def _suite_homology(s: _Session):
         s.sign = outcome["sign"]
 
     cot = cotangent_algebroid(pi, check=False)
-    failures = []
-    for pos in range(s.trials):
+    def kb_generating():
         w1 = s.elems(rng, 1, DUAL_SIDE)[0]
         w2 = s.elems(rng, 1, DUAL_SIDE)[0]
         sign = -1 if w1.degree % 2 else 1
@@ -429,15 +413,14 @@ def _suite_homology(s: _Session):
             - wedge(koszul_brylinski(pi, w1), w2)
             - sign * wedge(w1, koszul_brylinski(pi, w2))
         )
-        residual = bracket - sign * expanded
-        if not residual.is_zero:
-            failures.append(_residual_witness("kb-generating", pos + 1, residual))
-    s.record("kb-generates-cotangent-bracket", failures)
+        return bracket - sign * expanded
+
+    s.law("kb-generates-cotangent-bracket", "kb-generating", kb_generating)
 
     outcome = unimodular_duality_check(pi, max_weight=2)
     if outcome["skipped"]:
-        s.record("unimodular-duality", [])
-        s.results[-1].witness = "skipped: modular field %s" % outcome["modular_field"]
+        skipped = "skipped: modular field %s" % outcome["modular_field"]
+        s.results.append(CheckResult("unimodular-duality", True, skipped))
         s.tables.append(kb_betti(pi, 2))
         s.tables.append(lichnerowicz_betti(pi, 2))
     else:

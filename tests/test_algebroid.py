@@ -168,6 +168,38 @@ def test_reconstruction_from_differential_data():
     assert rebuilt == a
 
 
+def test_reconstruction_rejects_a_differential_that_does_not_square_to_zero():
+    # d of the sl2 coframe with an extra e1 in [e1, e2]: Jacobi fails on (1, 2, 3)
+    a = sl2()
+    e = a.coframe
+    d_coframe = [
+        -wedge(e(0), e(1)) - wedge(e(1), e(2)),
+        -2 * wedge(e(0), e(1)),
+        2 * wedge(e(0), e(2)),
+    ]
+    with pytest.raises(ValueError) as exc:
+        algebroid_from_differential((), 3, [], d_coframe)
+    assert str(exc.value).startswith("differential does not square to zero:\n")
+    assert "sections (1, 2, 3): residual (-2) e3" in str(exc.value)
+    assert algebroid_from_differential((), 3, [], d_coframe, check=False).rank == 3
+
+
+def test_triangular_dual_reports_failed_dual_structure_checks(monkeypatch):
+    # The self-bracket gate stops every non-commuting section first; with it
+    # bypassed, the dual structure checks reject the same section.
+    import albv.calculus
+
+    a = tangent_algebroid(("x", "y", "z"))
+    r = wedge(a.frame(0), a.frame(1)) + a.poly("y") * wedge(a.frame(1), a.frame(2))
+    monkeypatch.setattr(
+        albv.calculus, "schouten", lambda a, u, v: a.zero_elem(A_SIDE, 3)
+    )
+    with pytest.raises(ValueError) as exc:
+        triangular_dual_algebroid(a, r)
+    assert str(exc.value).startswith("dual structure checks failed:\n")
+    assert "anchor compatibility: FAILED" in str(exc.value)
+
+
 def test_structure_key_bounds():
     with pytest.raises(ValueError, match="i < j"):
         LieAlgebroid((), 2, [(), ()], {(1, 0): {0: 1}})

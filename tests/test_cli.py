@@ -221,6 +221,55 @@ def test_verify_runs_and_is_deterministic(tmp_path, capsys):
     assert "generating-property: PASS" in first
 
 
+LINE_TEXT = """\
+[algebroid]
+kind = "tangent"
+base_vars = ["x"]
+
+[connection]
+alpha = ["x"]
+"""
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "name, text, golden",
+    [("plane", PLANE_TEXT, "verify_plane.txt"), ("line", LINE_TEXT, "verify_line.txt")],
+)
+def test_verify_report_matches_the_golden_text(tmp_path, capsys, name, text, golden):
+    """The whole ``verify --seed 3 --trials 5`` report, pinned across versions.
+
+    The golden files were written by commit 27adc31, before the identity
+    laws shared one probe loop.  The rank-1 line runs
+    ``interior-product-square`` on no probes.
+    """
+    path = put(tmp_path, name + ".albv", text)
+    assert main(["verify", path, "--trials", "5", "--seed", "3"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+
+
+def test_verify_reports_the_first_failing_probe(tmp_path, capsys, monkeypatch):
+    """An oracle that doubles the bracket leaves minus the bracket as residual.
+
+    The witness is the bracket of the first probe pair, so it also pins the
+    draws; commit 27adc31 printed the same line.
+    """
+    import albv.verify
+
+    oracle = albv.verify.schouten_oracle
+    monkeypatch.setattr(
+        albv.verify, "schouten_oracle", lambda a, u, v: oracle(a, u, v) * 2
+    )
+    path = put(tmp_path, "plane.albv", PLANE_TEXT)
+    assert main(["verify", path, "--trials", "5", "--seed", "3"]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
+    assert failed == [
+        "bracket-oracle-agreement: FAIL "
+        "(oracle probe 1 residual (3*x + 9*y^2 - 6*x^2) e1)"
+    ]
+
+
 def test_global_flags_work_in_both_positions(tmp_path, capsys):
     path = put(tmp_path, "sl2.albv", SL2_TEXT)
     assert main(["--json", "cohomology", path]) == 0
