@@ -11,27 +11,32 @@ rational Lie algebra.
 frame sections to commutators of vector fields, and the Jacobi identity holds
 on frame triples.  Both checks extend to arbitrary sections by bilinearity
 and the Leibniz rule, so frame witnesses are conclusive.
+
+A structure is the same thing as a square-zero differential on the forms, so
+every derived structure (the cotangent algebroid of a bivector, the dual of a
+triangular structure, a frame change) states its differential on coordinates
+and coframe sections, and ``algebroid_from_differential`` reads the anchor and
+structure functions off those images.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 
 from .exterior import (
     A_SIDE,
     DUAL_SIDE,
     GradedElem,
     Volume,
+    as_side,
     coframe_elem,
-    contract,
+    frame_change_elem,
     frame_elem,
-    pairing,
     scalar_elem,
     top_elem,
-    wedge,
 )
-from .linalg import mat_inv
 from .poly import Poly, parse_poly
 
 __all__ = [
@@ -67,30 +72,29 @@ class ValidationReport:
     anchor_failures: list = field(default_factory=list)
     jacobi_failures: list = field(default_factory=list)
 
+    def _groups(self):
+        anchor = [
+            "sections (%d, %d), base variable %s: residual %s"
+            % (rec["i"], rec["j"], rec["variable"], rec["residual"])
+            for rec in self.anchor_failures
+        ]
+        jacobi = [
+            "sections (%d, %d, %d): residual %s"
+            % (rec["i"], rec["j"], rec["k"], rec["residual"])
+            for rec in self.jacobi_failures
+        ]
+        return (("anchor compatibility", anchor), ("jacobi identity", jacobi))
+
+    @property
+    def failures(self):
+        """One readable line per failed frame check, anchor checks first."""
+        return [line for _, lines in self._groups() for line in lines]
+
     def lines(self):
         out = []
-        if self.ok:
-            out.append("anchor compatibility: ok")
-            out.append("jacobi identity: ok")
-            return out
-        if self.anchor_failures:
-            out.append("anchor compatibility: FAILED")
-            for rec in self.anchor_failures:
-                out.append(
-                    "  sections (%d, %d), base variable %s: residual %s"
-                    % (rec["i"], rec["j"], rec["variable"], rec["residual"])
-                )
-        else:
-            out.append("anchor compatibility: ok")
-        if self.jacobi_failures:
-            out.append("jacobi identity: FAILED")
-            for rec in self.jacobi_failures:
-                out.append(
-                    "  sections (%d, %d, %d): residual %s"
-                    % (rec["i"], rec["j"], rec["k"], rec["residual"])
-                )
-        else:
-            out.append("jacobi identity: ok")
+        for check, failures in self._groups():
+            out.append("%s: %s" % (check, "FAILED" if failures else "ok"))
+            out.extend("  " + line for line in failures)
         return out
 
     def raise_if_failed(self, heading):
@@ -221,41 +225,33 @@ class LieAlgebroid:
 
     def validate(self) -> ValidationReport:
         anchor_failures = []
-        for i in range(self.rank):
-            for j in range(i + 1, self.rank):
-                for mu in range(self.base_dim):
-                    lhs = Poly.zero(self.variables)
-                    for k in range(self.rank):
-                        c = self.structure_coeff(i, j, k)
-                        if not c.is_zero:
-                            lhs = lhs + c * self.anchor[k][mu]
-                    rhs = self.anchor_frame(i, self.anchor[j][mu]) - self.anchor_frame(
-                        j, self.anchor[i][mu]
+        for i, j in combinations(range(self.rank), 2):
+            for mu, name in enumerate(self.variables):
+                lhs = self._zero
+                for k in range(self.rank):
+                    c = self.structure_coeff(i, j, k)
+                    if not c.is_zero:
+                        lhs = lhs + c * self.anchor[k][mu]
+                rhs = self.anchor_frame(i, self.anchor[j][mu]) - self.anchor_frame(
+                    j, self.anchor[i][mu]
+                )
+                residual = lhs - rhs
+                if not residual.is_zero:
+                    anchor_failures.append(
+                        {
+                            "i": i + 1,
+                            "j": j + 1,
+                            "variable": name,
+                            "residual": str(residual),
+                        }
                     )
-                    residual = lhs - rhs
-                    if not residual.is_zero:
-                        anchor_failures.append(
-                            {
-                                "i": i + 1,
-                                "j": j + 1,
-                                "variable": self.variables[mu],
-                                "residual": str(residual),
-                            }
-                        )
         jacobi_failures = []
-        for i in range(self.rank):
-            for j in range(i + 1, self.rank):
-                for k in range(j + 1, self.rank):
-                    res = self.jacobiator(self.frame(i), self.frame(j), self.frame(k))
-                    if not res.is_zero:
-                        jacobi_failures.append(
-                            {
-                                "i": i + 1,
-                                "j": j + 1,
-                                "k": k + 1,
-                                "residual": str(res),
-                            }
-                        )
+        for i, j, k in combinations(range(self.rank), 3):
+            res = self.jacobiator(self.frame(i), self.frame(j), self.frame(k))
+            if not res.is_zero:
+                jacobi_failures.append(
+                    {"i": i + 1, "j": j + 1, "k": k + 1, "residual": str(res)}
+                )
         ok = not anchor_failures and not jacobi_failures
         return ValidationReport(ok, anchor_failures, jacobi_failures)
 
@@ -264,47 +260,34 @@ class LieAlgebroid:
     def frame_change(self, g) -> "LieAlgebroid":
         """Transport the structure through a constant invertible frame matrix.
 
-        Components of sections transform by ``g``; the anchor and structure
-        functions transform so that brackets and anchor images of transformed
-        sections are the transforms of the originals.
+        Components of sections transform by ``g``, so the k-th new coframe
+        section is row k of ``g`` in the old coframe.  The differential is
+        the old one written in the new frame: its images of the coordinates
+        and of those coframe sections, transformed by ``frame_change_elem``,
+        give the new anchor and structure functions.
         """
-        n = self.rank
-        mat = [[Fraction(x) for x in row] for row in g]
-        ginv = mat_inv(mat)
-        anchor = []
-        for i in range(n):
-            row = []
-            for mu in range(self.base_dim):
-                entry = Poly.zero(self.variables)
-                for j in range(n):
-                    if ginv[j][i]:
-                        entry = entry + self.anchor[j][mu] * ginv[j][i]
-                row.append(entry)
-            anchor.append(tuple(row))
-        structure = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                mixed = [Poly.zero(self.variables) for _ in range(n)]
-                for p in range(n):
-                    for q in range(p + 1, n):
-                        weight = ginv[p][i] * ginv[q][j] - ginv[q][i] * ginv[p][j]
-                        if not weight:
-                            continue
-                        entry = self.structure.get((p, q))
-                        if entry is None:
-                            continue
-                        for k in range(n):
-                            if not entry[k].is_zero:
-                                mixed[k] = mixed[k] + entry[k] * weight
-                comps = []
-                for l in range(n):
-                    total = Poly.zero(self.variables)
-                    for k in range(n):
-                        if mat[l][k] and not mixed[k].is_zero:
-                            total = total + mixed[k] * mat[l][k]
-                    comps.append(total)
-                structure[(i, j)] = tuple(comps)
-        return LieAlgebroid(self.variables, n, anchor, structure)
+        from .calculus import differential
+
+        def d(omega):
+            return frame_change_elem(g, differential(self, omega))
+
+        coframes = [
+            GradedElem(
+                DUAL_SIDE, 1, self.rank, self.variables,
+                {(k,): entry for k, entry in enumerate(row)},
+            )
+            for row in g
+        ]
+        return algebroid_from_differential(
+            self.variables,
+            self.rank,
+            [
+                d(self.scalar(Poly.variable(x, self.variables), DUAL_SIDE))
+                for x in self.variables
+            ],
+            [d(theta) for theta in coframes],
+            check=False,
+        )
 
     def __eq__(self, other):
         if not isinstance(other, LieAlgebroid):
@@ -411,23 +394,39 @@ class PoissonStructure:
         return "PoissonStructure(%s)" % (self.as_elem(),)
 
 
+def _bivector_dual(a: LieAlgebroid, r: GradedElem) -> LieAlgebroid:
+    """The structure on the dual of ``a`` with differential d_r = [r, -].
+
+    Its forms are the multivectors of ``a``, so its coframe sections are the
+    frame sections of ``a``; ``algebroid_from_differential`` reads the anchor
+    and structure functions off the images of those and of the coordinates.
+    """
+    from .calculus import schouten
+
+    def d(u):
+        return as_side(schouten(a, r, u), DUAL_SIDE)
+
+    return algebroid_from_differential(
+        a.variables,
+        a.rank,
+        [d(a.scalar(Poly.variable(x, a.variables))) for x in a.variables],
+        [d(a.frame(k)) for k in range(a.rank)],
+        check=False,
+    )
+
+
 def cotangent_algebroid(pi: PoissonStructure, check=True) -> LieAlgebroid:
     """The algebroid on coordinate one-forms induced by a bivector.
 
-    The anchor matrix is the antisymmetric component matrix of the bivector,
-    and the bracket of two coordinate coframe sections is the differential of
-    the corresponding component.  The structure checks pass exactly when the
+    Its differential is d_pi = [pi, -] on the multivector fields.  On the
+    coordinates it gives the anchor, the component matrix of the bivector;
+    on the coordinate vector fields it gives the structure functions, so the
+    bracket of two coordinate coframe sections is the differential of the
+    corresponding component.  The structure checks pass exactly when the
     bivector self-commutes, so this factory doubles as a Jacobi test when
     handed an unchecked bivector.
     """
-    variables = pi.variables
-    m = len(variables)
-    anchor = [[pi.matrix_entry(mu, nu) for nu in range(m)] for mu in range(m)]
-    structure = {
-        key: tuple(coeff.partial(sigma) for sigma in range(m))
-        for key, coeff in pi.components.items()
-    }
-    out = LieAlgebroid(variables, m, anchor, structure)
+    out = _bivector_dual(pi.tangent(), pi.as_elem())
     if check:
         out.validate().raise_if_failed("cotangent structure checks failed")
     return out
@@ -443,14 +442,11 @@ def algebroid_from_differential(variables, rank, d_coords, d_coframe, check=True
     to square to zero on all generators by running the structure checks.
     """
     variables = tuple(variables)
-    m = len(variables)
     d_coords = list(d_coords)
     d_coframe = list(d_coframe)
-    if len(d_coords) != m or len(d_coframe) != rank:
+    if len(d_coords) != len(variables) or len(d_coframe) != rank:
         raise ValueError("need one form per coordinate and one per coframe section")
-    anchor = []
-    for i in range(rank):
-        anchor.append(tuple(d_coords[mu].coefficient((i,)) for mu in range(m)))
+    anchor = [[form.coefficient((i,)) for form in d_coords] for i in range(rank)]
     structure = {
         (i, j): tuple(-d_coframe[k].coefficient((i, j)) for k in range(rank))
         for i in range(rank)
@@ -465,11 +461,11 @@ def algebroid_from_differential(variables, rank, d_coords, d_coframe, check=True
 def triangular_dual_algebroid(a: LieAlgebroid, r: GradedElem, check=True):
     """Dual algebroid induced by a self-commuting degree-2 section.
 
-    The anchor of the dual structure composes contraction into ``r`` with the
-    original anchor, and the bracket of coframe sections is assembled from
-    contractions against the original differential.
+    Its differential is d_r = [r, -] on the multivectors of ``a``; its
+    images of the coordinates and of the frame sections of ``a`` give the
+    dual anchor and structure functions.
     """
-    from .calculus import differential, schouten
+    from .calculus import schouten
 
     if r.side != A_SIDE or r.degree != 2:
         raise ValueError("expected a degree-2 section on side A")
@@ -479,35 +475,7 @@ def triangular_dual_algebroid(a: LieAlgebroid, r: GradedElem, check=True):
             raise ValueError(
                 "section does not self-commute; self-bracket is %s" % (self_bracket,)
             )
-    n = a.rank
-    variables = a.variables
-
-    def sharp(xi):
-        return contract(xi, r)
-
-    anchor = []
-    for i in range(n):
-        image = sharp(a.coframe(i))
-        row = [Poly.zero(variables) for _ in range(a.base_dim)]
-        for (j,), coeff in image.components.items():
-            for mu in range(a.base_dim):
-                row[mu] = row[mu] + coeff * a.anchor[j][mu]
-        anchor.append(tuple(row))
-    def one_form_bracket(xi, eta):
-        # contraction of each sharp image into the differential of the other
-        # form, plus the differential of the pairing of the wedge with r
-        term1 = contract(sharp(xi), differential(a, eta))
-        term2 = contract(sharp(eta), differential(a, xi))
-        paired = pairing(wedge(xi, eta), r)
-        term3 = differential(a, scalar_elem(paired, DUAL_SIDE, n))
-        return term1 - term2 + term3
-
-    structure = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            entry = one_form_bracket(a.coframe(i), a.coframe(j))
-            structure[(i, j)] = tuple(entry.coefficient((k,)) for k in range(n))
-    out = LieAlgebroid(variables, n, anchor, structure)
+    out = _bivector_dual(a, r)
     if check:
         out.validate().raise_if_failed("dual structure checks failed")
     return out

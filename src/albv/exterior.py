@@ -137,9 +137,9 @@ class GradedElem:
                         "index tuple %r has length %d, expected degree %d"
                         % (idx, len(idx), self.degree)
                     )
-                if any(not 0 <= i < self.rank for i in idx):
+                if idx and (min(idx) < 0 or max(idx) >= self.rank):
                     raise ValueError("index tuple %r out of range" % (idx,))
-                if any(a >= b for a, b in zip(idx, idx[1:])):
+                if len(idx) > 1 and any(a >= b for a, b in zip(idx, idx[1:])):
                     raise ValueError("index tuple %r is not strictly increasing" % (idx,))
                 if not isinstance(coeff, Poly):
                     coeff = Poly.constant(coeff, self.variables)

@@ -185,6 +185,8 @@ def betti_table(
     applied once to each basis monomial, and its image is kept only as a
     sparse row keyed by (index tuple, exponent tuple); the shifts are read
     off those keys.  The rank out of each window is computed once, exactly.
+    A negative entry can only come from an operator whose square is nonzero,
+    and raises ValueError.
     """
     if k_step not in (1, -1):
         raise ValueError("k_step must be +1 or -1")
@@ -250,7 +252,13 @@ def betti_table(
     for k in range(rank + 1):
         for w in range(max_weight + 1):
             dim = sum(len(basis(k, wp)) for wp in window(w))
-            entries[(k, w)] = dim - rank_out(k, w) - rank_out(k - k_step, w - lift)
+            betti = dim - rank_out(k, w) - rank_out(k - k_step, w - lift)
+            if betti < 0:
+                raise ValueError(
+                    "operator does not square to zero: entry (%d, %d) would be %d"
+                    % (k, w, betti)
+                )
+            entries[(k, w)] = betti
     return BettiTable(
         entries=entries,
         rank=rank,

@@ -50,7 +50,7 @@ class Poly:
                         "exponent tuple %r does not match variables %r"
                         % (expo, self.variables)
                     )
-                if any(e < 0 for e in expo):
+                if expo and min(expo) < 0:
                     raise ValueError("negative exponent in %r" % (expo,))
                 coeff = _coerce(coeff)
                 if coeff != 0:

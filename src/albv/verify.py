@@ -201,8 +201,7 @@ def _suite_algebroid(s: _Session):
     a = s.algebroid
     rng = s.rng("algebroid")
 
-    report = a.validate()
-    s.record("axioms", [] if report.ok else [report.lines()[-1]])
+    s.record("axioms", a.validate().failures)
 
     def antisymmetry():
         u, v = s.elems(rng, 2)

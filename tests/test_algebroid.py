@@ -186,14 +186,20 @@ def test_reconstruction_rejects_a_differential_that_does_not_square_to_zero():
 
 def test_triangular_dual_reports_failed_dual_structure_checks(monkeypatch):
     # The self-bracket gate stops every non-commuting section first; with it
-    # bypassed, the dual structure checks reject the same section.
+    # bypassed, the dual structure checks reject the same section.  Only the
+    # (r, r) bracket is zeroed: the dual differential [r, -] is left intact.
     import albv.calculus
 
     a = tangent_algebroid(("x", "y", "z"))
     r = wedge(a.frame(0), a.frame(1)) + a.poly("y") * wedge(a.frame(1), a.frame(2))
-    monkeypatch.setattr(
-        albv.calculus, "schouten", lambda a, u, v: a.zero_elem(A_SIDE, 3)
-    )
+    schouten = albv.calculus.schouten
+
+    def no_self_bracket(a, u, v):
+        if u is r and v is r:
+            return a.zero_elem(A_SIDE, 3)
+        return schouten(a, u, v)
+
+    monkeypatch.setattr(albv.calculus, "schouten", no_self_bracket)
     with pytest.raises(ValueError) as exc:
         triangular_dual_algebroid(a, r)
     assert str(exc.value).startswith("dual structure checks failed:\n")
@@ -203,3 +209,78 @@ def test_triangular_dual_reports_failed_dual_structure_checks(monkeypatch):
 def test_structure_key_bounds():
     with pytest.raises(ValueError, match="i < j"):
         LieAlgebroid((), 2, [(), ()], {(1, 0): {0: 1}})
+
+
+def test_cotangent_of_xy_bivector_by_hand():
+    """pi = xy d/dx ^ d/dy, so {x, y} = xy.
+
+    The anchor sends dx to pi(dx, -) = xy d/dy and dy to -xy d/dx, and the
+    bracket of exact forms is [df, dg] = d{f, g}, so [dx, dy] = d(xy) =
+    y dx + x dy.
+    """
+    pi = PoissonStructure(("x", "y"), {(0, 1): "x*y"})
+    cot = cotangent_algebroid(pi)
+    xy, zero = cot.poly("x*y"), cot.zero_poly()
+    assert cot.anchor == ((zero, xy), (-xy, zero))
+    x, y = cot.poly("x"), cot.poly("y")
+    assert cot.bracket_frame(0, 1) == y * cot.frame(0) + x * cot.frame(1)
+
+
+def test_cotangent_of_so3_dual_by_hand():
+    """pi = z d/dx ^ d/dy + x d/dy ^ d/dz + y d/dz ^ d/dx, the Lie-Poisson
+    structure of so(3)*.
+
+    The anchor is the component matrix of pi, row mu holding pi^{mu nu}, and
+    c_ij^k = d pi^ij / d x_k: [dx, dy] = dz, [dy, dz] = dx, [dz, dx] = dy.
+    """
+    v = ("x", "y", "z")
+    pi = PoissonStructure(v, {(0, 1): "z", (1, 2): "x", (0, 2): "-y"})
+    expected = LieAlgebroid(
+        v,
+        3,
+        [["0", "z", "-y"], ["-z", "0", "x"], ["y", "-x", "0"]],
+        {(0, 1): {2: 1}, (0, 2): {1: -1}, (1, 2): {0: 1}},
+    )
+    assert cotangent_algebroid(pi) == expected
+
+
+def test_triangular_dual_of_aff1_by_hand():
+    """aff1 has [e1, e2] = e2, and r = e1 ^ e2.
+
+    On the dual, d eps_k = [r, e_k]: [r, e1] = -[e1, e1 ^ e2] = -e1 ^ e2 and
+    [r, e2] = -[e2, e1 ^ e2] = e2 ^ e2 = 0.  With d eps(1, 2) = -eps([1, 2])
+    this gives [eps1, eps2] = eps1.
+    """
+    a = aff1()
+    dual = triangular_dual_algebroid(a, wedge(a.frame(0), a.frame(1)))
+    assert dual == lie_algebra(2, {(0, 1): {0: 1}})
+
+
+def test_frame_changes_of_aff1_by_hand():
+    """Components transform by g, so the old frame is e_k = sum_l g[l][k] f_l.
+
+    The swap gives e1 = f2, e2 = f1, hence [f1, f2] = [e2, e1] = -f1.  The
+    diagonal diag(2, 1) gives e1 = 2 f1, e2 = f2, hence [f1, f2] =
+    [e1, e2] / 2 = f2 / 2.
+    """
+    a = aff1()
+    assert a.frame_change([[0, 1], [1, 0]]) == lie_algebra(2, {(0, 1): {0: -1}})
+    assert a.frame_change([[2, 0], [0, 1]]) == lie_algebra(2, {(0, 1): {1: "1/2"}})
+
+
+def test_frame_change_round_trip():
+    from albv.linalg import mat_inv
+
+    so3 = cotangent_algebroid(
+        PoissonStructure(("x", "y", "z"), {(0, 1): "z", (1, 2): "x", (0, 2): "-y"})
+    )
+    frames = {2: [[1, 2], [3, 1]], 3: [[1, 2, 0], [0, 1, -1], [3, 0, 1]]}
+    for a in (aff1(), sl2(), heisenberg(), tangent_algebroid(("x", "y")), so3):
+        g = frames[a.rank]
+        assert a.frame_change(g).frame_change(mat_inv(g)) == a
+
+
+def test_frame_change_refuses_a_matrix_of_the_wrong_size():
+    for g in ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1]]):
+        with pytest.raises(ValueError):
+            aff1().frame_change(g)

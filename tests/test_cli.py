@@ -148,11 +148,47 @@ def test_gate_blocks_tables_for_broken_structure(tmp_path, capsys):
 
 
 def test_no_validate_skips_the_gate(tmp_path, capsys):
+    # no axiom check runs, so the broken bracket reaches the table, and the
+    # table refuses the entry its nonzero square would make negative
     path = put(tmp_path, "broken.albv", BROKEN_TEXT)
-    assert main(["cohomology", path, "--json", "--no-validate"]) == 0
+    assert main(["cohomology", path, "--json", "--no-validate"]) == 1
     data = json.loads(capsys.readouterr().out)
-    assert data["checks"] == []
-    assert data["tables"]
+    assert data["checks"] == [
+        {
+            "name": "computation",
+            "status": "fail",
+            "witness": "operator does not square to zero: entry (2, 0) would be -1",
+        }
+    ]
+    assert data["tables"] == []
+
+
+def test_axioms_witness_is_the_first_failed_frame_check(tmp_path, capsys):
+    # anchor images d/dx and x d/dx of commuting sections: only the anchor
+    # check fails, and both the gate and the verify suite name it
+    path = put(
+        tmp_path,
+        "anchor.albv",
+        '[algebroid]\nkind = "custom"\nbase_vars = ["x"]\nrank = 2\n'
+        'anchor = [["x"], ["1"]]\n',
+    )
+    witness = "axioms: FAIL (sections (1, 2), base variable x: residual 1)"
+    assert main(["cohomology", path]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == witness
+    assert main(["verify", path, "--suite", "algebroid", "--trials", "2"]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == witness
+
+
+def test_verify_fails_duality_on_a_broken_bracket(tmp_path, capsys):
+    path = put(tmp_path, "broken.albv", BROKEN_TEXT)
+    assert main(["verify", path, "--trials", "5", "--seed", "3"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "axioms: FAIL (sections (1, 2, 3): residual (-2) e3)" in lines
+    assert (
+        "homology-cohomology-duality: FAIL "
+        "(operator does not square to zero: entry (1, 0) would be -1)"
+    ) in lines
+    assert not any(line.startswith("homology (") for line in lines)
 
 
 def test_homology_requires_flat_connection(tmp_path, capsys):

@@ -460,3 +460,12 @@ def test_betti_table_serialization():
     data = table.to_json()
     assert len(data["records"]) == 4
     assert {"k": 0, "w": 0, "dim": 1} in data["records"]
+
+
+def test_betti_table_refuses_an_operator_that_does_not_square_to_zero():
+    # sl2 with an extra e1 in [e1, e2]: its differential has a nonzero square,
+    # and the homogeneous count at (2, 0) would be 0 - 0 - 1
+    bad = lie_algebra(3, {(0, 1): {0: 1, 1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}})
+    with pytest.raises(ValueError) as exc:
+        cohomology_betti(bad, max_weight=0)
+    assert str(exc.value) == "operator does not square to zero: entry (2, 0) would be -1"
