@@ -35,7 +35,6 @@ __all__ = [
     "differential",
     "schouten",
     "schouten_oracle",
-    "lie_derivative",
     "lichnerowicz",
     "dual_differential",
     "bialgebroid_check",
@@ -157,22 +156,6 @@ def schouten_oracle(a: LieAlgebroid, u: GradedElem, v: GradedElem) -> GradedElem
         t3 = pairing(differential(a, eps), uv)
         comps[target] = sign1 * t1 - t2 - sign3 * t3
     return GradedElem(A_SIDE, deg, n, a.variables, comps)
-
-
-def lie_derivative(a: LieAlgebroid, x: GradedElem, w: GradedElem) -> GradedElem:
-    """Derivative along a degree-1 section, on either side.
-
-    Side A elements go through the graded bracket; side A* elements use the
-    homotopy formula, contraction into the differential plus differential of
-    the contraction.
-    """
-    if x.side != A_SIDE or x.degree != 1:
-        raise ValueError("lie_derivative expects a degree-1 section")
-    if w.side == A_SIDE:
-        return schouten(a, x, w)
-    return contract_or_zero(x, differential(a, w)) + differential(
-        a, contract_or_zero(x, w)
-    )
 
 
 def lichnerowicz(pi, u: GradedElem) -> GradedElem:

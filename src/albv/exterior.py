@@ -36,7 +36,6 @@ from fractions import Fraction
 from itertools import combinations
 from operator import index
 
-from .linalg import mat_inv, mat_transpose
 from .poly import Poly
 
 __all__ = [
@@ -432,16 +431,28 @@ def _minor_det(mat, rows, cols):
 def frame_change_elem(g, elem) -> GradedElem:
     """Transform components under the constant frame automorphism ``g``.
 
-    Degree-1 components on side A map by ``g``; side A* components map by the
-    inverse transpose, so that every pairing is preserved.  Higher degrees use
-    the induced exterior-power action (minor determinants of the matrix).
+    Degree-1 components on side A map by ``g``, and higher degrees by the
+    induced exterior-power action (minor determinants of the matrix).  Side
+    A* components map by the inverse transpose, so that every pairing is
+    preserved, yet no inverse is formed: the star into the unit volume
+    intertwines the two sides, and ``g`` sends the unit volume to ``det g``
+    times itself, so the side A* action is the star conjugate of the side A
+    action divided by ``det g``.  A zero side A* element, whose degree may
+    lie outside ``0..rank``, comes back unchanged.
     """
     n = elem.rank
     if len(g) != n or any(len(row) != n for row in g):
         raise ValueError("frame matrix must be %d x %d" % (n, n))
     mat = [[Fraction(x) for x in row] for row in g]
     if elem.side == DUAL_SIDE:
-        mat = mat_transpose(mat_inv(mat))
+        full = tuple(range(n))
+        det = _minor_det(mat, full, full)
+        if det == 0:
+            raise ValueError("singular matrix")
+        if elem.is_zero:
+            return elem
+        vol = Volume(1, n, elem.variables)
+        return star_inv(frame_change_elem(mat, star(elem, vol)), vol) * (1 / det)
     out = {}
     for target in basis_tuples(n, elem.degree):
         total = Poly.zero(elem.variables)

@@ -16,7 +16,11 @@ Also here: the star-conjugation check of the boundary (defined in ``bv``
 and re-exported here), the Koszul-Brylinski operator on base forms, the
 modular vector field and the modular relation with its recorded global sign,
 the homology-versus-cohomology duality checks, the anticommutator defect
-experiment, and the connection-homotopy comparison.
+experiment, and the connection-homotopy comparison.  The modular relation and
+the anticommutator defect both read one global sign off their probes, and
+both read it through ``_uniform_sign``.  The modular field is computed here
+only: ``modular_relation_check`` also reports whether the field is closed, so
+a report needs one call for both modular checks.
 """
 
 from __future__ import annotations
@@ -404,25 +408,23 @@ def koszul_brylinski(pi: PoissonStructure, omega: GradedElem) -> GradedElem:
     )
 
 
-def modular_vector_field(pi: PoissonStructure, vol_coeff=1) -> GradedElem:
+def modular_vector_field(pi: PoissonStructure) -> GradedElem:
     """Vector field measuring how Hamiltonian flows distort the volume form.
 
     The coefficient on the mu-th coordinate field is the top-form ratio of
-    the derivative of the volume along the Hamiltonian field of the mu-th
-    coordinate.  Constant volume rescalings cancel.
+    the derivative of the unit volume along the Hamiltonian field of the
+    mu-th coordinate.  A constant rescaling of the volume cancels from that
+    ratio, so the unit volume is the only one needed.
     """
-    c = Fraction(vol_coeff)
-    if c == 0:
-        raise ValueError("volume coefficient must be nonzero")
     m = pi.base_dim
     t = tangent_algebroid(pi.variables)
-    omega = top_elem(m, pi.variables, DUAL_SIDE, c)
+    omega = top_elem(m, pi.variables, DUAL_SIDE)
     full = tuple(range(m))
     comps = {}
     for mu in range(m):
         ham = contract(t.coframe(mu), pi.as_elem())
         lie = differential(t, contract_or_zero(ham, omega))
-        comps[(mu,)] = lie.coefficient(full) / c
+        comps[(mu,)] = lie.coefficient(full)
     return GradedElem(A_SIDE, 1, m, pi.variables, comps)
 
 
@@ -436,55 +438,64 @@ def _default_form_probes(pi: PoissonStructure, max_weight=2):
     return out
 
 
-def modular_relation_check(pi: PoissonStructure, probes=None, vol_coeff=1):
+def _uniform_sign(pairs):
+    """The one sign s with residual == s * target on every probe.
+
+    ``pairs`` holds one ``(residual, target)`` per probe, numbered from 1.  A
+    vanishing target needs a vanishing residual; any other target must equal
+    the residual up to sign, and the first such probe fixes the sign for the
+    rest.  Returns ``(sign, failures)``, each failure a dict with ``probe``,
+    ``reason`` and ``residual``; the sign is None when every target vanishes.
+    """
+    sign = None
+    failures = []
+    for pos, (residual, target) in enumerate(pairs, 1):
+        if target.is_zero:
+            reason = None if residual.is_zero else "nonzero where the target vanishes"
+        elif residual == target or residual == -target:
+            found = 1 if residual == target else -1
+            if sign is None:
+                sign = found
+            reason = None if found == sign else "sign flips across probes"
+        else:
+            reason = "not proportional to the target"
+        if reason:
+            failures.append({"probe": pos, "reason": reason, "residual": str(residual)})
+    return sign, failures
+
+
+def modular_relation_check(pi: PoissonStructure, probes=None):
     """Compare the Koszul-Brylinski operator with the flat-volume boundary.
 
     The difference should be contraction by the modular vector field up to a
-    single global sign; the sign must be the same on every probe.  A zero
-    modular field leaves the sign undetermined and requires the difference to
-    vanish identically.
+    single global sign, read off the probes by ``_uniform_sign``.  A zero
+    modular field leaves the sign undetermined and requires the difference
+    to vanish identically.  The modular field is computed once, and the
+    report also witnesses that it is closed: ``closed_failures`` is empty
+    when its bracket with the bivector vanishes.
     """
     cot = cotangent_algebroid(pi)
     conn0 = TopConnection(cot)
-    nu = modular_vector_field(pi, vol_coeff)
+    nu = modular_vector_field(pi)
+    closed = lichnerowicz(pi, nu)
     todo = list(probes) if probes is not None else _default_form_probes(pi)
-    sign = None
-    failures = []
-    for pos, omega in enumerate(todo):
-        kb = koszul_brylinski(pi, omega)
-        d0 = as_side(generating_operator(conn0, as_side(omega, A_SIDE)), DUAL_SIDE)
-        delta = kb - d0
-        hook = contract_or_zero(nu, omega)
-        if hook.is_zero:
-            if not delta.is_zero:
-                failures.append(
-                    {"probe": pos + 1, "reason": "difference not of contraction form",
-                     "residual": str(delta)}
-                )
-            continue
-        if delta == hook:
-            found = 1
-        elif delta == -hook:
-            found = -1
-        else:
-            failures.append(
-                {"probe": pos + 1, "reason": "difference not proportional to the hook",
-                 "residual": str(delta)}
-            )
-            continue
-        if sign is None:
-            sign = found
-        elif sign != found:
-            failures.append(
-                {"probe": pos + 1, "reason": "sign flips across probes",
-                 "residual": str(delta)}
-            )
+    sign, failures = _uniform_sign(
+        (
+            koszul_brylinski(pi, omega)
+            - as_side(generating_operator(conn0, as_side(omega, A_SIDE)), DUAL_SIDE),
+            contract_or_zero(nu, omega),
+        )
+        for omega in todo
+    )
     return {
         "ok": not failures,
         "sign": sign,
         "modular_field": str(nu),
         "count": len(todo),
         "failures": failures,
+        "closed_failures": (
+            [] if closed.is_zero else ["bracket with bivector is %s" % closed]
+        ),
     }
 
 
@@ -521,57 +532,31 @@ def anticommutator_defect_check(pi: PoissonStructure, probes, modular_sign=None)
 
     Three comparisons per probe: against the derivation oracle (bracket with
     the operator image of the bivector), against the modular derivative with
-    a sign determined uniformly from the probes themselves, and, when
-    ``modular_sign`` is supplied, against the modular derivative scaled by
-    that externally recorded sign.
+    a sign read uniformly off the probes themselves by ``_uniform_sign``,
+    and, when ``modular_sign`` is supplied, against the modular derivative
+    scaled by that externally recorded sign.
     """
     t = tangent_algebroid(pi.variables)
     conn0 = TopConnection(t)
     nu = modular_vector_field(pi)
     d0_pi = generating_operator(conn0, pi.as_elem())
     oracle_failures = []
-    own_sign = None
-    own_failures = []
+    pairs = []
     literal_failures = []
-    for pos, u in enumerate(probes):
+    for pos, u in enumerate(probes, 1):
         first = lichnerowicz(pi, generating_operator(conn0, u))
         second = generating_operator(conn0, lichnerowicz(pi, u))
         defect = first + second
         oracle = schouten(t, d0_pi, u)
         if defect != oracle:
-            oracle_failures.append({"probe": pos + 1, "residual": str(defect - oracle)})
+            oracle_failures.append({"probe": pos, "residual": str(defect - oracle)})
         lie_nu = schouten(t, nu, u)
-        if lie_nu.is_zero:
-            if not defect.is_zero:
-                own_failures.append(
-                    {"probe": pos + 1, "reason": "defect nonzero where the modular "
-                     "derivative vanishes", "residual": str(defect)}
-                )
-        else:
-            if defect == lie_nu:
-                found = 1
-            elif defect == -lie_nu:
-                found = -1
-            else:
-                own_failures.append(
-                    {"probe": pos + 1, "reason": "defect not proportional to the "
-                     "modular derivative", "residual": str(defect)}
-                )
-                found = None
-            if found is not None:
-                if own_sign is None:
-                    own_sign = found
-                elif own_sign != found:
-                    own_failures.append(
-                        {"probe": pos + 1, "reason": "sign flips across probes",
-                         "residual": str(defect)}
-                    )
+        pairs.append((defect, lie_nu))
         if modular_sign is not None:
             scaled = lie_nu if modular_sign == 1 else -lie_nu
             if defect != scaled:
-                literal_failures.append(
-                    {"probe": pos + 1, "residual": str(defect - scaled)}
-                )
+                literal_failures.append({"probe": pos, "residual": str(defect - scaled)})
+    own_sign, own_failures = _uniform_sign(pairs)
     return {
         "oracle_ok": not oracle_failures,
         "own_sign": own_sign,

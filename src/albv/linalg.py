@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-__all__ = ["rank", "mat_inv", "mat_transpose", "identity"]
+__all__ = ["rank", "identity"]
 
 
 def rank(rows) -> int:
@@ -54,36 +54,3 @@ def rank(rows) -> int:
 
 def identity(n):
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
-def mat_transpose(m):
-    return [list(col) for col in zip(*m)]
-
-
-def mat_inv(m):
-    """Inverse by Gauss-Jordan elimination; raises on a singular matrix."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix is not square")
-    out = identity(n)
-    for col in range(n):
-        pivot = None
-        for i in range(col, n):
-            if a[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            raise ValueError("singular matrix")
-        a[col], a[pivot] = a[pivot], a[col]
-        out[col], out[pivot] = out[pivot], out[col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        out[col] = [x * inv for x in out[col]]
-        for i in range(n):
-            if i == col or a[i][col] == 0:
-                continue
-            factor = a[i][col]
-            a[i] = [x - factor * y for x, y in zip(a[i], a[col])]
-            out[i] = [x - factor * y for x, y in zip(out[i], out[col])]
-    return out

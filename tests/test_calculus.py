@@ -15,7 +15,6 @@ from albv.calculus import (
     differential,
     dual_differential,
     lichnerowicz,
-    lie_derivative,
     schouten,
     schouten_oracle,
 )
@@ -132,25 +131,6 @@ def test_schouten_builds_one_element_per_call(monkeypatch):
     monkeypatch.setattr(GradedElem, "__init__", counting_init)
     w = schouten(a, u, v)
     assert len(built) == 1 and not w.is_zero
-
-
-def test_lie_derivative_on_forms():
-    a = tangent_algebroid(("x", "y"))
-    x = a.poly("x")
-    w = x * a.coframe(0)
-    assert lie_derivative(a, a.frame(0), w) == a.coframe(0)
-    assert lie_derivative(a, a.frame(1), w).is_zero
-
-
-def test_lie_derivative_commutes_with_differential():
-    rng = random.Random(31)
-    a = sl2()
-    for _ in range(6):
-        x = random_elem(rng, a, A_SIDE, 1)
-        w = random_elem(rng, a, DUAL_SIDE, rng.randrange(0, a.rank))
-        assert lie_derivative(a, x, differential(a, w)) == differential(
-            a, lie_derivative(a, x, w)
-        )
 
 
 def test_lichnerowicz_operator():

@@ -236,6 +236,69 @@ def test_modular_needs_a_poisson_section(tmp_path, capsys):
     assert "[poisson]" in capsys.readouterr().err
 
 
+BROKEN_PI_TEXT = """\
+[algebroid]
+kind = "tangent"
+base_vars = ["x", "y", "z"]
+
+[poisson]
+terms = [{"i": 1, "j": 2, "c": "y"}, {"i": 2, "j": 3, "c": "1"}]
+"""
+
+
+def test_modular_without_validation_stops_at_a_broken_bivector(tmp_path, capsys):
+    """{x,y} = y and {y,z} = 1 give the self-bracket -2 e1^e2^e3, so the
+    cotangent structure behind the modular relation refuses to build, and
+    nothing about the modular field is reported before that failure."""
+    path = put(tmp_path, "broken_pi.albv", BROKEN_PI_TEXT)
+    assert main(["modular", path, "--no-validate"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("computation: FAIL (cotangent structure checks failed:")
+    assert "modular" not in out
+    assert main(["modular", path, "--no-validate", "--json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert [c["name"] for c in data["checks"]] == ["computation"]
+    assert data["sign_s"] is None
+
+
+def test_verify_keeps_the_checks_recorded_before_an_error(tmp_path, capsys):
+    """The broken bivector passes every check up to the Koszul-Brylinski
+    square, which fails directly; the modular relation then raises, and the
+    report keeps what came before."""
+    path = put(tmp_path, "broken_pi.albv", BROKEN_PI_TEXT)
+    assert main(["verify", path, "--seed", "3", "--trials", "6", "--json"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert sum(c["status"] == "pass" for c in checks) == 23
+    failed = [(c["name"], c["witness"]) for c in checks if c["status"] == "fail"]
+    assert [name for name, _ in failed] == ["kb-squares-to-zero", "computation"]
+    assert failed[0][1] == "square probe 3 residual (-2*x)"
+    assert failed[1][1].startswith("cotangent structure checks failed:")
+
+
+def test_modular_field_is_computed_once_per_modular_check(tmp_path, capsys, monkeypatch):
+    """A plane ``verify`` report computes it for the modular relation and
+    for the unimodular duality; ``modular`` computes it once."""
+    import albv.homology
+
+    calls = []
+    field = albv.homology.modular_vector_field
+
+    def counting(*args):
+        calls.append(args)
+        return field(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("albv") and hasattr(module, "modular_vector_field"):
+            monkeypatch.setattr(module, "modular_vector_field", counting)
+    path = put(tmp_path, "plane.albv", PLANE_TEXT)
+    assert main(["verify", path, "--seed", "3", "--trials", "5"]) == 0
+    assert len(calls) == 2
+    calls.clear()
+    assert main(["modular", path]) == 0
+    assert len(calls) == 1
+    capsys.readouterr()
+
+
 def test_star_command_lists_basis_images(tmp_path, capsys):
     path = put(tmp_path, "sl2.albv", SL2_TEXT)
     assert main(["star", path, "--degree", "1"]) == 0

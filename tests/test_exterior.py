@@ -145,6 +145,27 @@ def test_frame_change_preserves_pairing():
     )
 
 
+def test_frame_change_of_forms_known_answers():
+    """g = diag(2, 1): components transform by g, so the new coframe is
+    theta1 = 2 eps1, theta2 = eps2.  Then eps1 = theta1 / 2, so eps1 maps to
+    eps1 / 2 and eps1^eps2 = theta1^theta2 / 2 maps to (1/2) eps1^eps2,
+    while e1 maps to 2 e1 and a function is unchanged."""
+    g = [[2, 0], [0, 1]]
+    half = Fraction(1, 2)
+    assert frame_change_elem(g, coframe_elem(0, 2, XY)) == coframe_elem(0, 2, XY) * half
+    assert frame_change_elem(g, coframe_elem(1, 2, XY)) == coframe_elem(1, 2, XY)
+    top = top_elem(2, XY, DUAL_SIDE)
+    assert frame_change_elem(g, top) == top * half
+    assert frame_change_elem(g, frame_elem(0, 2, XY)) == frame_elem(0, 2, XY) * 2
+    f = elem(DUAL_SIDE, 0, 2, {(): "x*y"})
+    assert frame_change_elem(g, f) == f
+
+
+def test_frame_change_of_forms_refuses_a_singular_matrix():
+    with pytest.raises(ValueError, match="singular matrix"):
+        frame_change_elem([[1, 2], [2, 4]], coframe_elem(0, 2, XY))
+
+
 def test_max_coeff_degree_is_the_top_coefficient_degree():
     u = elem(A_SIDE, 1, 2, {(0,): "x^2 + 1", (1,): "y"})
     assert u.max_coeff_degree() == 2

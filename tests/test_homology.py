@@ -354,8 +354,6 @@ def test_modular_vector_fields():
     assert lichnerowicz(linear, nu).is_zero
     flat = PoissonStructure(XY, {(0, 1): "1"})
     assert modular_vector_field(flat).is_zero
-    # constant volume rescalings do not move the field
-    assert modular_vector_field(linear, vol_coeff=7) == nu
 
 
 def test_modular_relation_sign_is_uniform():
@@ -367,6 +365,44 @@ def test_modular_relation_sign_is_uniform():
     result = modular_relation_check(flat)
     assert result["ok"]
     assert result["sign"] is None
+
+
+def test_modular_relation_names_each_failing_probe(monkeypatch):
+    """For {x,y}=y the modular field is e1 and the recorded sign is -1: the
+    true operator is the flat-volume boundary minus the contraction by e1.
+    Probe 1 (eps1) fixes that sign.  The patched operator then adds 1 on
+    eps2, whose contraction by e1 vanishes; doubles the contraction on
+    x eps1; and flips its sign on y eps1."""
+    import albv.homology as homology
+
+    pi = PoissonStructure(XY, {(0, 1): "y"})
+    t = pi.tangent()
+    eps1, eps2 = t.coframe(0), t.coframe(1)
+    probes = [eps1, eps2, t.poly("x") * eps1, t.poly("y") * eps1]
+    extra = [
+        (eps2, t.scalar("1", DUAL_SIDE)),
+        (probes[2], -t.scalar("x", DUAL_SIDE)),
+        (probes[3], t.scalar("2*y", DUAL_SIDE)),
+    ]
+    real = homology.koszul_brylinski
+
+    def patched(pi, omega):
+        out = real(pi, omega)
+        for probe, shift in extra:
+            if omega == probe:
+                out = out + shift
+        return out
+
+    monkeypatch.setattr(homology, "koszul_brylinski", patched)
+    result = modular_relation_check(pi, probes)
+    assert result["sign"] == -1
+    assert [(f["probe"], f["reason"]) for f in result["failures"]] == [
+        (2, "nonzero where the target vanishes"),
+        (3, "not proportional to the target"),
+        (4, "sign flips across probes"),
+    ]
+    assert result["failures"][0]["residual"] == "(1)"
+    assert result["closed_failures"] == []
 
 
 def test_symplectic_plane_homology_tables():
