@@ -4,7 +4,8 @@ The pieces, bottom up: sparse polynomials and fraction-free linear algebra,
 the graded exterior algebra of a frame with the determinant pairing, the
 algebroid structures and their validation, the differential and the graded
 bracket (each with an independently coded cross-check), generating operators
-attached to top-degree connections, weight-graded homology tables, and the
+attached to top-degree connections, weight-graded homology tables built
+from sparse operator rows compiled from generator data, and the
 ``albv`` command line front end over the .albv file format.
 
 The package namespace holds the names of the README's library example and

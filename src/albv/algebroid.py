@@ -352,6 +352,7 @@ class PoissonStructure:
                 clean[(mu, nu)] = coeff
         self.components = dict(sorted(clean.items()))
         self._elem = GradedElem(A_SIDE, 2, m, self.variables, self.components)
+        self._cotangent = None  # built unchecked on the first request
         if check:
             bad = self.jacobiator()
             if not bad.is_zero:
@@ -375,6 +376,13 @@ class PoissonStructure:
 
     def tangent(self) -> LieAlgebroid:
         return tangent_algebroid(self.variables)
+
+    def cotangent(self) -> LieAlgebroid:
+        """The cotangent algebroid of the bivector, built once and unchecked;
+        ``cotangent_algebroid`` adds the structure checks."""
+        if self._cotangent is None:
+            self._cotangent = _bivector_dual(self.tangent(), self._elem)
+        return self._cotangent
 
     def jacobiator(self) -> GradedElem:
         from .calculus import schouten
@@ -424,9 +432,10 @@ def cotangent_algebroid(pi: PoissonStructure, check=True) -> LieAlgebroid:
     bracket of two coordinate coframe sections is the differential of the
     corresponding component.  The structure checks pass exactly when the
     bivector self-commutes, so this factory doubles as a Jacobi test when
-    handed an unchecked bivector.
+    handed an unchecked bivector.  The structure is built once per bivector
+    and shared; ``check`` validates it on every call that asks.
     """
-    out = _bivector_dual(pi.tangent(), pi.as_elem())
+    out = pi.cotangent()
     if check:
         out.validate().raise_if_failed("cotangent structure checks failed")
     return out

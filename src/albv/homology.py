@@ -8,9 +8,15 @@ capped: an operator whose weight shifts are mixed but all nonpositive still
 preserves the finite subcomplex of weight at most w, and any table may be
 capped on request.  The operator maps the window of (k, w) into the window of
 (k + k_step, w + lift), where the lift is s, or 0 when capped.  Operators
-that raise weight admit no finite truncation and are refused.  The image of
-each basis monomial is computed once and kept as a sparse row, and each
-window's rank is computed once, with exact rational arithmetic.
+that raise weight admit no finite truncation and are refused.  A table is
+given by a row function: ``row(idx, expo)`` returns the image of one basis
+monomial as a sparse dict ``{(index tuple, exponent tuple): coefficient}``.
+It is asked once per basis monomial, and each window's rank is computed
+once, with exact rational arithmetic.
+
+The four tables take their row functions from ``rows``, compiled from
+generator data; the operators defined or re-exported here stay as the route
+the checks use and as the oracle of those rows.
 
 Also here: the star-conjugation check of the boundary (defined in ``bv``
 and re-exported here), the Koszul-Brylinski operator on base forms, the
@@ -26,7 +32,6 @@ a report needs one call for both modular checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 
 from .algebroid import (
@@ -59,6 +64,7 @@ from .exterior import (
 )
 from .linalg import rank as matrix_rank
 from .poly import Poly
+from .rows import boundary_rows, differential_rows, kb_rows
 
 __all__ = [
     "boundary",
@@ -123,7 +129,7 @@ def monomial_basis_elems(variables, rank, side, degree, weight):
     out = []
     for idx in basis_tuples(rank, degree):
         for expo in _exponents(len(variables), weight):
-            coeff = Poly(variables, {expo: Fraction(1)})
+            coeff = Poly(variables, {expo: 1})
             out.append(GradedElem(side, degree, rank, variables, {idx: coeff}))
     return out
 
@@ -178,19 +184,20 @@ class BettiTable:
 
 
 def betti_table(
-    variables, rank, side, op, k_step, max_weight, operator_tag="", force_capped=False
+    variables, rank, row, k_step, max_weight, operator_tag="", force_capped=False
 ) -> BettiTable:
     """Betti table of one operator of exterior-degree step ``k_step``.
 
-    Entry (k, w) is the homology at the window of (k, w): ``(w,)`` when the
-    weight shifts of ``op`` are one shift s, ``range(w + 1)`` when they are
-    mixed or ``force_capped`` is set.  ``op`` maps the window of (k, w) into
-    that of (k + k_step, w + lift), with lift s, or 0 when capped.  ``op`` is
-    applied once to each basis monomial, and its image is kept only as a
-    sparse row keyed by (index tuple, exponent tuple); the shifts are read
-    off those keys.  The rank out of each window is computed once, exactly.
-    A negative entry can only come from an operator whose square is nonzero,
-    and raises ValueError.
+    ``row(idx, expo)`` is the image of the basis monomial x^expo e_idx (or
+    eps_idx) as a sparse row ``{(index tuple, exponent tuple): coefficient}``
+    with no zero coefficients; it is asked once per basis monomial.  Entry
+    (k, w) is the homology at the window of (k, w): ``(w,)`` when the weight
+    shifts of the rows are one shift s, ``range(w + 1)`` when they are mixed
+    or ``force_capped`` is set.  The operator maps the window of (k, w) into
+    that of (k + k_step, w + lift), with lift s, or 0 when capped; the shifts
+    are read off the row keys.  The rank out of each window is computed
+    once, exactly.  A negative entry can only come from an operator whose
+    square is nonzero, and raises ValueError.
     """
     if k_step not in (1, -1):
         raise ValueError("k_step must be +1 or -1")
@@ -207,21 +214,14 @@ def betti_table(
 
     @cache
     def images(k, w):
-        return [
-            {
-                (idx, expo): c
-                for idx, poly in op(elem).components.items()
-                for expo, c in poly.terms.items()
-            }
-            for elem in monomial_basis_elems(variables, rank, side, k, w)
-        ]
+        return [row(idx, expo) for idx, expo in basis(k, w)]
 
     shifts = {
         sum(expo) - w
         for k in range(rank + 1)
         for w in range(max_weight + 1)
-        for row in images(k, w)
-        for _, expo in row
+        for image in images(k, w)
+        for _, expo in image
     }
     if shifts and max(shifts) > 0:
         raise ValueError(
@@ -243,13 +243,13 @@ def betti_table(
         rows = []
         for wp in window(w):
             for image in images(k, wp):
-                row = [0] * len(dst)
+                dense = [0] * len(dst)
                 for key, c in image.items():
                     pos = index_map.get(key)
                     if pos is None:
                         raise ValueError("operator image leaves the expected slice")
-                    row[pos] = c
-                rows.append(row)
+                    dense[pos] = c
+                rows.append(dense)
         return matrix_rank(rows) if rows and dst else 0
 
     entries = {}
@@ -275,13 +275,7 @@ def betti_table(
 
 def cohomology_betti(a: LieAlgebroid, max_weight=4) -> BettiTable:
     return betti_table(
-        a.variables,
-        a.rank,
-        DUAL_SIDE,
-        lambda u: differential(a, u),
-        1,
-        max_weight,
-        "cohomology",
+        a.variables, a.rank, differential_rows(a), 1, max_weight, "cohomology"
     )
 
 
@@ -290,8 +284,7 @@ def boundary_betti(conn: TopConnection, max_weight=4, force_capped=False) -> Bet
     return betti_table(
         a.variables,
         a.rank,
-        A_SIDE,
-        lambda u: boundary(conn, u),
+        boundary_rows(conn),
         -1,
         max_weight,
         "homology",
@@ -301,22 +294,17 @@ def boundary_betti(conn: TopConnection, max_weight=4, force_capped=False) -> Bet
 
 def kb_betti(pi: PoissonStructure, max_weight=4) -> BettiTable:
     return betti_table(
-        pi.variables,
-        pi.base_dim,
-        DUAL_SIDE,
-        lambda u: koszul_brylinski(pi, u),
-        -1,
-        max_weight,
-        "kb-homology",
+        pi.variables, pi.base_dim, kb_rows(pi), -1, max_weight, "kb-homology"
     )
 
 
 def lichnerowicz_betti(pi: PoissonStructure, max_weight=4) -> BettiTable:
+    """The bracket with the bivector is the differential of the cotangent
+    algebroid, row for row."""
     return betti_table(
         pi.variables,
         pi.base_dim,
-        A_SIDE,
-        lambda u: lichnerowicz(pi, u),
+        differential_rows(pi.cotangent()),
         1,
         max_weight,
         "poisson-cohomology",

@@ -1,8 +1,12 @@
 """Exact multivariate polynomial arithmetic over the rationals.
 
-A polynomial is a sparse map from exponent tuples to ``fractions.Fraction``
-coefficients, relative to a fixed ordered tuple of variable names.  Zero
-coefficients are never stored, so structural equality is semantic equality.
+A polynomial is a sparse map from exponent tuples to rational coefficients,
+relative to a fixed ordered tuple of variable names.  A coefficient is stored
+as an ``int`` whenever its value is integral and as a ``fractions.Fraction``
+only otherwise, so integer data stays in integer arithmetic until a division
+leaves it; floats are refused.  Zero coefficients are never stored, and the
+stored type is a function of the value, so structural equality is semantic
+equality.
 An empty variable tuple is allowed; the ring then degenerates to the
 rationals themselves (the only exponent tuple is ``()``).
 """
@@ -15,13 +19,16 @@ from operator import index
 __all__ = ["Poly", "parse_poly", "PolyParseError"]
 
 
-def _coerce(value) -> Fraction:
-    if isinstance(value, Fraction):
+def _coerce(value):
+    """The exact value as an int when integral, as a Fraction otherwise."""
+    if type(value) is int:
         return value
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        value = Fraction(value)
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    if isinstance(value, int):
+        return int(value)
     raise TypeError("expected an int, Fraction, or rational string, got %r" % (value,))
 
 
@@ -29,9 +36,9 @@ class Poly:
     """A polynomial with exact rational coefficients.
 
     ``variables`` is the ordered tuple of variable names and ``terms`` maps
-    exponent tuples (one entry per variable) to nonzero Fractions.  A Poly is
-    immutable after construction, and coefficient objects are shared
-    between polynomials.
+    exponent tuples (one entry per variable) to nonzero coefficients, each an
+    int when integral and a Fraction otherwise.  A Poly is immutable after
+    construction, and coefficient objects are shared between polynomials.
     """
 
     __slots__ = ("variables", "terms")
@@ -76,7 +83,7 @@ class Poly:
         if name not in variables:
             raise ValueError("unknown variable %r (have %r)" % (name, variables))
         expo = tuple(1 if v == name else 0 for v in variables)
-        return cls(variables, {expo: Fraction(1)})
+        return cls(variables, {expo: 1})
 
     # -- predicates --------------------------------------------------------
 
@@ -87,10 +94,10 @@ class Poly:
     def is_constant(self):
         return all(sum(e) == 0 for e in self.terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self):
         """The value of a constant polynomial, erroring on anything else."""
         if self.is_zero:
-            return Fraction(0)
+            return 0
         if not self.is_constant():
             raise ValueError("polynomial %s is not constant" % self)
         return next(iter(self.terms.values()))

@@ -1,0 +1,155 @@
+"""Sparse rows of the operators behind the Betti tables, from generator data.
+
+A row function ``row(idx, expo)`` returns the image of the basis monomial
+x^expo e_idx (or eps_idx) as a sparse dict
+``{(index tuple, exponent tuple): coefficient}`` with no zero coefficients,
+the input ``homology.betti_table`` takes.  No ``Poly`` or ``GradedElem`` is
+built per monomial: the generator data is read into plain tuples once.
+
+``differential_rows`` applies the Leibniz rule to the images of the
+coordinates and coframe sections, the data ``algebroid_from_differential``
+reads; it serves the cohomology table, and the Lichnerowicz table as the
+differential of the cotangent algebroid.  ``boundary_rows`` conjugates it,
+twisted by a connection form, with the star, a signed relabelling of
+monomials; ``kb_rows`` composes it with the contraction by the bivector.
+The operators of ``calculus``, ``bv`` and ``homology`` (``differential``,
+``lichnerowicz``, ``boundary``, ``koszul_brylinski``) are the oracle of
+these rows in the tests.
+"""
+
+from __future__ import annotations
+
+from functools import cache
+from itertools import chain
+from operator import add
+
+from .algebroid import LieAlgebroid, PoissonStructure, tangent_algebroid
+from .bv import TopConnection
+from .exterior import GradedElem, shuffle_sign, sort_with_sign
+
+__all__ = ["differential_rows", "boundary_rows", "kb_rows"]
+
+
+def _collect(terms):
+    """Merge ``(key, coefficient)`` pairs into a sparse row without zeros."""
+    out = {}
+    for key, c in terms:
+        out[key] = out[key] + c if key in out else c
+    return {key: c for key, c in out.items() if c}
+
+
+def _apply(row, vector, scale=1):
+    """The pairs of ``scale * row`` extended linearly to a sparse vector."""
+    for (idx, expo), c in vector.items():
+        for key, image in row(idx, expo).items():
+            yield key, scale * c * image
+
+
+def _flat(components):
+    """(key, exponent tuple, coefficient) of every term of a dict of Polys."""
+    return [
+        (key, e, c) for key, poly in components.items() for e, c in poly.terms.items()
+    ]
+
+
+def differential_rows(a: LieAlgebroid, alpha: GradedElem | None = None):
+    """Rows of the differential of ``a`` on side A* monomials, plus ``alpha ^``.
+
+    By the Leibniz rule, d(x^b eps_I) = d(x^b) ^ eps_I + x^b d(eps_I), with
+    d(x^b) = sum_mu b_mu x^(b - 1_mu) d x_mu, and d(eps_I) the sum over
+    positions s of (-1)^s times eps_I with d eps_{I_s} in place.  The
+    generator images are read once from the frame data, as
+    ``algebroid_from_differential`` reads them back:
+    d x_mu = sum_i a_i^mu eps_i and d eps_k = -sum_{i<j} c_ij^k eps_i ^ eps_j.
+    Each row is computed once and shared, so callers read it and never
+    write to it.
+    """
+    d_coord = [
+        _flat({(i,): a.anchor[i][mu] for i in range(a.rank)})
+        for mu in range(a.base_dim)
+    ]
+    brackets = a.structure.items()
+    d_coframe = [
+        [(pair, e, -c) for pair, e, c in _flat({p: cs[k] for p, cs in brackets})]
+        for k in range(a.rank)
+    ]
+    twist = [] if alpha is None else _flat(alpha.components)
+
+    def terms(idx, expo):
+        """Each Leibniz term as (unsorted index tuple, exponents, coefficient)."""
+        for mu, b in enumerate(expo):
+            if b:
+                lowered = expo[:mu] + (b - 1,) + expo[mu + 1 :]
+                for front, e, c in d_coord[mu]:
+                    yield front + idx, tuple(map(add, lowered, e)), b * c
+        for front, e, c in twist:
+            yield front + idx, tuple(map(add, expo, e)), c
+        for s, k in enumerate(idx):
+            for pair, e, c in d_coframe[k]:
+                raw = idx[:s] + pair + idx[s + 1 :]
+                yield raw, tuple(map(add, expo, e)), -c if s % 2 else c
+
+    @cache
+    def row(idx, expo):
+        out = []
+        for raw, e, c in terms(idx, expo):
+            key, sign = sort_with_sign(raw)
+            if sign:
+                out.append(((key, e), sign * c))
+        return _collect(out)
+
+    return row
+
+
+def _contraction_rows(theta: GradedElem):
+    """Rows of the contraction by ``theta`` on monomials of the other side."""
+    pieces = _flat(theta.components)
+
+    def row(idx, expo):
+        out = []
+        for it, e, c in pieces:
+            if set(it) <= set(idx):
+                rest = tuple(i for i in idx if i not in it)
+                key = (rest, tuple(map(add, expo, e)))
+                out.append((key, shuffle_sign(it, rest) * c))
+        return _collect(out)
+
+    return row
+
+
+def boundary_rows(conn: TopConnection):
+    """Rows of ``-star((d + alpha^) star_inv(u))`` on side A monomials.
+
+    With the unit reference volume, ``star_inv`` sends e_I to the signed
+    coframe monomial on the complement and ``star`` sends eps_J back to the
+    signed frame monomial on its complement: both are signed relabellings.
+    """
+    n = conn.algebroid.rank
+    d = differential_rows(conn.algebroid, conn.alpha)
+
+    def complement(idx):
+        return tuple(i for i in range(n) if i not in idx)
+
+    def row(idx, expo):
+        pre = complement(idx)
+        outer = -shuffle_sign(pre, idx)
+        out = {}
+        for (target, e), c in d(pre, expo).items():
+            rest = complement(target)
+            out[(rest, e)] = outer * shuffle_sign(target, rest) * c
+        return out
+
+    return row
+
+
+def kb_rows(pi: PoissonStructure):
+    """Rows of the Koszul-Brylinski operator i_pi d - d i_pi on base forms."""
+    d = differential_rows(tangent_algebroid(pi.variables))
+    i_pi = _contraction_rows(pi.as_elem())
+
+    def row(idx, expo):
+        return _collect(
+            chain(_apply(i_pi, d(idx, expo)), _apply(d, i_pi(idx, expo), -1))
+        )
+
+    return row

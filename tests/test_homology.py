@@ -5,14 +5,13 @@ import random
 import pytest
 
 from albv.algebroid import (
-    LieAlgebroid,
     PoissonStructure,
     cotangent_algebroid,
     lie_algebra,
     tangent_algebroid,
 )
 from albv.bv import TopConnection, generating_operator
-from albv.calculus import lichnerowicz
+from albv.calculus import differential, lichnerowicz
 from albv.exterior import A_SIDE, DUAL_SIDE, GradedElem, star, wedge
 from albv.homology import (
     anticommutator_defect_check,
@@ -34,6 +33,7 @@ from albv.homology import (
 )
 from albv.poly import Poly
 from albv.randgen import random_elem
+from albv.rows import boundary_rows, differential_rows, kb_rows
 from conftest import aff1, heisenberg, sl2
 
 XY = ("x", "y")
@@ -174,70 +174,118 @@ def test_each_basis_monomial_builds_one_poly(monkeypatch):
     assert len(built) == 18
 
 
-def test_each_basis_monomial_reaches_the_operator_once(monkeypatch):
-    """One GradedElem per basis monomial, and one operator call each.
-
-    The operator hands back images computed beforehand, so every
-    GradedElem built while the table runs is the table's own: the basis
-    monomial passed to the operator.  The images themselves are read as
-    sparse rows, never rebuilt.
-    """
-    so3 = PoissonStructure(("x", "y", "z"), {(0, 1): "z", (1, 2): "x", (0, 2): "-y"})
-
-    def key(elem):
-        ((idx, coeff),) = elem.components.items()
-        (expo,) = coeff.terms
-        return idx, expo
-
-    # the operator keeps weight, so weights 0 to 3 are all the table asks for
-    precomputed = {
-        key(elem): koszul_brylinski(so3, elem)
-        for k in range(4)
-        for w in range(4)
-        for elem in monomial_basis_elems(so3.variables, 3, DUAL_SIDE, k, w)
+def sparse(elem):
+    """An operator image as a sparse row keyed by (index tuple, exponent tuple)."""
+    return {
+        (idx, expo): c
+        for idx, poly in elem.components.items()
+        for expo, c in poly.terms.items()
     }
-    expected = kb_betti(so3, max_weight=3).entries
-    seen = []
 
-    def op(elem):
-        seen.append(key(elem))
-        return precomputed[key(elem)]
 
+def monomial_key(elem):
+    ((idx, coeff),) = elem.components.items()
+    (expo,) = coeff.terms
+    return idx, expo
+
+
+def assert_rows_match(row, op, variables, rank, side, top_w=3):
+    """Every basis monomial up to weight ``top_w``: compiled row == operator."""
+    seen = 0
+    for k in range(rank + 1):
+        for w in range(top_w + 1 if variables else 1):
+            for elem in monomial_basis_elems(variables, rank, side, k, w):
+                assert row(*monomial_key(elem)) == sparse(op(elem)), str(elem)
+                seen += 1
+    return seen
+
+
+def test_compiled_rows_equal_the_operator_images():
+    """The operator route is the oracle of the compiled table rows.
+
+    Rows of d (and of d + alpha^), -star (d + alpha^) star_inv, the bracket
+    with a bivector (the cotangent differential) and i_pi d - d i_pi are
+    compared with ``differential``, ``boundary``, ``lichnerowicz`` and
+    ``koszul_brylinski`` on every basis monomial of weight at most 3.
+    """
+    xyz = ("x", "y", "z")
+    t3 = tangent_algebroid(xyz)
+    so3 = PoissonStructure(xyz, {(0, 1): "z", (1, 2): "x", (0, 2): "-y"})
+    cot = cotangent_algebroid(so3)
+    plane = tangent_algebroid(XY)
+    alpha = plane.poly("x") * plane.coframe(1)
+    seen = 0
+    for a in (t3, cot, sl2(), plane):
+        seen += assert_rows_match(
+            differential_rows(a), lambda u: differential(a, u), a.variables, a.rank, DUAL_SIDE
+        )
+        conn = TopConnection(a)
+        seen += assert_rows_match(
+            boundary_rows(conn), lambda u: boundary(conn, u), a.variables, a.rank, A_SIDE
+        )
+    seen += assert_rows_match(
+        differential_rows(plane, alpha),
+        lambda u: differential(plane, u) + wedge(alpha, u),
+        XY,
+        2,
+        DUAL_SIDE,
+    )
+    twisted = TopConnection(plane, alpha)
+    seen += assert_rows_match(
+        boundary_rows(twisted), lambda u: boundary(twisted, u), XY, 2, A_SIDE
+    )
+    for pi in (
+        so3,
+        PoissonStructure(XY, {(0, 1): "y"}),
+        PoissonStructure(XY, {(0, 1): "x^2 + y^2"}),
+    ):
+        m = pi.base_dim
+        seen += assert_rows_match(
+            kb_rows(pi), lambda u: koszul_brylinski(pi, u), pi.variables, m, DUAL_SIDE
+        )
+        seen += assert_rows_match(
+            differential_rows(pi.cotangent()),
+            lambda u: lichnerowicz(pi, u),
+            pi.variables,
+            m,
+            A_SIDE,
+        )
+    # 6 operators on 3-space, 160 monomials each (8 index tuples times 20
+    # exponents); 8 on the plane, 40 each (4 times 10); 2 on sl2, 8 each
+    assert seen == 6 * 160 + 8 * 40 + 2 * 8
+
+
+def test_kb_table_builds_no_element_per_basis_monomial(monkeypatch):
+    """so(3)* has 160 basis monomials up to weight 3 and 448 up to weight 5;
+    the Poly and GradedElem objects a table builds do not depend on that."""
+    so3 = PoissonStructure(("x", "y", "z"), {(0, 1): "z", (1, 2): "x", (0, 2): "-y"})
     built = []
-    init = GradedElem.__init__
+    for cls in (Poly, GradedElem):
+        init = cls.__init__
 
-    def counting_init(self, *args, **kwargs):
-        built.append(args)
-        init(self, *args, **kwargs)
+        def counting_init(self, *args, _init=init, **kwargs):
+            built.append(type(self))
+            _init(self, *args, **kwargs)
 
-    monkeypatch.setattr(GradedElem, "__init__", counting_init)
-    table = betti_table(so3.variables, 3, DUAL_SIDE, op, -1, 3)
-    monkeypatch.undo()
-    assert table.entries == expected
-    assert sorted(seen) == sorted(precomputed) and len(seen) == 8 * 20
-    assert len(built) == len(seen)
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    counts = []
+    for w in (3, 5):
+        built.clear()
+        table = kb_betti(so3, max_weight=w)
+        counts.append(len(built))
+        assert table.entry(0, 2) == 1 and table.entry(3, 2) == 1
+    assert counts[0] == counts[1]
 
 
-def test_bracket_free_tables_never_ask_for_structure_coefficients(monkeypatch):
-    """The tangent algebroid has no brackets: its differential and the
-    Lichnerowicz bracket skip the structure terms altogether."""
-    plane = PoissonStructure(XY, {(0, 1): "y"})
-    t = tangent_algebroid(XY)
-    s = sl2()
-    calls = []
-    coeff = LieAlgebroid.structure_coeff
+def test_weight_raising_operator_is_refused():
+    """x^2 d on the line sends x^b to b x^(b+1) dx and every 1-form to 0."""
 
-    def counting(self, i, j, k):
-        calls.append((i, j, k))
-        return coeff(self, i, j, k)
+    def row(idx, expo):
+        (b,) = expo
+        return {((0,), (b + 1,)): b} if idx == () and b else {}
 
-    monkeypatch.setattr(LieAlgebroid, "structure_coeff", counting)
-    lichnerowicz_betti(plane, max_weight=3)
-    coh = cohomology_betti(t, max_weight=3)
-    assert calls == []
-    assert coh.entry(0, 0) == 1 and sum(coh.entries.values()) == 1
-    assert tuple_of(cohomology_betti(s)) == (1, 0, 0, 1)
-    assert calls  # a bracketed structure still asks
+    with pytest.raises(ValueError, match="raises weight by 1"):
+        betti_table(("x",), 1, row, 1, 2)
 
 
 def test_so3_tables_are_invariants_times_lie_algebra_homology():
@@ -275,6 +323,77 @@ def test_so3_tables_are_invariants_times_lie_algebra_homology():
         assert {k: [table.entry(k, w) for w in range(7)] for k in range(4)} == expected
 
 
+def sl3_dual():
+    """The linear Poisson structure of sl3 on its dual, {u, v} = [u, v].
+
+    Coordinates are the basis h1 = E11 - E22, h2 = E22 - E33, the raising
+    E12, E23, E13 and the lowering E21, E32, E31; each bracket is the matrix
+    commutator written back in that basis.
+    """
+    names = ("h1", "h2", "e1", "e2", "e3", "f1", "f2", "f3")
+    off = [(0, 1), (1, 2), (0, 2), (1, 0), (2, 1), (2, 0)]
+
+    def unit(i, j, c=1):
+        return {(i, j): c}
+
+    def plus(p, q):
+        out = dict(p)
+        for key, c in q.items():
+            out[key] = out.get(key, 0) + c
+        return out
+
+    def commutator(p, q):
+        out = {}
+        for (i, j), c in p.items():
+            for (k, l), d in q.items():
+                if j == k:
+                    out = plus(out, unit(i, l, c * d))
+                if l == i:
+                    out = plus(out, unit(k, j, -c * d))
+        return out
+
+    def coords(mat):
+        return [mat.get((0, 0), 0), -mat.get((2, 2), 0)] + [mat.get(ij, 0) for ij in off]
+
+    basis = [plus(unit(0, 0), unit(1, 1, -1)), plus(unit(1, 1), unit(2, 2, -1))]
+    basis += [unit(i, j) for i, j in off]
+    comps = {}
+    for p in range(8):
+        for q in range(p + 1, 8):
+            image = coords(commutator(basis[p], basis[q]))
+            comps[(p, q)] = sum(
+                (c * Poly.variable(name, names) for c, name in zip(image, names) if c),
+                Poly.zero(names),
+            )
+    return PoissonStructure(names, comps)
+
+
+def test_sl3_tables_are_lie_algebra_cohomology_times_invariants():
+    """sl3*, rank 8, at weights 0 and 1.
+
+    As for so(3)* below, both the Lichnerowicz differential and the
+    Koszul-Brylinski operator of a linear structure on g* preserve weight,
+    and on weight w they are the Chevalley-Eilenberg cochain and chain
+    complexes of g with coefficients in S^w(g), the polynomials of degree w
+    on g*.  For g = sl3 semisimple, Hochschild-Serre (with Whitehead's
+    lemmas: a nontrivial irreducible module has no cohomology) leaves only
+    the invariant part: H^k = H^k(g) (x) S^w(g)^g, and H_k likewise.  The
+    cohomology ring of sl3 is an exterior algebra on primitive classes of
+    degrees 3 and 5, with Poincare polynomial (1 + t^3)(1 + t^5) =
+    1 + t^3 + t^5 + t^8, so H(sl3) reads 1, 0, 0, 1, 0, 1, 0, 0, 1 in
+    degrees 0 to 8; homology has the same dimensions.  The invariant
+    polynomials of sl3 are generated by the Casimirs tr X^2 and tr X^3, of
+    degrees 2 and 3, so S^0(g)^g is the constants and S^1(g)^g = 0.  Hence
+    both tables read 1, 0, 0, 1, 0, 1, 0, 0, 1 at w = 0 and vanish at
+    w = 1.
+    """
+    pi = sl3_dual()
+    for table in (lichnerowicz_betti(pi, 1), kb_betti(pi, 1)):
+        assert table.homogeneous and table.shift == 0
+        assert tuple_of(table, 0) == (1, 0, 0, 1, 0, 1, 0, 0, 1)
+        assert tuple_of(table, 1) == (0,) * 9
+
+
 def test_duality_reverses_the_degree():
     for a in (aff1(), sl2(), heisenberg(), tangent_algebroid(XY)):
         result = duality_check(a, max_weight=3)
@@ -288,18 +407,6 @@ def test_capped_table_of_the_plane():
         assert table.entry(2, w) == 1
         assert table.entry(1, w) == w + 2
         assert table.entry(0, w) == w + 1
-
-
-def test_weight_raising_operator_is_refused():
-    a = tangent_algebroid(("x",))
-
-    def op(w):
-        from albv.calculus import differential
-
-        return a.poly("x^2") * differential(a, w)
-
-    with pytest.raises(ValueError, match="raises weight by 1"):
-        betti_table(("x",), 1, DUAL_SIDE, op, 1, 2)
 
 
 def test_star_conjugation_of_the_boundary():
@@ -465,8 +572,6 @@ def test_homotopy_check_mechanics():
     assert not_flat["inconclusive"]
     assert "not flat" in not_flat["reason"]
 
-    from albv.calculus import differential
-
     steep = differential(a, a.scalar("x^5", DUAL_SIDE))
     small_cap = homotopy_invariance_check(a, zero, steep, max_weight=3)
     assert small_cap["inconclusive"]
@@ -478,8 +583,6 @@ def test_homotopy_check_detects_the_twisted_line_discrepancy():
     # capped tables genuinely disagree with the untwisted ones
     a = tangent_algebroid(("x",))
     zero = a.zero_elem(DUAL_SIDE, 1)
-    from albv.calculus import differential
-
     alpha = differential(a, a.scalar("x", DUAL_SIDE))
     result = homotopy_invariance_check(a, zero, alpha, max_weight=4)
     assert not result["inconclusive"]

@@ -17,6 +17,22 @@ def test_zero_and_constant_basics():
     assert (c - c).is_zero
 
 
+def test_coefficients_stay_integers_until_a_division():
+    """An integral value is stored as an int, whatever it came in as; only
+    a division that leaves the integers stores a Fraction."""
+    x = Poly.variable("x", XY)
+    for value, stored in ((3, 3), (Fraction(6, 2), 3), ("3", 3), ("6/2", 3), (True, 1)):
+        (coeff,) = Poly.constant(value, XY).terms.values()
+        assert type(coeff) is int and coeff == stored
+    assert [type(c) for c in (x * Fraction(4, 2) + 1).terms.values()] == [int, int]
+    half = x / 2
+    assert type(half.terms[(1, 0)]) is Fraction
+    assert type((half + half).terms[(1, 0)]) is int
+    assert parse_poly("y^2 - 1/2*x", XY).terms == {(0, 2): 1, (1, 0): Fraction(-1, 2)}
+    with pytest.raises(TypeError):
+        Poly.constant(1.5, XY)
+
+
 def test_arithmetic_matches_expanded_form():
     x = Poly.variable("x", XY)
     y = Poly.variable("y", XY)
