@@ -32,12 +32,13 @@ from .exterior import (
     Volume,
     as_side,
     coframe_elem,
+    elem_from_terms,
     frame_change_elem,
     frame_elem,
     scalar_elem,
     top_elem,
 )
-from .poly import Poly, parse_poly
+from .poly import Poly, merge_terms, parse_poly
 
 __all__ = [
     "LieAlgebroid",
@@ -117,6 +118,13 @@ class LieAlgebroid:
                 "anchor must be %d x %d, got %d rows" % (self.rank, m, len(anchor))
             )
         self.anchor = anchor
+        # per frame section, (mu, entry) for each nonzero anchor entry, with
+        # None for an entry of constant 1, which needs no product
+        unit = {(0,) * m: 1}
+        self._anchor_rows = tuple(
+            tuple((mu, None if c.terms == unit else c) for mu, c in enumerate(row) if c)
+            for row in anchor
+        )
         clean = {}
         for key, comps in structure.items():
             i, j = key
@@ -173,28 +181,44 @@ class LieAlgebroid:
             return self._zero
         return entry[k] if i < j else -entry[k]
 
+    def structure_row(self, i, j):
+        """``(sign, row)``: the bracket of the i-th and j-th frame sections is
+        ``sign * sum_k row[k] e_k``, with ``row`` the stored entry of the
+        unordered pair, shared, not negated; empty when the bracket is 0."""
+        if i < j:
+            return 1, self.structure.get((i, j), ())
+        return -1, self.structure.get((j, i), ())
+
     def bracket_frame(self, i, j) -> GradedElem:
         comps = {(k,): self.structure_coeff(i, j, k) for k in range(self.rank)}
         return GradedElem(A_SIDE, 1, self.rank, self.variables, comps)
 
     # -- anchor ------------------------------------------------------------
 
+    def anchor_terms(self, terms, i, f: Poly, scale=1):
+        """Add ``scale`` times the anchor image of the i-th frame section,
+        applied to ``f``, into the term dict ``terms``; returns ``terms``."""
+        for mu, entry in self._anchor_rows[i]:
+            if entry is None:
+                merge_terms(terms, f.partial(mu), scale)
+            else:
+                merge_terms(terms, entry, scale, f.partial(mu))
+        return terms
+
     def anchor_frame(self, i, f: Poly) -> Poly:
         """Apply the anchor image of the i-th frame section to a function."""
-        out = None
-        for mu, coeff in enumerate(self.anchor[i]):
-            if not coeff.is_zero:
-                term = coeff * f.partial(mu)
-                out = term if out is None else out + term
-        return self._zero if out is None else out
+        row = self._anchor_rows[i]
+        if len(row) == 1 and row[0][1] is None:
+            return f.partial(row[0][0])  # one unit entry: the partial itself
+        return Poly(self.variables, self.anchor_terms({}, i, f))
 
     def anchor_apply(self, x: GradedElem, f: Poly) -> Poly:
         if x.side != A_SIDE or x.degree != 1:
             raise ValueError("anchor_apply expects a degree-1 section")
-        out = Poly.zero(self.variables)
+        terms = {}
         for (i,), coeff in x.components.items():
-            out = out + coeff * self.anchor_frame(i, f)
-        return out
+            merge_terms(terms, coeff, 1, self.anchor_frame(i, f))
+        return Poly(self.variables, terms)
 
     # -- bracket of sections ----------------------------------------------
 
@@ -202,20 +226,21 @@ class LieAlgebroid:
         """Bracket of two degree-1 sections, with the Leibniz terms."""
         if x.side != A_SIDE or y.side != A_SIDE or x.degree != 1 or y.degree != 1:
             raise ValueError("bracket_sections expects degree-1 sections")
-        out = self.zero_elem(A_SIDE, 1)
+        acc = {}
         for (i,), ci in x.components.items():
             for (j,), cj in y.components.items():
-                if i != j:
-                    out = out + ci * cj * self.bracket_frame(i, j)
+                sign, row = self.structure_row(i, j)
+                if not row:
+                    continue  # i == j, or the frame sections commute
+                cij = ci * cj
+                for k, c in enumerate(row):
+                    if c:
+                        merge_terms(acc.setdefault((k,), {}), cij, sign, c)
         for (j,), cj in y.components.items():
-            out = out + GradedElem(
-                A_SIDE, 1, self.rank, self.variables, {(j,): self.anchor_apply(x, cj)}
-            )
+            merge_terms(acc.setdefault((j,), {}), self.anchor_apply(x, cj))
         for (i,), ci in x.components.items():
-            out = out - GradedElem(
-                A_SIDE, 1, self.rank, self.variables, {(i,): self.anchor_apply(y, ci)}
-            )
-        return out
+            merge_terms(acc.setdefault((i,), {}), self.anchor_apply(y, ci), -1)
+        return elem_from_terms(A_SIDE, 1, self.rank, self.variables, acc)
 
     def jacobiator(self, x, y, z) -> GradedElem:
         bs = self.bracket_sections
@@ -226,16 +251,15 @@ class LieAlgebroid:
     def validate(self) -> ValidationReport:
         anchor_failures = []
         for i, j in combinations(range(self.rank), 2):
+            _, row = self.structure_row(i, j)
             for mu, name in enumerate(self.variables):
-                lhs = self._zero
-                for k in range(self.rank):
-                    c = self.structure_coeff(i, j, k)
-                    if not c.is_zero:
-                        lhs = lhs + c * self.anchor[k][mu]
-                rhs = self.anchor_frame(i, self.anchor[j][mu]) - self.anchor_frame(
-                    j, self.anchor[i][mu]
-                )
-                residual = lhs - rhs
+                # anchor of the bracket minus the commutator of the anchors
+                terms = {}
+                for k, c in enumerate(row):
+                    merge_terms(terms, c, 1, self.anchor[k][mu])
+                self.anchor_terms(terms, i, self.anchor[j][mu], -1)
+                self.anchor_terms(terms, j, self.anchor[i][mu])
+                residual = Poly(self.variables, terms)
                 if not residual.is_zero:
                     anchor_failures.append(
                         {
@@ -390,13 +414,13 @@ class PoissonStructure:
         return schouten(self.tangent(), self.as_elem(), self.as_elem())
 
     def poisson_bracket(self, f: Poly, g: Poly) -> Poly:
-        out = Poly.zero(self.variables)
-        for mu in range(self.base_dim):
-            for nu in range(self.base_dim):
-                entry = self.matrix_entry(mu, nu)
-                if not entry.is_zero:
-                    out = out + entry * f.partial(mu) * g.partial(nu)
-        return out
+        df = [f.partial(mu) for mu in range(self.base_dim)]
+        dg = [g.partial(nu) for nu in range(self.base_dim)]
+        terms = {}
+        for (mu, nu), entry in self.components.items():
+            merge_terms(terms, entry, 1, df[mu] * dg[nu])
+            merge_terms(terms, entry, -1, df[nu] * dg[mu])
+        return Poly(self.variables, terms)
 
     def __repr__(self):
         return "PoissonStructure(%s)" % (self.as_elem(),)

@@ -25,13 +25,14 @@ from .exterior import (
     GradedElem,
     Volume,
     contract_or_zero,
+    elem_from_terms,
     frame_change_elem,
     sort_with_sign,
     star,
     star_inv,
     wedge,
 )
-from .poly import Poly
+from .poly import Poly, merge_terms
 
 __all__ = [
     "TopConnection",
@@ -87,9 +88,12 @@ def boundary(conn: TopConnection, u: GradedElem) -> GradedElem:
         raise ValueError("generating operator acts on side A elements")
     if not 0 < u.degree <= a.rank:
         return a.zero_elem(A_SIDE, u.degree - 1)
-    vol = conn.reference_volume()
-    omega = star_inv(u, vol)
-    return -star(differential(a, omega) + wedge(conn.alpha, omega), vol)
+    omega = star_inv(u, conn.reference_volume())
+    twisted = differential(a, omega)
+    if conn.alpha:
+        twisted = twisted + wedge(conn.alpha, omega)
+    # minus the star into a volume is the star into its negative
+    return star(twisted, a.volume(-1))
 
 
 def generating_operator(conn: TopConnection, u: GradedElem) -> GradedElem:
@@ -198,37 +202,28 @@ class AConnectionOnA:
         comps = {(k,): self.gamma[i][j][k] for k in range(a.rank)}
         return GradedElem(A_SIDE, 1, a.rank, a.variables, comps)
 
-    def nabla_coframe(self, i, j) -> GradedElem:
-        a = self.algebroid
-        comps = {(l,): -self.gamma[i][l][j] for l in range(a.rank)}
-        return GradedElem(DUAL_SIDE, 1, a.rank, a.variables, comps)
-
     def derive(self, i, w: GradedElem) -> GradedElem:
-        """Covariant derivative along the i-th frame section, either side."""
+        """Covariant derivative along the i-th frame section, either side.
+
+        The anchor differentiates the coefficient, and each frame section
+        e_j of a monomial is replaced by its derivative sum_r gamma[i][j][r]
+        e_r, each coframe section eps_j by -sum_r gamma[i][r][j] eps_r.
+        """
         a = self.algebroid
-        out = a.zero_elem(w.side, w.degree)
+        gamma = self.gamma[i]
+        sign = 1 if w.side == A_SIDE else -1
+        acc = {}
         for idx, coeff in w.components.items():
-            lead = a.anchor_frame(i, coeff)
-            if not lead.is_zero:
-                out = out + GradedElem(w.side, w.degree, a.rank, a.variables, {idx: lead})
-            for pos in range(len(idx)):
-                if w.side == A_SIDE:
-                    repl = self.nabla_frame(i, idx[pos])
-                else:
-                    repl = self.nabla_coframe(i, idx[pos])
-                for (r,), rc in repl.components.items():
-                    spliced = idx[:pos] + (r,) + idx[pos + 1 :]
-                    sorted_idx, s = sort_with_sign(spliced)
-                    if s == 0:
+            a.anchor_terms(acc.setdefault(idx, {}), i, coeff)
+            for pos, j in enumerate(idx):
+                for r in range(a.rank):
+                    rc = gamma[j][r] if sign == 1 else gamma[r][j]
+                    if rc.is_zero:
                         continue
-                    out = out + GradedElem(
-                        w.side,
-                        w.degree,
-                        a.rank,
-                        a.variables,
-                        {sorted_idx: (s * rc) * coeff},
-                    )
-        return out
+                    sorted_idx, s = sort_with_sign(idx[:pos] + (r,) + idx[pos + 1 :])
+                    if s:
+                        merge_terms(acc.setdefault(sorted_idx, {}), rc, sign * s, coeff)
+        return elem_from_terms(w.side, w.degree, a.rank, a.variables, acc)
 
     def torsion(self, i, j) -> GradedElem:
         a = self.algebroid
@@ -250,13 +245,12 @@ class AConnectionOnA:
     def induced_top_connection(self) -> TopConnection:
         """Trace of the Christoffel data, as a connection form on the top power."""
         a = self.algebroid
-        comps = {}
+        acc = {}
         for i in range(a.rank):
-            total = Poly.zero(a.variables)
+            terms = acc[(i,)] = {}
             for j in range(a.rank):
-                total = total + self.gamma[i][j][j]
-            comps[(i,)] = total
-        return TopConnection(a, GradedElem(DUAL_SIDE, 1, a.rank, a.variables, comps))
+                merge_terms(terms, self.gamma[i][j][j])
+        return TopConnection(a, elem_from_terms(DUAL_SIDE, 1, a.rank, a.variables, acc))
 
 
 def torsion_free_generator(conn: AConnectionOnA, u: GradedElem) -> GradedElem:
@@ -269,7 +263,9 @@ def torsion_free_generator(conn: AConnectionOnA, u: GradedElem) -> GradedElem:
     a = conn.algebroid
     if u.side != A_SIDE:
         raise ValueError("torsion_free_generator acts on side A elements")
-    out = a.zero_elem(A_SIDE, u.degree - 1)
+    acc = {}
     for i in range(a.rank):
-        out = out - contract_or_zero(a.coframe(i), conn.derive(i, u))
-    return out
+        image = contract_or_zero(a.coframe(i), conn.derive(i, u))
+        for idx, coeff in image.components.items():
+            merge_terms(acc.setdefault(idx, {}), coeff, -1)
+    return elem_from_terms(A_SIDE, u.degree - 1, a.rank, a.variables, acc)

@@ -13,6 +13,11 @@ Three operators, all exact:
   by pairing against basis coframe monomials and using only ``differential``,
   contraction and wedge.  Kept separate on purpose so the two routes can be
   compared term by term.
+
+Every operator here accumulates: each summand of an output coefficient is
+added with ``merge_terms`` into one plain term dict per index tuple, and the
+result is built once at the end (``elem_from_terms``, or one ``Poly``).  No
+operator keeps a running sum of Poly or GradedElem objects.
 """
 
 from __future__ import annotations
@@ -25,11 +30,12 @@ from .exterior import (
     as_side,
     basis_tuples,
     contract_or_zero,
+    elem_from_terms,
     pairing,
     sort_with_sign,
     wedge,
 )
-from .poly import Poly
+from .poly import Poly, merge_terms
 
 __all__ = [
     "differential",
@@ -58,30 +64,28 @@ def differential(a: LieAlgebroid, omega: GradedElem) -> GradedElem:
     pairs = []  # a bracket-free structure, such as the tangent one, has no pair terms
     if a.structure:
         pairs = [(p, q) for p in range(k + 1) for q in range(p + 1, k + 1)]
-    out = {}
+    acc = {}
     for target in basis_tuples(n, k + 1):
-        total = Poly.zero(a.variables)
+        terms = acc[target] = {}
         for p in range(k + 1):
             rest = target[:p] + target[p + 1 :]
             coeff = omega.components.get(rest)
             if coeff is not None:
-                term = a.anchor_frame(target[p], coeff)
-                total = total + (term if p % 2 == 0 else -term)
+                a.anchor_terms(terms, target[p], coeff, -1 if p % 2 else 1)
         for p, q in pairs:
+            _, row = a.structure_row(target[p], target[q])  # increasing: sign 1
             rest = target[:p] + target[p + 1 : q] + target[q + 1 :]
             pair_sign = -1 if (p + q) % 2 else 1
-            for r in range(n):
-                c = a.structure_coeff(target[p], target[q], r)
-                if c.is_zero:
+            for r, c in enumerate(row):
+                if not c:
                     continue
                 sorted_idx, s = sort_with_sign((r,) + rest)
                 if s == 0:
                     continue
                 comp = omega.components.get(sorted_idx)
                 if comp is not None:
-                    total = total + (pair_sign * s) * c * comp
-        out[target] = total
-    return GradedElem(DUAL_SIDE, k + 1, n, a.variables, out)
+                    merge_terms(terms, c, pair_sign * s, comp)
+    return elem_from_terms(DUAL_SIDE, k + 1, n, a.variables, acc)
 
 
 def schouten(a: LieAlgebroid, u: GradedElem, v: GradedElem) -> GradedElem:
@@ -94,39 +98,41 @@ def schouten(a: LieAlgebroid, u: GradedElem, v: GradedElem) -> GradedElem:
         [e_I, e_J] = sum_{s,t} (-1)^(s+t) c_{I_s J_t}^k e_k ^ e_{I-s} ^ e_{J-t}
         [e_I, f] = sum_s (-1)^(du-1-s) rho(e_{I_s})(f) e_{I-s}
 
-    Each term is sorted by ``sort_with_sign`` into one coefficient dict.
+    Each term is sorted by ``sort_with_sign`` and merged into the term dict
+    of its index tuple.
     """
     if u.side != A_SIDE or v.side != A_SIDE:
         raise ValueError("schouten acts on side A elements")
     if u.rank != a.rank or u.variables != a.variables:
         raise ValueError("element does not live on this structure")
-    out = {}
+    acc = {}
+
+    def add(raw, parity, f, g):
+        """Merge (-1)^parity f g into the sorted ``raw``, unless it repeats."""
+        key, sign = sort_with_sign(raw)
+        if sign:
+            merge_terms(acc.setdefault(key, {}), f, -sign if parity % 2 else sign, g)
+
     for idx_u, p in u.components.items():
         for idx_v, q in v.components.items():
             du, dv = len(idx_u), len(idx_v)
-            pq = p * q
-            terms = []  # (unsorted index tuple, sign exponent, coefficient)
+            pq = p * q if a.structure else None
             for s, i in enumerate(idx_u):
                 rest_u = idx_u[:s] + idx_u[s + 1 :]
-                terms.append((rest_u + idx_v, du - 1 - s, p * a.anchor_frame(i, q)))
+                add(rest_u + idx_v, du - 1 - s, p, a.anchor_frame(i, q))
                 if not a.structure:
                     continue  # bracket-free: no c_ij^k terms
                 for t, j in enumerate(idx_v):
                     rest_v = idx_v[:t] + idx_v[t + 1 :]
-                    for k in range(a.rank):
-                        c = a.structure_coeff(i, j, k)
-                        if not c.is_zero:
-                            terms.append(((k,) + rest_u + rest_v, s + t, pq * c))
+                    sign, row = a.structure_row(i, j)
+                    for k, c in enumerate(row):
+                        if c:
+                            add((k,) + rest_u + rest_v, s + t + (sign < 0), pq, c)
             for t, j in enumerate(idx_v):
                 rest_v = idx_v[:t] + idx_v[t + 1 :]
                 parity = du * (dv - 1) + dv + dv - 1 - t
-                terms.append((rest_v + idx_u, parity, q * a.anchor_frame(j, p)))
-            for raw, parity, coeff in terms:
-                key, sign = sort_with_sign(raw)
-                if sign and not coeff.is_zero:
-                    coeff = coeff if sign * (-1) ** parity > 0 else -coeff
-                    out[key] = out[key] + coeff if key in out else coeff
-    return GradedElem(A_SIDE, u.degree + v.degree - 1, a.rank, a.variables, out)
+                add(rest_v + idx_u, parity, q, a.anchor_frame(j, p))
+    return elem_from_terms(A_SIDE, u.degree + v.degree - 1, a.rank, a.variables, acc)
 
 
 def schouten_oracle(a: LieAlgebroid, u: GradedElem, v: GradedElem) -> GradedElem:
@@ -154,7 +160,10 @@ def schouten_oracle(a: LieAlgebroid, u: GradedElem, v: GradedElem) -> GradedElem
         t1 = pairing(differential(a, contract_or_zero(v, eps)), u)
         t2 = pairing(differential(a, contract_or_zero(u, eps)), v)
         t3 = pairing(differential(a, eps), uv)
-        comps[target] = sign1 * t1 - t2 - sign3 * t3
+        terms = merge_terms({}, t1, sign1)
+        merge_terms(terms, t2, -1)
+        merge_terms(terms, t3, -sign3)
+        comps[target] = Poly(a.variables, terms)
     return GradedElem(A_SIDE, deg, n, a.variables, comps)
 
 

@@ -17,7 +17,7 @@ Sign conventions, pinned once and used everywhere downstream:
   for every test element ``omega``, and symmetrically when a multivector is
   contracted into a form;
 * ``star(omega) = contract(omega, volume)`` and ``star_inv`` is its exact
-  inverse.
+  inverse; both are signed relabellings of the basis monomials.
 
 Degree-0 elements are shared scalars; contraction by a degree-0 element is
 multiplication.
@@ -27,6 +27,10 @@ an operator that lands outside ``0..rank`` (a degree -1 bracket or operator
 on functions, a contraction that overflows) returns the empty element of
 that out-of-range degree, possibly negative.  Addition stays strict, so a
 zero of one degree never absorbs or hides a summand of another.
+
+An operator with many summands per output coefficient merges them with
+``merge_terms`` into one term dict per index tuple and builds its result once
+through ``elem_from_terms``: one Poly per coefficient and one element.
 """
 
 from __future__ import annotations
@@ -34,9 +38,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from operator import index
+from operator import index, lt
 
-from .poly import Poly
+from .poly import Poly, merge_terms
 
 __all__ = [
     "A_SIDE",
@@ -57,6 +61,7 @@ __all__ = [
     "scalar_elem",
     "top_elem",
     "basis_tuples",
+    "elem_from_terms",
     "shuffle_sign",
     "sort_with_sign",
 ]
@@ -127,27 +132,27 @@ class GradedElem:
         self.variables = tuple(variables)
         clean = {}
         if components:
+            degree, rank, variables = self.degree, self.rank, self.variables
             # keys are distinct, so each coefficient is kept as given: closed
             # operations merge their terms before they get here
             for idx, coeff in components.items():
                 idx = tuple(map(index, idx))
-                if len(idx) != self.degree:
+                if len(idx) != degree:
                     raise ValueError(
                         "index tuple %r has length %d, expected degree %d"
-                        % (idx, len(idx), self.degree)
+                        % (idx, len(idx), degree)
                     )
-                if idx and (min(idx) < 0 or max(idx) >= self.rank):
+                if idx and (min(idx) < 0 or max(idx) >= rank):
                     raise ValueError("index tuple %r out of range" % (idx,))
-                if len(idx) > 1 and any(a >= b for a, b in zip(idx, idx[1:])):
+                if degree > 1 and not all(map(lt, idx, idx[1:])):
                     raise ValueError("index tuple %r is not strictly increasing" % (idx,))
                 if not isinstance(coeff, Poly):
-                    coeff = Poly.constant(coeff, self.variables)
-                if coeff.variables != self.variables:
+                    coeff = Poly.constant(coeff, variables)
+                if coeff.variables != variables:
                     raise ValueError(
-                        "variable-list mismatch: %r vs %r"
-                        % (coeff.variables, self.variables)
+                        "variable-list mismatch: %r vs %r" % (coeff.variables, variables)
                     )
-                if not coeff.is_zero:
+                if coeff.terms:
                     clean[idx] = coeff
         self.components = dict(sorted(clean.items()))
 
@@ -185,14 +190,24 @@ class GradedElem:
                 % (self.side, self.degree, other.side, other.degree)
             )
 
-    def __add__(self, other):
+    def _merged(self, other, scale):
+        """``self + scale * other``: a component of self alone is shared, one
+        of other alone is scaled, and each common one is merged into one Poly."""
         if not isinstance(other, GradedElem):
             return NotImplemented
         self._check_compatible(other)
         comps = dict(self.components)
         for idx, coeff in other.components.items():
-            comps[idx] = comps[idx] + coeff if idx in comps else coeff
+            mine = comps.get(idx)
+            if mine is not None:
+                merged = merge_terms(dict(mine.terms), coeff, scale)
+                comps[idx] = Poly(self.variables, merged)
+            else:
+                comps[idx] = coeff if scale == 1 else coeff * scale
         return GradedElem(self.side, self.degree, self.rank, self.variables, comps)
+
+    def __add__(self, other):
+        return self._merged(other, 1)
 
     def __neg__(self):
         return GradedElem(
@@ -204,9 +219,7 @@ class GradedElem:
         )
 
     def __sub__(self, other):
-        if not isinstance(other, GradedElem):
-            return NotImplemented
-        return self + (-other)
+        return self._merged(other, -1)
 
     def __mul__(self, scalar):
         if isinstance(scalar, (int, Fraction, Poly)):
@@ -270,9 +283,6 @@ class Volume:
         if self.coeff == 0:
             raise ValueError("volume coefficient must be nonzero")
 
-    def as_elem(self, side=A_SIDE) -> GradedElem:
-        return top_elem(self.rank, self.variables, side, self.coeff)
-
 
 # -- basis helpers ---------------------------------------------------------
 
@@ -297,6 +307,14 @@ def top_elem(rank, variables, side=A_SIDE, coeff=1) -> GradedElem:
     )
 
 
+def elem_from_terms(side, degree, rank, variables, acc) -> GradedElem:
+    """The element with one Poly per index tuple of ``acc``, built from that
+    tuple's merged ``{exponent tuple: coefficient}`` dict; a tuple that got
+    no terms builds nothing."""
+    comps = {idx: Poly(variables, terms) for idx, terms in acc.items() if terms}
+    return GradedElem(side, degree, rank, variables, comps)
+
+
 def as_side(elem, side) -> GradedElem:
     """Reinterpret an element on the other side, keeping its components.
 
@@ -317,16 +335,14 @@ def wedge(u, v) -> GradedElem:
         raise ValueError("wedge requires elements on the same side")
     if u.rank != v.rank or u.variables != v.variables:
         raise ValueError("wedge requires a shared frame")
-    out = {}
+    acc = {}
     for iu, cu in u.components.items():
         for iv, cv in v.components.items():
             if set(iu) & set(iv):
                 continue
-            sign = shuffle_sign(iu, iv)
             target = tuple(sorted(iu + iv))
-            coeff = cu * cv * sign
-            out[target] = out[target] + coeff if target in out else coeff
-    return GradedElem(u.side, u.degree + v.degree, u.rank, u.variables, out)
+            merge_terms(acc.setdefault(target, {}), cu, shuffle_sign(iu, iv), cv)
+    return elem_from_terms(u.side, u.degree + v.degree, u.rank, u.variables, acc)
 
 
 def pairing(theta, u) -> Poly:
@@ -339,12 +355,12 @@ def pairing(theta, u) -> Poly:
         )
     if theta.rank != u.rank or theta.variables != u.variables:
         raise ValueError("pairing requires a shared frame")
-    total = Poly.zero(u.variables)
+    terms = {}
     for idx, coeff in theta.components.items():
         other = u.components.get(idx)
         if other is not None:
-            total = total + coeff * other
-    return total
+            merge_terms(terms, coeff, 1, other)
+    return Poly(u.variables, terms)
 
 
 def contract(theta, v) -> GradedElem:
@@ -364,17 +380,15 @@ def contract(theta, v) -> GradedElem:
             "degree overflow: cannot contract degree %d into degree %d"
             % (theta.degree, v.degree)
         )
-    out = {}
+    acc = {}
     for it, ct in theta.components.items():
         wanted = set(it)
         for iv, cv in v.components.items():
             if not wanted <= set(iv):
                 continue
             rest = tuple(i for i in iv if i not in wanted)
-            sign = shuffle_sign(it, rest)
-            coeff = ct * cv * sign
-            out[rest] = out[rest] + coeff if rest in out else coeff
-    return GradedElem(v.side, v.degree - theta.degree, v.rank, v.variables, out)
+            merge_terms(acc.setdefault(rest, {}), ct, shuffle_sign(it, rest), cv)
+    return elem_from_terms(v.side, v.degree - theta.degree, v.rank, v.variables, acc)
 
 
 def contract_or_zero(theta, v) -> GradedElem:
@@ -385,27 +399,44 @@ def contract_or_zero(theta, v) -> GradedElem:
     return contract(theta, v)
 
 
+def _relabel(elem, unit, inverse):
+    """Send each component on I to the complement J of I, on the other side,
+    with its coefficient times ``unit`` and the sign that sorts I + J (J + I
+    when ``inverse``); a scale of 1 shares the coefficient."""
+    if unit.denominator == 1:
+        unit = unit.numerator  # keep integer coefficients in int arithmetic
+    full = set(range(elem.rank))
+    out = {}
+    for idx, coeff in elem.components.items():
+        rest = tuple(sorted(full - set(idx)))
+        scale = unit * (shuffle_sign(rest, idx) if inverse else shuffle_sign(idx, rest))
+        out[rest] = coeff if scale == 1 else coeff * scale
+    return GradedElem(
+        dual_side(elem.side), elem.rank - elem.degree, elem.rank, elem.variables, out
+    )
+
+
 def star(omega, vol: Volume) -> GradedElem:
-    """Contraction into the volume: an iso from degree k to codegree k."""
+    """Contraction into the volume: an iso from degree k to codegree k.
+
+    Contracting e_I into c e_1^...^e_n leaves the complement J of I with
+    the sign that sorts I + J, times c.
+    """
     if omega.rank != vol.rank or omega.variables != vol.variables:
         raise ValueError("star requires a shared frame")
-    return contract(omega, vol.as_elem(dual_side(omega.side)))
+    if omega.degree > vol.rank:
+        raise ValueError(
+            "degree overflow: cannot contract degree %d into degree %d"
+            % (omega.degree, vol.rank)
+        )
+    return _relabel(omega, vol.coeff, False)
 
 
 def star_inv(u, vol: Volume) -> GradedElem:
     """Exact inverse of ``star``: the unique omega with star(omega) == u."""
     if u.rank != vol.rank or u.variables != vol.variables:
         raise ValueError("star_inv requires a shared frame")
-    n = vol.rank
-    out = {}
-    full = set(range(n))
-    for idx, coeff in u.components.items():
-        pre = tuple(sorted(full - set(idx)))
-        sign = shuffle_sign(pre, idx)
-        out[pre] = coeff * Fraction(sign) / vol.coeff
-    return GradedElem(
-        dual_side(u.side), n - u.degree, n, u.variables, out
-    )
+    return _relabel(u, 1 / vol.coeff, True)
 
 
 # -- frame changes ---------------------------------------------------------
@@ -437,8 +468,9 @@ def frame_change_elem(g, elem) -> GradedElem:
     preserved, yet no inverse is formed: the star into the unit volume
     intertwines the two sides, and ``g`` sends the unit volume to ``det g``
     times itself, so the side A* action is the star conjugate of the side A
-    action divided by ``det g``.  A zero side A* element, whose degree may
-    lie outside ``0..rank``, comes back unchanged.
+    action divided by ``det g``: the star into the unit volume, then the
+    inverse star into ``det g`` times it.  A zero side A* element, whose
+    degree may lie outside ``0..rank``, comes back unchanged.
     """
     n = elem.rank
     if len(g) != n or any(len(row) != n for row in g):
@@ -451,14 +483,14 @@ def frame_change_elem(g, elem) -> GradedElem:
             raise ValueError("singular matrix")
         if elem.is_zero:
             return elem
-        vol = Volume(1, n, elem.variables)
-        return star_inv(frame_change_elem(mat, star(elem, vol)), vol) * (1 / det)
-    out = {}
+        unit = Volume(1, n, elem.variables)
+        moved = frame_change_elem(mat, star(elem, unit))
+        return star_inv(moved, Volume(det, n, elem.variables))
+    acc = {}
     for target in basis_tuples(n, elem.degree):
-        total = Poly.zero(elem.variables)
+        terms = acc[target] = {}
         for idx, coeff in elem.components.items():
             minor = _minor_det(mat, target, idx)
             if minor != 0:
-                total = total + coeff * minor
-        out[target] = total
-    return GradedElem(elem.side, elem.degree, n, elem.variables, out)
+                merge_terms(terms, coeff, minor)
+    return elem_from_terms(elem.side, elem.degree, n, elem.variables, acc)

@@ -110,18 +110,17 @@ def lie_algebra_boundary(a: LieAlgebroid, u: GradedElem) -> GradedElem:
 # -- weight-graded complexes ----------------------------------------------
 
 
+@cache
 def _exponents(m, w):
-    if w < 0:
-        return []
-    if m == 0:
-        return [()] if w == 0 else []
-    if m == 1:
-        return [(w,)]
-    out = []
-    for first in range(w + 1):
-        for rest in _exponents(m - 1, w - first):
-            out.append((first,) + rest)
-    return out
+    """Exponent tuples of m variables and total degree w, in lex order, as a
+    cached tuple that no caller can change."""
+    if w < 0 or (m == 0 and w > 0):
+        return ()
+    if m <= 1:
+        return ((w,) * m,)
+    return tuple(
+        (first,) + rest for first in range(w + 1) for rest in _exponents(m - 1, w - first)
+    )
 
 
 def monomial_basis_elems(variables, rank, side, degree, weight):

@@ -9,14 +9,21 @@ stored type is a function of the value, so structural equality is semantic
 equality.
 An empty variable tuple is allowed; the ring then degenerates to the
 rationals themselves (the only exponent tuple is ``()``).
+
+Sums are merged once.  ``merge_terms(terms, p, scale, q)`` adds
+``scale * p``, or ``scale * p * q``, into a plain ``{exponent tuple:
+coefficient}`` dict, and the caller builds one Poly from the finished dict;
+cancelled terms are dropped by the constructor.  Poly arithmetic and the
+operators of the other modules share this one merge, so an operator with many
+summands builds one Poly per output coefficient, not one per summand.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import index
+from operator import add, index
 
-__all__ = ["Poly", "parse_poly", "PolyParseError"]
+__all__ = ["Poly", "parse_poly", "PolyParseError", "merge_terms"]
 
 
 def _coerce(value):
@@ -30,6 +37,29 @@ def _coerce(value):
     if isinstance(value, int):
         return int(value)
     raise TypeError("expected an int, Fraction, or rational string, got %r" % (value,))
+
+
+def merge_terms(terms, p, scale=1, q=None):
+    """Add ``scale * p``, or ``scale * p * q`` when ``q`` is given, into the
+    ``{exponent tuple: coefficient}`` dict ``terms``; returns ``terms``.
+
+    ``scale`` is an int or Fraction.  A sum that cancels stays in the dict
+    as a zero, for the Poly constructor to drop.
+    """
+    if q is None:
+        for expo, coeff in p.terms.items():
+            if scale != 1:
+                coeff = coeff * scale
+            terms[expo] = terms[expo] + coeff if expo in terms else coeff
+        return terms
+    for e1, c1 in p.terms.items():
+        if scale != 1:
+            c1 = c1 * scale
+        for e2, c2 in q.terms.items():
+            expo = tuple(map(add, e1, e2))
+            coeff = c1 * c2
+            terms[expo] = terms[expo] + coeff if expo in terms else coeff
+    return terms
 
 
 class Poly:
@@ -116,16 +146,17 @@ class Poly:
                 "variable-list mismatch: %r vs %r" % (self.variables, other.variables)
             )
 
-    def __add__(self, other):
+    def _merged(self, other, scale):
+        """``self + scale * other`` for a Poly or a rational ``other``."""
         if isinstance(other, (int, Fraction)):
             other = Poly.constant(other, self.variables)
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_compatible(other)
-        terms = dict(self.terms)
-        for expo, coeff in other.terms.items():
-            terms[expo] = terms[expo] + coeff if expo in terms else coeff
-        return Poly(self.variables, terms)
+        return Poly(self.variables, merge_terms(dict(self.terms), other, scale))
+
+    def __add__(self, other):
+        return self._merged(other, 1)
 
     __radd__ = __add__
 
@@ -133,32 +164,18 @@ class Poly:
         return Poly(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.constant(other, self.variables)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self + (-other)
+        return self._merged(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return Poly(self.variables)
-            return Poly(
-                self.variables, {e: c * other for e, c in self.terms.items()}
-            )
+            return Poly(self.variables, merge_terms({}, self, other))
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_compatible(other)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                expo = tuple(a + b for a, b in zip(e1, e2))
-                coeff = c1 * c2
-                terms[expo] = terms[expo] + coeff if expo in terms else coeff
-        return Poly(self.variables, terms)
+        return Poly(self.variables, merge_terms({}, self, 1, other))
 
     __rmul__ = __mul__
 

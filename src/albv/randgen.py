@@ -27,16 +27,17 @@ __all__ = [
 def random_poly(rng: random.Random, variables, max_deg=2) -> Poly:
     m = len(variables)
     terms = {}
-    for _ in range(rng.randint(1, 3)):
+    # randrange(a, b + 1) is randint(a, b), one call shorter: same draws
+    for _ in range(rng.randrange(1, 4)):
         if m == 0:
             expo = ()
         else:
             expo = None
             while expo is None:
-                cand = tuple(rng.randint(0, max_deg) for _ in range(m))
+                cand = tuple([rng.randrange(max_deg + 1) for _ in range(m)])
                 if sum(cand) <= max_deg:
                     expo = cand
-        coeff = Fraction(rng.randint(-3, 3))
+        coeff = rng.randrange(-3, 4)
         if coeff:
             terms[expo] = terms[expo] + coeff if expo in terms else coeff
     return Poly(variables, terms)

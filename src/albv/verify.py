@@ -64,24 +64,34 @@ SUITES = ("core", "algebroid", "bv", "homology", "all")
 
 @dataclass
 class CheckResult:
+    """One check's outcome.  A skipped check tested nothing: its witness says
+    why, it prints SKIP, and like a pass it does not fail the report."""
+
     name: str
     ok: bool
     witness: str | None = None
+    skipped: bool = False
 
     @classmethod
     def of(cls, name, failures) -> "CheckResult":
         """Pass when ``failures`` is empty, else witness its first entry as text."""
         return cls(name, not failures, str(failures[0]) if failures else None)
 
+    @classmethod
+    def skip(cls, name, reason) -> "CheckResult":
+        return cls(name, True, reason, skipped=True)
+
     @property
     def status(self) -> str:
+        if self.skipped:
+            return "skip"
         return "pass" if self.ok else "fail"
 
     def to_json(self):
         return {"name": self.name, "status": self.status, "witness": self.witness}
 
     def line(self) -> str:
-        text = "%s: %s" % (self.name, "PASS" if self.ok else "FAIL")
+        text = "%s: %s" % (self.name, self.status.upper())
         if self.witness:
             text += " (%s)" % self.witness
         return text
@@ -411,8 +421,8 @@ def _suite_homology(s: _Session):
 
     outcome = unimodular_duality_check(pi, max_weight=2)
     if outcome["skipped"]:
-        skipped = "skipped: modular field %s" % outcome["modular_field"]
-        s.results.append(CheckResult("unimodular-duality", True, skipped))
+        reason = "modular field %s" % outcome["modular_field"]
+        s.results.append(CheckResult.skip("unimodular-duality", reason))
         s.tables.append(kb_betti(pi, 2))
         s.tables.append(lichnerowicz_betti(pi, 2))
     else:

@@ -1,6 +1,27 @@
-"""Shared small algebras used across the test modules."""
+"""Shared small algebras used across the test modules, and a constructor
+counter for the cost tests."""
+
+from contextlib import contextmanager
 
 from albv.algebroid import lie_algebra
+
+
+@contextmanager
+def counting(monkeypatch, cls, method="__init__"):
+    """Count the calls of ``cls.method`` inside the block; yields the list
+    that collects one entry per call."""
+    calls = []
+    original = getattr(cls, method)
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, method, counted)
+    try:
+        yield calls
+    finally:
+        monkeypatch.setattr(cls, method, original)
 
 
 def sl2():

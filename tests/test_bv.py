@@ -20,6 +20,7 @@ from albv.calculus import differential, schouten
 from albv.exterior import (
     A_SIDE,
     DUAL_SIDE,
+    GradedElem,
     basis_tuples,
     contract_or_zero,
     frame_change_elem,
@@ -27,7 +28,7 @@ from albv.exterior import (
     wedge,
 )
 from albv.randgen import random_elem, random_section
-from conftest import sl2
+from conftest import counting, sl2
 
 XY = ("x", "y")
 
@@ -241,3 +242,18 @@ def test_torsion_free_formula_matches_induced_operator():
                 lhs = torsion_free_generator(conn, u)
                 rhs = generating_operator(induced, u)
                 assert (lhs - rhs).is_zero, (a.rank, idx)
+
+
+def test_a_covariant_derivative_builds_one_element(monkeypatch):
+    """``derive`` reads the Christoffel data directly and merges every term
+    into one dict per index tuple: one element per call, on either side."""
+    a = sl2()
+    conn = half_adjoint(a)
+    rng = random.Random(5)
+    for side in (A_SIDE, DUAL_SIDE):
+        for degree in range(a.rank + 1):
+            w = random_elem(rng, a, side, degree)
+            for i in range(a.rank):
+                with counting(monkeypatch, GradedElem) as built:
+                    conn.derive(i, w)
+                assert len(built) == 1, (side, degree, i)

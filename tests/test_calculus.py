@@ -18,9 +18,10 @@ from albv.calculus import (
     schouten,
     schouten_oracle,
 )
-from albv.exterior import A_SIDE, DUAL_SIDE, GradedElem, wedge
+from albv.exterior import A_SIDE, DUAL_SIDE, GradedElem, basis_tuples, wedge
+from albv.poly import Poly
 from albv.randgen import random_elem
-from conftest import aff1, heisenberg, sl2
+from conftest import aff1, counting, heisenberg, sl2
 
 
 def test_differential_of_functions_uses_the_anchor():
@@ -168,3 +169,26 @@ def test_bialgebroid_check_finds_incompatible_pairings():
     result = bialgebroid_check(a, a_star)
     assert not result["ok"]
     assert [rec["pair"] for rec in result["failures"]] == ["frame (2, 3)"]
+
+
+@pytest.mark.parametrize("structure", ["sl2", "plane"])
+def test_differential_builds_one_poly_per_output_coefficient(monkeypatch, structure):
+    """Every summand of an output coefficient is merged into one term dict,
+    so a k-form costs one element and one Poly per (k+1)-tuple that gets a
+    term, plus the partial derivatives the anchor takes: no running sums.
+
+    Every component of the forms is nonzero, so every target of degree
+    k + 1 gets a term, except on sl2 in degree 0, where the anchor is zero.
+    """
+    a = sl2() if structure == "sl2" else tangent_algebroid(("x", "y"))
+    coeff = a.poly("2 + x*y") if a.base_dim else a.poly("2")
+    for k in range(a.rank + 1):
+        comps = {idx: coeff for idx in basis_tuples(a.rank, k)}
+        omega = GradedElem(DUAL_SIDE, k, a.rank, a.variables, comps)
+        with counting(monkeypatch, GradedElem) as elems, counting(
+            monkeypatch, Poly
+        ) as polys, counting(monkeypatch, Poly, "partial") as partials:
+            differential(a, omega)
+        targets = len(basis_tuples(a.rank, k + 1)) if k or a.base_dim else 0
+        assert len(elems) == 1, (structure, k)
+        assert len(polys) == targets + len(partials), (structure, k)

@@ -378,19 +378,47 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.mark.parametrize(
-    "name, text, golden",
-    [("plane", PLANE_TEXT, "verify_plane.txt"), ("line", LINE_TEXT, "verify_line.txt")],
+    "name, text, trials",
+    [
+        ("plane", PLANE_TEXT, 5),
+        ("line", LINE_TEXT, 5),
+        ("sl2", SL2_TEXT, 6),
+        ("so3", SO3_TEXT, 6),
+    ],
 )
-def test_verify_report_matches_the_golden_text(tmp_path, capsys, name, text, golden):
-    """The whole ``verify --seed 3 --trials 5`` report, pinned across versions.
+def test_verify_report_matches_the_golden_text(tmp_path, capsys, name, text, trials):
+    """The whole ``verify --seed 3`` report, pinned across versions.
 
-    The golden files were written by commit 27adc31, before the identity
-    laws shared one probe loop.  The rank-1 line runs
-    ``interior-product-square`` on no probes.
+    The plane and line files were written by commit 27adc31, before the
+    identity laws shared one probe loop, at ``--trials 5``; the plane's
+    ``unimodular-duality`` line has since become a SKIP.  The rank-1 line
+    runs ``interior-product-square`` on no probes.  The sl2 and so(3)*
+    files, at ``--trials 6`` as the benchmark runs them, were written by
+    commit 8da3707, before the operators merged their terms into one dict
+    per output.
     """
     path = put(tmp_path, name + ".albv", text)
-    assert main(["verify", path, "--trials", "5", "--seed", "3"]) == 0
-    assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+    assert main(["verify", path, "--trials", str(trials), "--seed", "3"]) == 0
+    golden = GOLDEN / ("verify_%s.txt" % name)
+    assert capsys.readouterr().out == golden.read_text()
+
+
+def test_a_check_that_does_not_apply_is_skipped_not_passed(tmp_path, capsys):
+    """{x,y} = y has modular field e1, so there is no untwisted duality to
+    test: the check says SKIP with the reason, and the report still exits 0."""
+    path = put(tmp_path, "plane.albv", PLANE_TEXT)
+    assert main(["verify", path, "--suite", "homology", "--trials", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "unimodular-duality: SKIP (modular field (1) e1)" in lines
+    assert not any(line.startswith("unimodular-duality: PASS") for line in lines)
+    assert main(["verify", path, "--suite", "homology", "--trials", "2", "--json"]) == 0
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["unimodular-duality"] == {
+        "name": "unimodular-duality",
+        "status": "skip",
+        "witness": "modular field (1) e1",
+    }
+    assert {c["status"] for c in checks.values()} == {"pass", "skip"}
 
 
 TABLE_COMMANDS = (["cohomology"], ["homology"], ["homology", "--kb"])

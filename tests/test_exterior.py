@@ -24,6 +24,7 @@ from albv.exterior import (
     wedge,
 )
 from albv.poly import Poly, parse_poly
+from conftest import counting
 
 XY = ("x", "y")
 
@@ -218,3 +219,16 @@ def test_above_top_degree_must_be_empty():
         GradedElem(A_SIDE, 3, 2, XY, {(0, 1): parse_poly("1", XY)})
     zero = GradedElem.zero(A_SIDE, 3, 2, XY)
     assert zero.is_zero
+
+
+def test_a_difference_builds_one_element(monkeypatch):
+    """``u - v`` is one element and one Poly per shared index tuple; an
+    index tuple of v alone gets its negated coefficient."""
+    u = elem(A_SIDE, 1, 3, {(0,): "x", (1,): "y^2"})
+    v = elem(A_SIDE, 1, 3, {(1,): "y^2 - x", (2,): "1"})
+    with counting(monkeypatch, GradedElem) as elems, counting(monkeypatch, Poly) as polys:
+        diff = u - v
+    assert len(elems) == 1
+    assert len(polys) == 2
+    assert diff == elem(A_SIDE, 1, 3, {(0,): "x", (1,): "x", (2,): "-1"})
+    assert diff.coefficient((0,)) is u.coefficient((0,))

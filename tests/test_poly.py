@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from albv.poly import MAX_NESTING, Poly, PolyParseError, parse_poly
+from albv.poly import MAX_NESTING, Poly, PolyParseError, merge_terms, parse_poly
+from conftest import counting
 
 XY = ("x", "y")
 
@@ -110,3 +111,20 @@ def test_variable_list_mismatch_rejected():
     q = Poly.variable("x", ("x",))
     with pytest.raises(ValueError, match="variable-list mismatch"):
         p + q
+
+
+def test_a_difference_builds_one_poly(monkeypatch):
+    """``p - q`` merges ``-q`` into a copy of p's terms: no negated copy of q."""
+    p, q = parse_poly("x^2 + 3*x*y - 1", XY), parse_poly("x^2 - y + 1/2", XY)
+    with counting(monkeypatch, Poly) as built:
+        diff = p - q
+    assert len(built) == 1
+    assert diff == parse_poly("3*x*y + y - 3/2", XY)
+
+
+def test_merge_terms_adds_scaled_products_and_leaves_zeros_to_the_constructor():
+    p, q = parse_poly("x + 1", XY), parse_poly("x - 1", XY)
+    terms = merge_terms(merge_terms({}, p, 2, q), parse_poly("x^2", XY), -2)
+    assert terms == {(2, 0): 0, (1, 0): 0, (0, 0): -2}
+    assert Poly(XY, terms) == Poly.constant(-2, XY)
+    assert Poly(XY, terms).terms == {(0, 0): -2}
