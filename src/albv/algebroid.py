@@ -33,7 +33,7 @@ from .exterior import (
     as_side,
     coframe_elem,
     elem_from_terms,
-    frame_change_elem,
+    frame_action,
     frame_elem,
     scalar_elem,
     top_elem,
@@ -287,13 +287,15 @@ class LieAlgebroid:
         Components of sections transform by ``g``, so the k-th new coframe
         section is row k of ``g`` in the old coframe.  The differential is
         the old one written in the new frame: its images of the coordinates
-        and of those coframe sections, transformed by ``frame_change_elem``,
-        give the new anchor and structure functions.
+        and of those coframe sections, transformed by one ``frame_action``
+        of ``g``, give the new anchor and structure functions.
         """
         from .calculus import differential
 
+        act = frame_action(g, self.rank)
+
         def d(omega):
-            return frame_change_elem(g, differential(self, omega))
+            return act(differential(self, omega))
 
         coframes = [
             GradedElem(

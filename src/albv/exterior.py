@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from operator import index, lt
 
@@ -55,6 +56,7 @@ __all__ = [
     "contract_or_zero",
     "star",
     "star_inv",
+    "frame_action",
     "frame_change_elem",
     "frame_elem",
     "coframe_elem",
@@ -442,7 +444,9 @@ def star_inv(u, vol: Volume) -> GradedElem:
 # -- frame changes ---------------------------------------------------------
 
 
-def _minor_det(mat, rows, cols):
+def _minor_det(minor, mat, rows, cols):
+    """Laplace expansion of one minor along its first column, with the
+    smaller minors read from ``minor``."""
     k = len(rows)
     if k == 0:
         return Fraction(1)
@@ -455,12 +459,13 @@ def _minor_det(mat, rows, cols):
             continue
         sub_rows = rows[:pos] + rows[pos + 1 :]
         sign = -1 if pos % 2 else 1
-        total += sign * Fraction(entry) * _minor_det(mat, sub_rows, cols[1:])
+        total += sign * Fraction(entry) * minor(sub_rows, cols[1:])
     return total
 
 
-def frame_change_elem(g, elem) -> GradedElem:
-    """Transform components under the constant frame automorphism ``g``.
+def frame_action(g, n):
+    """The transformation of rank-n elements under the constant frame
+    automorphism ``g``, as a function of the element.
 
     Degree-1 components on side A map by ``g``, and higher degrees by the
     induced exterior-power action (minor determinants of the matrix).  Side
@@ -470,27 +475,43 @@ def frame_change_elem(g, elem) -> GradedElem:
     times itself, so the side A* action is the star conjugate of the side A
     action divided by ``det g``: the star into the unit volume, then the
     inverse star into ``det g`` times it.  A zero side A* element, whose
-    degree may lie outside ``0..rank``, comes back unchanged.
+    degree may lie outside ``0..rank``, comes back unchanged.  The matrix
+    is read into Fractions once, and each minor is expanded once for all
+    the elements the action moves.
     """
-    n = elem.rank
     if len(g) != n or any(len(row) != n for row in g):
         raise ValueError("frame matrix must be %d x %d" % (n, n))
     mat = [[Fraction(x) for x in row] for row in g]
-    if elem.side == DUAL_SIDE:
-        full = tuple(range(n))
-        det = _minor_det(mat, full, full)
-        if det == 0:
-            raise ValueError("singular matrix")
-        if elem.is_zero:
-            return elem
-        unit = Volume(1, n, elem.variables)
-        moved = frame_change_elem(mat, star(elem, unit))
-        return star_inv(moved, Volume(det, n, elem.variables))
-    acc = {}
-    for target in basis_tuples(n, elem.degree):
-        terms = acc[target] = {}
-        for idx, coeff in elem.components.items():
-            minor = _minor_det(mat, target, idx)
-            if minor != 0:
-                merge_terms(terms, coeff, minor)
-    return elem_from_terms(elem.side, elem.degree, n, elem.variables, acc)
+
+    @cache
+    def minor(rows, cols):
+        return _minor_det(minor, mat, rows, cols)
+
+    def act(elem) -> GradedElem:
+        if elem.rank != n:
+            raise ValueError("frame matrix must be %d x %d" % (elem.rank, elem.rank))
+        if elem.side == DUAL_SIDE:
+            full = tuple(range(n))
+            det = minor(full, full)
+            if det == 0:
+                raise ValueError("singular matrix")
+            if elem.is_zero:
+                return elem
+            moved = act(star(elem, Volume(1, n, elem.variables)))
+            return star_inv(moved, Volume(det, n, elem.variables))
+        acc = {}
+        for target in basis_tuples(n, elem.degree):
+            terms = acc[target] = {}
+            for idx, coeff in elem.components.items():
+                m = minor(target, idx)
+                if m != 0:
+                    merge_terms(terms, coeff, m)
+        return elem_from_terms(elem.side, elem.degree, n, elem.variables, acc)
+
+    return act
+
+
+def frame_change_elem(g, elem) -> GradedElem:
+    """Transform ``elem`` under the constant frame automorphism ``g``; see
+    ``frame_action``, which serves many elements with one matrix."""
+    return frame_action(g, elem.rank)(elem)

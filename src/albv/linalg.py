@@ -1,35 +1,45 @@
 """Exact linear algebra over the rationals.
 
-``rank`` is fraction-free Gaussian elimination over the nonzero entries only.
-Each row becomes a map from column to integer, its denominators cleared by
-their least common multiple.  It is then reduced against the pivot rows found
-so far, keyed by their leading column: with a and b the leading entries of
-the row and of the pivot, divided by their gcd, the row becomes
-``b * row - a * pivot``, which cancels the leading entry in integers.  Before
-each step the row is divided by the gcd of its entries (its content), so it
-and every pivot stay primitive and entries grow with the minors of the
-matrix rather than with the number of steps.  A row whose leading column has
-no pivot yet becomes one; a row that cancels to nothing adds no rank.  The
-rank is the number of pivots.  There is no tolerance anywhere; an entry is
-zero or it is not.
+``rank`` is fraction-free Gaussian elimination over the nonzero entries
+only.  Each row becomes a map from column to integer.  A row whose nonzero
+entries are all of type ``int`` is taken as it is; any other row (Fractions,
+or bools) has its denominators cleared by their least common multiple, which
+turns every entry, an integral Fraction too, into an ``int``.  It is then
+reduced against the pivot rows found so far, keyed by their leading column:
+with a and b the leading entries of the row and of the pivot, divided by
+their gcd, the row becomes ``b * row - a * pivot`` (just ``row - a * pivot``
+when b is 1), which cancels the leading entry in integers.  Before each step
+the row is divided by the gcd of its entries (its content), so it and every
+pivot stay primitive and entries grow with the minors of the matrix rather
+than with the number of steps.  A row whose leading column has no pivot yet
+becomes one; a row that cancels to nothing adds no rank.  The rank is the
+number of pivots.  There is no tolerance anywhere; an entry is zero or it is
+not.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress, count
 from math import gcd, lcm
 
 __all__ = ["rank", "identity"]
 
 
 def rank(rows) -> int:
-    """Rank of a matrix given as an iterable of equal-length rows of ints and
-    Fractions."""
+    """Rank of a matrix given as an iterable of equal-length sequences of ints
+    and Fractions."""
     pivots = {}  # leading column -> primitive integer row {column: entry}
     for row in rows:
-        entries = {col: x for col, x in enumerate(row) if x}
-        scale = lcm(*(x.denominator for x in entries.values()))
-        vec = {col: x.numerator * (scale // x.denominator) for col, x in entries.items()}
+        values = list(compress(row, row))
+        if all(type(x) is int for x in values):
+            vec = dict(zip(compress(count(), row), values))
+        else:
+            scale = lcm(*(x.denominator for x in values))
+            vec = {
+                col: x.numerator * (scale // x.denominator)
+                for col, x in zip(compress(count(), row), values)
+            }
         while vec:
             content = gcd(*vec.values())
             if content > 1:
@@ -42,7 +52,8 @@ def rank(rows) -> int:
             a, b = vec[lead], pivot[lead]
             g = gcd(a, b)
             a, b = a // g, b // g
-            vec = {col: b * x for col, x in vec.items()}
+            if b != 1:
+                vec = {col: b * x for col, x in vec.items()}
             for col, y in pivot.items():
                 x = vec.get(col, 0) - a * y
                 if x:

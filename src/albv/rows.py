@@ -15,13 +15,29 @@ monomials; ``kb_rows`` composes it with the contraction by the bivector.
 The operators of ``calculus``, ``bv`` and ``homology`` (``differential``,
 ``lichnerowicz``, ``boundary``, ``koszul_brylinski``) are the oracle of
 these rows in the tests.
+
+All three operators are first order in the polynomial coefficient: the
+commutator [D, f] with a function f is itself linear over functions, so
+[[D, f], g] = 0.  For d + alpha^ it is df^ (alpha^ commutes with f); the
+star is linear over functions, so the boundary -star (d + alpha^) star_inv
+has the commutator -star df^ star_inv; and for i_pi d - d i_pi it is
+i_pi df^ - df^ i_pi, as i_pi is linear over functions.  That is the
+generating property behind the BV algebra of the paper.  Then [D, x^b] is
+sum_mu b_mu x^(b - 1_mu) [D, x_mu], and
+
+    D(x^b w) = x^b D(w) + sum_mu b_mu x^(b - 1_mu) T_mu(w),
+    T_mu(w) = D(x_mu w) - x_mu D(w),
+
+so the row of every monomial x^b e_I follows from the rows of e_I and of
+x_mu e_I.  ``_first_order`` compiles those once per index tuple, and the
+Leibniz code below is only asked at weights 0 and 1.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from itertools import chain
-from operator import add
+from operator import add, sub
 
 from .algebroid import LieAlgebroid, PoissonStructure, tangent_algebroid
 from .bv import TopConnection
@@ -52,6 +68,54 @@ def _flat(components):
     ]
 
 
+def _first_order(raw, m):
+    """Rows of a first-order operator on m variables, from ``raw`` at weights 0
+    and 1.
+
+    For each index tuple I the rows of e_I and of x_mu e_I are read once
+    and merged into one linear form per output key: the coefficient of
+    (J, b + off) in the row of x^b e_I is c0 + sum_mu s_mu b_mu.  The row
+    of e_I gives c0 at off = e; the term c x^e of T_mu gives s_mu = c at
+    off = e - 1_mu.  An offset with -1 at mu has only a slope at mu, so its
+    coefficient vanishes whenever b_mu = 0 and no negative exponent is
+    emitted.
+    """
+    zero = (0,) * m
+    units = [zero[:mu] + (1,) + zero[mu + 1 :] for mu in range(m)]
+
+    @cache
+    def compiled(idx):
+        forms = {}  # (J, off) -> [c0, slope per variable]
+
+        def form(key):
+            return forms.setdefault(key, [0, [0] * m])
+
+        base = raw(idx, zero)
+        for key, c in base.items():
+            form(key)[0] += c
+        for mu, unit in enumerate(units):
+            for (target, e), c in raw(idx, unit).items():
+                form((target, tuple(map(sub, e, unit))))[1][mu] += c
+            for key, c in base.items():
+                form(key)[1][mu] -= c
+        return [
+            (target, off, c0, [(mu, s) for mu, s in enumerate(slopes) if s])
+            for (target, off), (c0, slopes) in forms.items()
+            if c0 or any(slopes)
+        ]
+
+    def row(idx, expo):
+        out = {}
+        for target, off, c, slopes in compiled(idx):
+            for mu, s in slopes:
+                c += s * expo[mu]
+            if c:
+                out[(target, tuple(map(add, expo, off)))] = c
+        return out
+
+    return row
+
+
 def differential_rows(a: LieAlgebroid, alpha: GradedElem | None = None):
     """Rows of the differential of ``a`` on side A* monomials, plus ``alpha ^``.
 
@@ -61,8 +125,8 @@ def differential_rows(a: LieAlgebroid, alpha: GradedElem | None = None):
     generator images are read once from the frame data, as
     ``algebroid_from_differential`` reads them back:
     d x_mu = sum_i a_i^mu eps_i and d eps_k = -sum_{i<j} c_ij^k eps_i ^ eps_j.
-    Each row is computed once and shared, so callers read it and never
-    write to it.
+    The Leibniz rule is applied at weights 0 and 1 only; ``_first_order``
+    extends it to every weight.
     """
     d_coord = [
         _flat({(i,): a.anchor[i][mu] for i in range(a.rank)})
@@ -89,7 +153,6 @@ def differential_rows(a: LieAlgebroid, alpha: GradedElem | None = None):
                 raw = idx[:s] + pair + idx[s + 1 :]
                 yield raw, tuple(map(add, expo, e)), -c if s % 2 else c
 
-    @cache
     def row(idx, expo):
         out = []
         for raw, e, c in terms(idx, expo):
@@ -98,7 +161,7 @@ def differential_rows(a: LieAlgebroid, alpha: GradedElem | None = None):
                 out.append(((key, e), sign * c))
         return _collect(out)
 
-    return row
+    return _first_order(row, a.base_dim)
 
 
 def _contraction_rows(theta: GradedElem):
@@ -122,7 +185,9 @@ def boundary_rows(conn: TopConnection):
 
     With the unit reference volume, ``star_inv`` sends e_I to the signed
     coframe monomial on the complement and ``star`` sends eps_J back to the
-    signed frame monomial on its complement: both are signed relabellings.
+    signed frame monomial on its complement: both are signed relabellings,
+    linear over functions, so the conjugate is first order like d + alpha^
+    and is asked only at weights 0 and 1.
     """
     n = conn.algebroid.rank
     d = differential_rows(conn.algebroid, conn.alpha)
@@ -139,11 +204,15 @@ def boundary_rows(conn: TopConnection):
             out[(rest, e)] = outer * shuffle_sign(target, rest) * c
         return out
 
-    return row
+    return _first_order(row, conn.algebroid.base_dim)
 
 
 def kb_rows(pi: PoissonStructure):
-    """Rows of the Koszul-Brylinski operator i_pi d - d i_pi on base forms."""
+    """Rows of the Koszul-Brylinski operator i_pi d - d i_pi on base forms.
+
+    The composite is asked only at weights 0 and 1; its d factor is itself
+    extended from weights 0 and 1 of the tangent differential.
+    """
     d = differential_rows(tangent_algebroid(pi.variables))
     i_pi = _contraction_rows(pi.as_elem())
 
@@ -152,4 +221,4 @@ def kb_rows(pi: PoissonStructure):
             chain(_apply(i_pi, d(idx, expo)), _apply(d, i_pi(idx, expo), -1))
         )
 
-    return row
+    return _first_order(row, pi.base_dim)

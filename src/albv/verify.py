@@ -34,7 +34,7 @@ from .exterior import (
     as_side,
     contract,
     contract_or_zero,
-    frame_change_elem,
+    frame_action,
     pairing,
     star,
     star_inv,
@@ -190,14 +190,12 @@ def _suite_core(s: _Session):
 
     failures = []
     for pos in range(3):
-        g = random_frame_matrix(rng, n)
+        act = frame_action(random_frame_matrix(rng, n), n)
         for _ in range(max(s.trials // 3, 1)):
             k = rng.randrange(n + 1)
             theta = s.elems(rng, 1, DUAL_SIDE, [k])[0]
             u = s.elems(rng, 1, A_SIDE, [k])[0]
-            residual = pairing(
-                frame_change_elem(g, theta), frame_change_elem(g, u)
-            ) - pairing(theta, u)
+            residual = pairing(act(theta), act(u)) - pairing(theta, u)
             if not residual.is_zero:
                 failures.append("frame %d residual %s" % (pos + 1, residual))
     s.record("frame-change-pairing-invariance", failures)
@@ -340,10 +338,11 @@ def _suite_bv(s: _Session):
     for pos in range(3):
         g = random_frame_matrix(rng, a.rank)
         moved = conn.frame_change(g)
+        act = frame_action(g, a.rank)
         for _ in range(max(s.trials // 3, 1)):
             u = s.elems(rng, 1)[0]
-            lhs = frame_change_elem(g, generating_operator(conn, u))
-            rhs = generating_operator(moved, frame_change_elem(g, u))
+            lhs = act(generating_operator(conn, u))
+            rhs = generating_operator(moved, act(u))
             residual = lhs - rhs
             if not residual.is_zero:
                 failures.append("frame %d residual %s" % (pos + 1, residual))

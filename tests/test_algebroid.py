@@ -292,6 +292,34 @@ def test_frame_change_round_trip():
         assert a.frame_change(g).frame_change(g_inv) == a
 
 
+def test_frame_change_expands_each_minor_once(monkeypatch):
+    """A 3 x 3 matrix has C(6, 3) = 20 square minors, counting the empty one
+    and the determinant; one frame change expands each at most once,
+    however many coordinates and coframe sections it moves."""
+    import albv.exterior
+
+    expand = albv.exterior._minor_det
+    seen = []
+
+    def counting_expand(minor, mat, rows, cols):
+        seen.append((rows, cols))
+        return expand(minor, mat, rows, cols)
+
+    monkeypatch.setattr(albv.exterior, "_minor_det", counting_expand)
+    so3 = cotangent_algebroid(
+        PoissonStructure(("x", "y", "z"), {(0, 1): "z", (1, 2): "x", (0, 2): "-y"})
+    )
+    g = [[1, 2, 0], [0, 1, -1], [3, 0, 1]]
+    g_inv = [
+        [Fraction(-1, 5), Fraction(2, 5), Fraction(2, 5)],
+        [Fraction(3, 5), Fraction(-1, 5), Fraction(-1, 5)],
+        [Fraction(3, 5), Fraction(-6, 5), Fraction(-1, 5)],
+    ]
+    moved = so3.frame_change(g)
+    assert seen and len(seen) == len(set(seen)) <= 20
+    assert moved.frame_change(g_inv) == so3
+
+
 def test_frame_change_refuses_a_matrix_of_the_wrong_size():
     for g in ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1]]):
         with pytest.raises(ValueError):

@@ -206,7 +206,10 @@ def test_compiled_rows_equal_the_operator_images():
     Rows of d (and of d + alpha^), -star (d + alpha^) star_inv, the bracket
     with a bivector (the cotangent differential) and i_pi d - d i_pi are
     compared with ``differential``, ``boundary``, ``lichnerowicz`` and
-    ``koszul_brylinski`` on every basis monomial of weight at most 3.
+    ``koszul_brylinski`` on every basis monomial of weight at most 3, and
+    at most 4 for the so(3)* operators and the quadratic bracket.  The rows
+    are extended from weights 0 and 1 by the first-order rule, so the
+    oracle checks them at least three weights beyond.
     """
     xyz = ("x", "y", "z")
     t3 = tangent_algebroid(xyz)
@@ -214,14 +217,26 @@ def test_compiled_rows_equal_the_operator_images():
     cot = cotangent_algebroid(so3)
     plane = tangent_algebroid(XY)
     alpha = plane.poly("x") * plane.coframe(1)
+    quadratic = PoissonStructure(XY, {(0, 1): "x^2 + y^2"})
     seen = 0
     for a in (t3, cot, sl2(), plane):
+        top_w = 4 if a is cot else 3
         seen += assert_rows_match(
-            differential_rows(a), lambda u: differential(a, u), a.variables, a.rank, DUAL_SIDE
+            differential_rows(a),
+            lambda u: differential(a, u),
+            a.variables,
+            a.rank,
+            DUAL_SIDE,
+            top_w,
         )
         conn = TopConnection(a)
         seen += assert_rows_match(
-            boundary_rows(conn), lambda u: boundary(conn, u), a.variables, a.rank, A_SIDE
+            boundary_rows(conn),
+            lambda u: boundary(conn, u),
+            a.variables,
+            a.rank,
+            A_SIDE,
+            top_w,
         )
     seen += assert_rows_match(
         differential_rows(plane, alpha),
@@ -234,14 +249,16 @@ def test_compiled_rows_equal_the_operator_images():
     seen += assert_rows_match(
         boundary_rows(twisted), lambda u: boundary(twisted, u), XY, 2, A_SIDE
     )
-    for pi in (
-        so3,
-        PoissonStructure(XY, {(0, 1): "y"}),
-        PoissonStructure(XY, {(0, 1): "x^2 + y^2"}),
-    ):
+    for pi in (so3, PoissonStructure(XY, {(0, 1): "y"}), quadratic):
         m = pi.base_dim
+        top_w = 4 if pi is so3 or pi is quadratic else 3
         seen += assert_rows_match(
-            kb_rows(pi), lambda u: koszul_brylinski(pi, u), pi.variables, m, DUAL_SIDE
+            kb_rows(pi),
+            lambda u: koszul_brylinski(pi, u),
+            pi.variables,
+            m,
+            DUAL_SIDE,
+            top_w,
         )
         seen += assert_rows_match(
             differential_rows(pi.cotangent()),
@@ -249,10 +266,13 @@ def test_compiled_rows_equal_the_operator_images():
             pi.variables,
             m,
             A_SIDE,
+            top_w,
         )
-    # 6 operators on 3-space, 160 monomials each (8 index tuples times 20
-    # exponents); 8 on the plane, 40 each (4 times 10); 2 on sl2, 8 each
-    assert seen == 6 * 160 + 8 * 40 + 2 * 8
+    # 3-space: 4 so(3)* operators at 280 monomials each (8 index tuples
+    # times 35 exponents), 2 tangent ones at 160 (8 times 20); the plane: 2
+    # quadratic ones at 60 (4 times 15), 6 others at 40 (4 times 10); 2 on
+    # sl2, 8 each
+    assert seen == 4 * 280 + 2 * 160 + 2 * 60 + 6 * 40 + 2 * 8
 
 
 def test_kb_table_builds_no_element_per_basis_monomial(monkeypatch):
@@ -275,6 +295,41 @@ def test_kb_table_builds_no_element_per_basis_monomial(monkeypatch):
         counts.append(len(built))
         assert table.entry(0, 2) == 1 and table.entry(3, 2) == 1
     assert counts[0] == counts[1]
+
+
+def test_tables_sort_no_index_tuple_per_basis_monomial(monkeypatch):
+    """The Leibniz rule sorts index tuples only at weights 0 and 1.
+
+    The rows of every other weight follow from those by the first-order
+    rule, so the ``sort_with_sign`` calls of a table do not depend on its
+    top weight: so(3)* has 160 basis monomials up to weight 3 and 448 up to
+    weight 5.
+    """
+    import albv.rows
+
+    xyz = ("x", "y", "z")
+    so3 = PoissonStructure(xyz, {(0, 1): "z", (1, 2): "x", (0, 2): "-y"})
+    cot = TopConnection(cotangent_algebroid(so3))
+    t3 = tangent_algebroid(xyz)
+    sort = albv.rows.sort_with_sign
+    calls = []
+
+    def counting_sort(indices):
+        calls.append(indices)
+        return sort(indices)
+
+    monkeypatch.setattr(albv.rows, "sort_with_sign", counting_sort)
+    for table in (
+        lambda w: kb_betti(so3, w),
+        lambda w: cohomology_betti(t3, w),
+        lambda w: boundary_betti(cot, w),
+    ):
+        counts = []
+        for w in (3, 5):
+            calls.clear()
+            table(w)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
 
 def test_weight_raising_operator_is_refused():

@@ -90,3 +90,25 @@ def test_known_answers():
     assert rank([[10**30, 1], [10**30 + 1, 1]]) == 2
     hilbert = [[Fraction(1, i + j + 1) for j in range(7)] for i in range(7)]
     assert rank(hilbert) == 7
+
+
+def test_bools_and_integral_fractions_match_the_oracle():
+    """Rows that are not all of type ``int`` go through the denominator path,
+    which must still hand ``gcd`` plain ints: bools, integral Fractions
+    (``Fraction(2)``, ``Fraction(4)``) and rows that mix them with ints and
+    non-integral Fractions."""
+    f = Fraction
+    cases = [
+        [[True, False, True], [False, True, True], [True, True, False]],
+        [[True, True], [True, True]],
+        [[f(2), f(4)], [f(4), f(8)], [f(0), f(6)]],
+        [[f(2), 4, True], [f(1, 2), 1, False], [f(4), f(8), 2]],
+        [[3, f(2), f(1, 3)], [True, f(4), 0], [6, f(4), f(2, 3)]],
+    ]
+    rng = random.Random(11)
+    pool = [0, 0, 1, -3, True, False, f(2), f(4), f(-6), f(1, 2), f(-5, 3)]
+    for _ in range(60):
+        ncols = rng.randint(1, 6)
+        cases.append([[rng.choice(pool) for _ in range(ncols)] for _ in range(rng.randint(1, 6))])
+    for rows in cases:
+        assert rank(rows) == oracle_rank(rows), rows
