@@ -288,7 +288,8 @@ class LieAlgebroid:
         section is row k of ``g`` in the old coframe.  The differential is
         the old one written in the new frame: its images of the coordinates
         and of those coframe sections, transformed by one ``frame_action``
-        of ``g``, give the new anchor and structure functions.
+        of ``g``, give the new anchor and structure functions.  ``g`` may be
+        that action already.
         """
         from .calculus import differential
 
@@ -302,7 +303,7 @@ class LieAlgebroid:
                 DUAL_SIDE, 1, self.rank, self.variables,
                 {(k,): entry for k, entry in enumerate(row)},
             )
-            for row in g
+            for row in act.matrix
         ]
         return algebroid_from_differential(
             self.variables,

@@ -26,7 +26,7 @@ from .exterior import (
     Volume,
     contract_or_zero,
     elem_from_terms,
-    frame_change_elem,
+    frame_action,
     sort_with_sign,
     star,
     star_inv,
@@ -67,9 +67,10 @@ class TopConnection:
         return lambda u: generating_operator(self, u)
 
     def frame_change(self, g) -> "TopConnection":
-        return TopConnection(
-            self.algebroid.frame_change(g), frame_change_elem(g, self.alpha)
-        )
+        """The connection in the frame moved by ``g``, a frame matrix or its
+        ``frame_action``; one action moves the algebroid and the form."""
+        act = frame_action(g, self.algebroid.rank)
+        return TopConnection(self.algebroid.frame_change(act), act(self.alpha))
 
     def __repr__(self):
         return "TopConnection(alpha=%s)" % (self.alpha,)

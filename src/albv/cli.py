@@ -3,10 +3,10 @@
 Subcommands: ``validate``, ``cohomology``, ``homology``, ``modular``,
 ``star`` and ``verify``, each taking an .albv file.  Exit status is 0 when
 every reported check passes, 1 when any check fails, and 2 for usage or
-parse problems.  With ``--json`` the report is a single JSON object with the
-keys ``command``, ``checks``, ``tables`` and ``sign_s``; without it the same
-content is printed as plain lines.  Output is deterministic for a fixed file
-and seed.
+parse problems and for a table above ``homology.MAX_BLOCK_SIZE``.  With
+``--json`` the report is a single JSON object with the keys ``command``,
+``checks``, ``tables`` and ``sign_s``; without it the same content is
+printed as plain lines.  Output is deterministic for a fixed file and seed.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from .albvfile import Document, DocumentError
 from .exterior import DUAL_SIDE, GradedElem, basis_tuples, star
 from .homology import (
+    TableTooLarge,
     boundary_betti,
     cohomology_betti,
     kb_betti,
@@ -279,7 +280,7 @@ def main(argv=None) -> int:
                 return 1
         handler = _HANDLERS[args.command]
         handler(args, doc, report)
-    except _Usage as exc:
+    except (_Usage, TableTooLarge) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except ValueError as exc:

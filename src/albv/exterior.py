@@ -56,6 +56,7 @@ __all__ = [
     "contract_or_zero",
     "star",
     "star_inv",
+    "FrameAction",
     "frame_action",
     "frame_change_elem",
     "frame_elem",
@@ -463,9 +464,9 @@ def _minor_det(minor, mat, rows, cols):
     return total
 
 
-def frame_action(g, n):
+class FrameAction:
     """The transformation of rank-n elements under the constant frame
-    automorphism ``g``, as a function of the element.
+    automorphism ``g``; call it on an element.
 
     Degree-1 components on side A map by ``g``, and higher degrees by the
     induced exterior-power action (minor determinants of the matrix).  Side
@@ -477,41 +478,58 @@ def frame_action(g, n):
     inverse star into ``det g`` times it.  A zero side A* element, whose
     degree may lie outside ``0..rank``, comes back unchanged.  The matrix
     is read into Fractions once, and each minor is expanded once for all
-    the elements the action moves.
+    the elements the action moves.  ``matrix`` is ``g`` as given.
     """
-    if len(g) != n or any(len(row) != n for row in g):
-        raise ValueError("frame matrix must be %d x %d" % (n, n))
-    mat = [[Fraction(x) for x in row] for row in g]
 
-    @cache
-    def minor(rows, cols):
-        return _minor_det(minor, mat, rows, cols)
+    def __init__(self, g, n):
+        if len(g) != n or any(len(row) != n for row in g):
+            raise ValueError("frame matrix must be %d x %d" % (n, n))
+        self.matrix = g
+        self.rank = n
+        mat = [[Fraction(x) for x in row] for row in g]
 
-    def act(elem) -> GradedElem:
+        @cache
+        def minor(rows, cols):
+            return _minor_det(minor, mat, rows, cols)
+
+        self._minor = minor
+
+    def __call__(self, elem) -> GradedElem:
+        n = self.rank
         if elem.rank != n:
             raise ValueError("frame matrix must be %d x %d" % (elem.rank, elem.rank))
         if elem.side == DUAL_SIDE:
             full = tuple(range(n))
-            det = minor(full, full)
+            det = self._minor(full, full)
             if det == 0:
                 raise ValueError("singular matrix")
             if elem.is_zero:
                 return elem
-            moved = act(star(elem, Volume(1, n, elem.variables)))
+            moved = self(star(elem, Volume(1, n, elem.variables)))
             return star_inv(moved, Volume(det, n, elem.variables))
         acc = {}
         for target in basis_tuples(n, elem.degree):
             terms = acc[target] = {}
             for idx, coeff in elem.components.items():
-                m = minor(target, idx)
+                m = self._minor(target, idx)
                 if m != 0:
                     merge_terms(terms, coeff, m)
         return elem_from_terms(elem.side, elem.degree, n, elem.variables, acc)
 
-    return act
+
+def frame_action(g, n) -> FrameAction:
+    """The ``FrameAction`` of the frame matrix ``g`` on rank-n elements.  An
+    action already built is returned as it is, so every function that takes
+    a frame matrix also takes its action, and one action per matrix serves
+    all the elements a caller moves."""
+    if isinstance(g, FrameAction):
+        if g.rank != n:
+            raise ValueError("frame matrix must be %d x %d" % (n, n))
+        return g
+    return FrameAction(g, n)
 
 
 def frame_change_elem(g, elem) -> GradedElem:
-    """Transform ``elem`` under the constant frame automorphism ``g``; see
-    ``frame_action``, which serves many elements with one matrix."""
+    """Transform ``elem`` under the constant frame automorphism ``g``, a
+    matrix or its ``FrameAction``."""
     return frame_action(g, elem.rank)(elem)

@@ -11,8 +11,15 @@ capped on request.  The operator maps the window of (k, w) into the window of
 that raise weight admit no finite truncation and are refused.  A table is
 given by a row function: ``row(idx, expo)`` returns the image of one basis
 monomial as a sparse dict ``{(index tuple, exponent tuple): coefficient}``.
-It is asked once per basis monomial, and each window's rank is computed
-once, with exact rational arithmetic.
+It is asked once per basis monomial.  Ranks are exact and taken block by
+block, each block once.  An operator of one shift s maps weight v into weight
+v + s alone, so its matrix out of any window is block-diagonal over the
+window's weights, and its rank is the sum of the ranks of the weight slices:
+a block is one slice.  A mixed-shift matrix is only block-triangular, so
+there a block is a whole window.  Before a slice or block is built, its
+weights are counted from binomials in the middle exterior degree, the degree
+with the most index tuples, which bounds both sides of the block; above
+``MAX_BLOCK_SIZE`` basis monomials the table raises ``TableTooLarge``.
 
 The four tables take their row functions from ``rows``, compiled from
 generator data; the operators defined or re-exported here stay as the route
@@ -33,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from math import comb
 
 from .algebroid import (
     LieAlgebroid,
@@ -70,6 +78,8 @@ __all__ = [
     "boundary",
     "BettiTable",
     "betti_table",
+    "MAX_BLOCK_SIZE",
+    "TableTooLarge",
     "cohomology_betti",
     "boundary_betti",
     "kb_betti",
@@ -133,6 +143,31 @@ def monomial_basis_elems(variables, rank, side, degree, weight):
     return out
 
 
+# Most basis monomials a rank block may have, counted in the middle exterior
+# degree at the block's weights; the sl3* tables at weight 2 have blocks of
+# 2,520, while a full sl3* table at weight 3 would rank dense 8,400-row
+# matrices and is refused.
+MAX_BLOCK_SIZE = 4096
+
+
+class TableTooLarge(ValueError):
+    """A Betti table would rank a block above ``MAX_BLOCK_SIZE``."""
+
+
+def _monomial_count(m, w):
+    """Number of exponent tuples of m variables and total degree w, by
+    binomials: the length of ``_exponents(m, w)`` without building it."""
+    if w < 0 or (m == 0 and w > 0):
+        return 0
+    return comb(m + w - 1, w) if m else 1
+
+
+def _block_size(rank, m, k, weights):
+    """Basis monomials of exterior degree k and the given weights."""
+    tuples = comb(rank, k) if 0 <= k <= rank else 0
+    return tuples * sum(_monomial_count(m, v) for v in weights)
+
+
 @dataclass
 class BettiTable:
     """Homology dimensions per (exterior degree k, weight w), exact."""
@@ -194,14 +229,37 @@ def betti_table(
     shifts of the rows are one shift s, ``range(w + 1)`` when they are mixed
     or ``force_capped`` is set.  The operator maps the window of (k, w) into
     that of (k + k_step, w + lift), with lift s, or 0 when capped; the shifts
-    are read off the row keys.  The rank out of each window is computed
-    once, exactly.  A negative entry can only come from an operator whose
-    square is nonzero, and raises ValueError.
+    are read off the row keys.  Ranks are exact, one per block: with one
+    shift s the image of weight v lies in weight v + s alone, so the matrix
+    out of a window is block-diagonal and its rank is the sum of the weight
+    slices' ranks, and a capped window reuses the slices of the windows
+    below it; with mixed shifts a block is the whole window.  A negative
+    entry can only come from an operator whose square is nonzero, and raises
+    ValueError.  A table whose largest slice at ``max_weight``, or any block,
+    has more than ``MAX_BLOCK_SIZE`` basis monomials in the middle degree
+    (the degree with the most index tuples) raises ``TableTooLarge``; the
+    sizes come from binomials, before the slice or block is built.
     """
     if k_step not in (1, -1):
         raise ValueError("k_step must be +1 or -1")
     variables = tuple(variables)
     max_weight = 0 if not variables else max_weight
+
+    @cache
+    def check(weights):
+        """Refuse the blocks over ``weights`` if the largest, in the middle
+        degree, has more than ``MAX_BLOCK_SIZE`` basis monomials."""
+        k = rank // 2
+        size = _block_size(rank, len(variables), k, weights)
+        if size > MAX_BLOCK_SIZE:
+            raise TableTooLarge(
+                "table too large: a block of degree %d and weight at most %d has "
+                "%d basis monomials, above the limit of %d"
+                % (k, max(weights), size, MAX_BLOCK_SIZE)
+            )
+
+    # the largest slice the shift scan builds
+    check((max_weight,))
 
     @cache
     def basis(k, w):
@@ -235,13 +293,17 @@ def betti_table(
         return range(w + 1) if capped else (w,)
 
     @cache
-    def rank_out(k, w):
-        """Rank of the operator out of the window of (k, w)."""
-        dst = [mono for wp in window(w + lift) for mono in basis(k + k_step, wp)]
+    def block_rank(k, weights):
+        """Rank of the operator on the basis of degree k and ``weights``."""
+        # one-shift targets are slices of weight at most max_weight, and
+        # mixed-shift targets have the source's weights
+        check(weights)
+        targets = [v + shift for v in weights] if homogeneous else weights
+        dst = [mono for v in targets for mono in basis(k + k_step, v)]
         index_map = {mono: pos for pos, mono in enumerate(dst)}
         rows = []
-        for wp in window(w):
-            for image in images(k, wp):
+        for v in weights:
+            for image in images(k, v):
                 dense = [0] * len(dst)
                 for key, c in image.items():
                     pos = index_map.get(key)
@@ -250,6 +312,13 @@ def betti_table(
                     dense[pos] = c
                 rows.append(dense)
         return matrix_rank(rows) if rows and dst else 0
+
+    @cache
+    def rank_out(k, w):
+        """Rank of the operator out of the window of (k, w)."""
+        if homogeneous:
+            return sum(block_rank(k, (v,)) for v in window(w))
+        return block_rank(k, tuple(window(w)))
 
     entries = {}
     for k in range(rank + 1):

@@ -336,9 +336,8 @@ def _suite_bv(s: _Session):
 
     failures = []
     for pos in range(3):
-        g = random_frame_matrix(rng, a.rank)
-        moved = conn.frame_change(g)
-        act = frame_action(g, a.rank)
+        act = frame_action(random_frame_matrix(rng, a.rank), a.rank)
+        moved = conn.frame_change(act)
         for _ in range(max(s.trials // 3, 1)):
             u = s.elems(rng, 1)[0]
             lhs = act(generating_operator(conn, u))

@@ -184,6 +184,40 @@ def test_operator_frame_naturality():
             assert (lhs - rhs).is_zero
 
 
+def test_connection_frame_change_expands_each_minor_once(monkeypatch):
+    """The algebroid, the connection form and the elements a naturality
+    check moves all share one frame action: each of the 20 square minors
+    of a 3 x 3 matrix is expanded at most once, and the action moves the
+    connection exactly as its matrix does."""
+    import albv.exterior
+    from albv.algebroid import PoissonStructure, cotangent_algebroid
+    from albv.exterior import frame_action
+
+    so3 = cotangent_algebroid(
+        PoissonStructure(("x", "y", "z"), {(0, 1): "z", (1, 2): "x", (0, 2): "-y"})
+    )
+    conn = TopConnection(so3, so3.poly("x") * so3.coframe(0) + so3.coframe(2))
+    g = [[1, 2, 0], [0, 1, -1], [3, 0, 1]]
+    probes = [random_elem(random.Random(5), so3, A_SIDE, k) for k in range(4)]
+    by_matrix = conn.frame_change(g)
+
+    expand = albv.exterior._minor_det
+    seen = []
+
+    def counting_expand(minor, mat, rows, cols):
+        seen.append((rows, cols))
+        return expand(minor, mat, rows, cols)
+
+    monkeypatch.setattr(albv.exterior, "_minor_det", counting_expand)
+    act = frame_action(g, 3)
+    moved = conn.frame_change(act)
+    images = [act(u) for u in probes]
+    assert seen and len(seen) == len(set(seen)) <= 20
+    assert frame_action(act, 3) is act
+    assert moved.algebroid == by_matrix.algebroid and moved.alpha == by_matrix.alpha
+    assert images == [frame_change_elem(g, u) for u in probes]
+
+
 def half_adjoint(a):
     half = Fraction(1, 2)
     gamma = [

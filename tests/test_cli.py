@@ -1,5 +1,7 @@
 """End-to-end runs of the command line front end."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -452,6 +454,116 @@ def test_tables_match_the_golden_text(tmp_path, capsys, name):
     path = put(tmp_path, name + ".albv", BENCH_FILES[name])
     golden = GOLDEN / ("tables_%s.txt" % name)
     assert table_transcript(path, capsys) == golden.read_text()
+
+
+# d + eps1^ on the plane has weight shifts -1 and 0, so its table is capped
+MIXED_PLANE_TEXT = """\
+[algebroid]
+kind = "tangent"
+base_vars = ["x", "y"]
+
+[connection]
+alpha = ["1", "0"]
+"""
+
+
+def capped_transcript(path):
+    """``homology --max-weight 5`` on the mixed-shift plane, in text and in
+    ``--json``, then the capped boundary tables of three one-shift operators
+    at weight 5."""
+    from albv.algebroid import PoissonStructure, cotangent_algebroid, tangent_algebroid
+    from albv.bv import TopConnection
+    from albv.homology import boundary_betti
+    from conftest import sl2
+
+    chunks = []
+    for flags in ([], ["--json"]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["homology", str(path), "--max-weight", "5"] + flags)
+        shown = " ".join(["homology", "FILE", "--max-weight", "5"] + flags)
+        chunks.append("$ albv %s\n[exit %d]\n%s" % (shown, code, out.getvalue()))
+    so3 = PoissonStructure(("x", "y", "z"), {(0, 1): "z", (1, 2): "x", (0, 2): "-y"})
+    for name, algebroid in (
+        ("cotangent so(3)*", cotangent_algebroid(so3)),
+        ("tangent 3-space", tangent_algebroid(("x", "y", "z"))),
+        ("sl2", sl2()),
+    ):
+        table = boundary_betti(TopConnection(algebroid), 5, force_capped=True)
+        chunks.append("# %s\n%s\n" % (name, table.to_text()))
+    return "".join(chunks)
+
+
+def test_capped_tables_match_the_golden_text(tmp_path):
+    """Capped tables, pinned: one of a mixed-shift operator through the
+    command line, and three of one-shift operators capped on request.
+
+    The golden file was written by commit 24bbd6e, which ranked every capped
+    window as one matrix over all weights up to its cap.
+    """
+    path = put(tmp_path, "mixed.albv", MIXED_PLANE_TEXT)
+    golden = GOLDEN / "tables_capped.txt"
+    assert capped_transcript(path) == golden.read_text()
+
+
+def test_a_table_above_the_block_limit_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    """so(3)* at weight 2 has slices of C(3, 1) C(4, 2) = 18 monomials in
+    degrees 1 and 2; with the limit one below, every table command refuses
+    with exit 2 and prints only the error, in text and in JSON."""
+    import albv.homology
+
+    monkeypatch.setattr(albv.homology, "MAX_BLOCK_SIZE", 17)
+    path = put(tmp_path, "so3.albv", SO3_TEXT)
+    for command in TABLE_COMMANDS:
+        for flags in ([], ["--json"]):
+            assert main(command + [path, "--max-weight", "2"] + flags) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == (
+                "error: table too large: a block of degree 1 and weight at most 2 "
+                "has 18 basis monomials, above the limit of 17\n"
+            )
+    # the Koszul-Brylinski operator of a linear bivector has shift 0
+    monkeypatch.setattr(albv.homology, "MAX_BLOCK_SIZE", 18)
+    assert main(["homology", "--kb", path, "--max-weight", "2"]) == 0
+
+
+def test_rank_33_mutant_exits_2_at_once(tmp_path):
+    """One inserted digit turns sl2 into a rank-33 algebra, whose degree-16
+    table slice has C(33, 16) basis monomials; the size is counted from
+    binomials and refused before any row is asked.  The command runs in a
+    child process with 1 GiB of address space, so a table that was not
+    bounded would fail there rather than fill the machine."""
+    import resource
+    from math import comb
+
+    from albv.homology import MAX_BLOCK_SIZE, TableTooLarge, betti_table
+
+    assert comb(33, 16) > MAX_BLOCK_SIZE
+    with pytest.raises(TableTooLarge):
+        betti_table((), 33, lambda idx, expo: pytest.fail("row asked"), 1, 0)
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    path = put(tmp_path, "sl33.albv", SL2_TEXT.replace("rank = 3", "rank = 33"))
+    src = str(Path(albv.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "albv.cli", "cohomology", path],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=30,
+        preexec_fn=limit_memory,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: table too large: a block of degree 16 and weight at most 0 has "
+        "%d basis monomials, above the limit of %d\n" % (comb(33, 16), MAX_BLOCK_SIZE)
+    )
 
 
 def test_verify_reports_the_first_failing_probe(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Boundary operators, weight-graded dimension tables, and the Poisson checks."""
 
 import random
+from math import comb
 
 import pytest
 
@@ -663,3 +664,220 @@ def test_betti_table_refuses_an_operator_that_does_not_square_to_zero():
     with pytest.raises(ValueError) as exc:
         cohomology_betti(bad, max_weight=0)
     assert str(exc.value) == "operator does not square to zero: entry (2, 0) would be -1"
+
+
+# -- rank blocks of capped tables -----------------------------------------
+
+
+def capped_boundaries():
+    """(name, connection, one shift?) of the capped tables pinned below: three
+    one-shift operators capped on request, and d + eps1^ on the plane, whose
+    weight shifts are -1 (from d) and 0 (from the constant form)."""
+    so3 = PoissonStructure(("x", "y", "z"), {(0, 1): "z", (1, 2): "x", (0, 2): "-y"})
+    plane = tangent_algebroid(XY)
+    return [
+        ("cotangent so(3)*", TopConnection(cotangent_algebroid(so3)), True),
+        ("tangent 3-space", TopConnection(tangent_algebroid(("x", "y", "z"))), True),
+        ("sl2", TopConnection(sl2()), True),
+        ("mixed plane", TopConnection(plane, plane.coframe(0)), False),
+    ]
+
+
+def whole_window_betti(variables, rank, row, k_step, max_weight):
+    """Capped Betti numbers with every window ranked as one matrix, the way
+    tables were ranked before blocks: dense rows of all the basis monomials
+    of weight at most w, handed to ``linalg.rank``."""
+    from itertools import combinations, product
+
+    from albv.linalg import rank as dense_rank
+
+    def window(k, w):
+        if not 0 <= k <= rank:
+            return []
+        return [
+            (idx, expo)
+            for idx in combinations(range(rank), k)
+            for expo in product(range(w + 1), repeat=len(variables))
+            if sum(expo) <= w
+        ]
+
+    def rank_out(k, w):
+        dst = {mono: pos for pos, mono in enumerate(window(k + k_step, w))}
+        rows = []
+        for idx, expo in window(k, w):
+            dense = [0] * len(dst)
+            for key, c in row(idx, expo).items():
+                dense[dst[key]] = c
+            rows.append(dense)
+        return dense_rank(rows) if rows and dst else 0
+
+    return {
+        (k, w): len(window(k, w)) - rank_out(k, w) - rank_out(k - k_step, w)
+        for k in range(rank + 1)
+        for w in range(max_weight + 1)
+    }
+
+
+def test_capped_tables_equal_whole_window_ranks():
+    for name, conn, _ in capped_boundaries():
+        a = conn.algebroid
+        table = boundary_betti(conn, 5, force_capped=True)
+        assert table.capped
+        expected = whole_window_betti(
+            a.variables, a.rank, boundary_rows(conn), -1, table.max_weight
+        )
+        assert table.entries == expected, name
+
+
+def test_one_shift_capped_tables_from_their_homogeneous_tables():
+    """Capping a one-shift table adds up its slices, less what the cap cuts.
+
+    For shift s and exterior step k_step, write d(k, v) for the number of
+    basis monomials of slice (k, v), r(k, v) for the rank out of it, and
+    H(k, v) = d(k, v) - r(k, v) - r(k - k_step, v - s) for the homogeneous
+    entry.  The subcomplex of weight at most w keeps every slice v <= w and
+    every map between two of them, so its entry is
+    C(k, w) = sum_{v <= w} (d(k, v) - r(k, v) - r(k - k_step, v)).  The
+    difference from the prefix sum of H telescopes:
+    C(k, w) - sum_{v <= w} H(k, v) = sum_{w < u <= w - s} r(k - k_step, u),
+    the ranks into the top -s weights from the slices above the cap; the
+    terms u < -s vanish, as their targets have negative weight.  With s = 0
+    (the cotangent so(3)* boundary, and sl2, whose base is empty) the capped
+    table is the prefix sum of the homogeneous one.  The boundary of tangent
+    3-space has s = -1 and k_step = -1, so C(k, w) exceeds the prefix sum by
+    r(k + 1, w + 1), and the homogeneous table gives the ranks from the top
+    degree down: r(k, v) = d(k, v) - H(k, v) - r(k + 1, v + 1), and
+    r(4, v) = 0.
+    """
+    cot, tan, lie, _ = capped_boundaries()
+    for name, conn, _ in (cot, lie):
+        capped = boundary_betti(conn, 5, force_capped=True)
+        flat = boundary_betti(conn, 5)
+        assert flat.shift == 0, name
+        for k in range(flat.rank + 1):
+            for w in range(capped.max_weight + 1):
+                prefix = sum(flat.entry(k, v) for v in range(w + 1))
+                assert capped.entry(k, w) == prefix, (name, k, w)
+
+    conn = tan[1]
+    capped = boundary_betti(conn, 5, force_capped=True)
+    flat = boundary_betti(conn, 9)
+    assert flat.shift == -1
+
+    def r(k, v):
+        if k > 3:
+            return 0
+        d = comb(3, k) * comb(v + 2, 2)
+        return d - flat.entry(k, v) - r(k + 1, v + 1)
+
+    for k in range(4):
+        for w in range(6):
+            prefix = sum(flat.entry(k, v) for v in range(w + 1))
+            assert capped.entry(k, w) == prefix + r(k + 1, w + 1), (k, w)
+
+
+# one prime per source weight; the table operators have small coefficients
+WEIGHT_TAGS = (10007, 10009, 10037, 10039, 10061, 10067)
+
+
+def test_one_shift_blocks_are_single_weight_slices(monkeypatch):
+    """Each row is scaled by a prime that names its source weight, which
+    changes no rank; the rows of every ``matrix_rank`` call of a one-shift
+    capped table then carry one prime, and the mixed-shift table ranks some
+    window whose rows carry several."""
+    import albv.homology
+
+    spans = []
+    rank = albv.homology.matrix_rank
+
+    def tag_rank(rows):
+        tags = set()
+        for row in rows:
+            nonzero = [x for x in row if x]
+            if nonzero:
+                (tag,) = [t for t in WEIGHT_TAGS if all(x % t == 0 for x in nonzero)]
+                tags.add(tag)
+        spans.append(tags)
+        return rank(rows)
+
+    def tagged(row):
+        def scaled(idx, expo):
+            tag = WEIGHT_TAGS[sum(expo)]
+            return {key: c * tag for key, c in row(idx, expo).items()}
+
+        return scaled
+
+    for name, conn, one_shift in capped_boundaries():
+        a = conn.algebroid
+        expected = boundary_betti(conn, 5, force_capped=True)
+        monkeypatch.setattr(albv.homology, "matrix_rank", tag_rank)
+        spans.clear()
+        table = betti_table(
+            a.variables, a.rank, tagged(boundary_rows(conn)), -1, 5, "homology", True
+        )
+        monkeypatch.setattr(albv.homology, "matrix_rank", rank)
+        assert table == expected, name
+        assert spans, name
+        if one_shift:
+            assert all(len(tags) <= 1 for tags in spans), name
+        else:
+            assert any(len(tags) > 1 for tags in spans), name
+
+
+def test_monomial_counts_come_from_binomials():
+    from albv.homology import _exponents, _monomial_count
+
+    for m in range(5):
+        for w in range(-1, 7):
+            assert _monomial_count(m, w) == len(_exponents(m, w)), (m, w)
+
+
+@pytest.mark.parametrize(
+    "case, largest",
+    [
+        # shift 0, capped: the largest block is the slice at the cap
+        ("cotangent so(3)*", comb(3, 1) * comb(3 + 3 - 1, 3)),
+        # shift -1: entry (k, 3) needs the rank out of slice (k + 1, 4)
+        ("tangent 3-space", comb(3, 1) * comb(3 + 4 - 1, 4)),
+        # mixed shifts: a block is a whole window, weights 0..3
+        ("mixed plane", comb(2, 1) * sum(comb(2 + v - 1, v) for v in range(4))),
+    ],
+)
+def test_oversized_tables_are_refused_by_their_largest_block(monkeypatch, case, largest):
+    """Blocks are counted in the middle degree, C(rank, rank // 2) index
+    tuples times the monomials of the block's weights, C(m + v - 1, v) each;
+    a table at weight 3 passes at a limit equal to its largest block and is
+    refused one below."""
+    import albv.homology
+    from albv.homology import TableTooLarge
+
+    (conn,) = [conn for name, conn, _ in capped_boundaries() if name == case]
+    capped = case == "cotangent so(3)*"
+    monkeypatch.setattr(albv.homology, "MAX_BLOCK_SIZE", largest)
+    table = boundary_betti(conn, 3, force_capped=capped)
+    monkeypatch.setattr(albv.homology, "MAX_BLOCK_SIZE", largest - 1)
+    with pytest.raises(TableTooLarge, match="table too large") as exc:
+        boundary_betti(conn, 3, force_capped=capped)
+    assert isinstance(exc.value, ValueError)
+    assert "%d basis monomials" % largest in str(exc.value)
+    monkeypatch.setattr(albv.homology, "MAX_BLOCK_SIZE", largest)
+    assert boundary_betti(conn, 3, force_capped=capped) == table
+
+
+def test_the_largest_documented_tables_fit_the_block_limit():
+    """The sl3* tables at weight 2 (rank 8, 8 coordinates, shift 0) rank
+    slices of at most C(8, 4) C(9, 2) = 2,520 monomials; at weight 3 the
+    slices reach 8,400 and the table is refused before anything is built."""
+    from albv.homology import MAX_BLOCK_SIZE, TableTooLarge, _block_size
+
+    assert max(_block_size(8, 8, k, (2,)) for k in range(9)) == 2520 <= MAX_BLOCK_SIZE
+    assert max(_block_size(8, 8, k, (3,)) for k in range(9)) == 8400 > MAX_BLOCK_SIZE
+    calls = []
+
+    def row(idx, expo):
+        calls.append(idx)
+        return {}
+
+    with pytest.raises(TableTooLarge):
+        betti_table(tuple("abcdefgh"), 8, row, 1, 3)
+    assert calls == []
