@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebroid import LieAlgebroid, PoissonStructure, lie_algebra, tangent_algebroid
+from .algebroid import LieAlgebroid, PoissonStructure, custom_algebroid, tangent_algebroid
 from .bv import TopConnection
 from .exterior import DUAL_SIDE, GradedElem, Volume
 from .poly import PolyParseError, parse_poly
@@ -271,23 +271,16 @@ class Document:
     # -- building ----------------------------------------------------------
 
     def build_algebroid(self, check=True) -> LieAlgebroid:
+        """The file's structure; a ``lie_algebra`` is the custom kind over
+        an empty base, with one empty anchor row per frame section."""
         if self.kind == "tangent":
             a = tangent_algebroid(self.base_vars)
-        elif self.kind == "lie_algebra":
-            brackets = {}
-            for i, j, k, c in self.structure:
-                brackets.setdefault((i - 1, j - 1), {})[k - 1] = parse_poly(c, ())
-            a = lie_algebra(self.rank, brackets)
         else:
-            anchor = [
-                [parse_poly(s, self.base_vars) for s in row] for row in self.anchor
-            ]
             structure = {}
             for i, j, k, c in self.structure:
-                structure.setdefault((i - 1, j - 1), {})[k - 1] = parse_poly(
-                    c, self.base_vars
-                )
-            a = LieAlgebroid(self.base_vars, self.rank, anchor, structure)
+                structure.setdefault((i - 1, j - 1), {})[k - 1] = c
+            anchor = self.anchor or [()] * self.rank
+            a = custom_algebroid(self.base_vars, self.rank, anchor, structure, check=False)
         if check:
             a.validate().raise_if_failed("structure checks failed")
         return a

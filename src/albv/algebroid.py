@@ -337,27 +337,25 @@ class LieAlgebroid:
 # -- factories -------------------------------------------------------------
 
 
-def tangent_algebroid(variables) -> LieAlgebroid:
-    """The tangent structure: identity anchor, vanishing brackets."""
-    variables = tuple(variables)
-    m = len(variables)
-    anchor = [
-        [Poly.constant(1 if mu == i else 0, variables) for mu in range(m)]
-        for i in range(m)
-    ]
-    return LieAlgebroid(variables, m, anchor, {})
-
-
-def lie_algebra(rank, brackets) -> LieAlgebroid:
-    """A rational Lie algebra: empty base, constant structure coefficients."""
-    return LieAlgebroid((), rank, [tuple() for _ in range(rank)], brackets)
-
-
 def custom_algebroid(variables, rank, anchor, structure, check=True) -> LieAlgebroid:
+    """The structure with the given anchor matrix and structure functions,
+    validated when ``check`` is set.  The base structures are all built here."""
     a = LieAlgebroid(variables, rank, anchor, structure)
     if check:
         a.validate().raise_if_failed("structure checks failed")
     return a
+
+
+def tangent_algebroid(variables) -> LieAlgebroid:
+    """The tangent structure: identity anchor, vanishing brackets."""
+    m = len(variables)
+    anchor = [[int(mu == i) for mu in range(m)] for i in range(m)]
+    return custom_algebroid(variables, m, anchor, {}, check=False)
+
+
+def lie_algebra(rank, brackets) -> LieAlgebroid:
+    """A rational Lie algebra: empty base, constant structure coefficients."""
+    return custom_algebroid((), rank, [()] * rank, brackets, check=False)
 
 
 class PoissonStructure:
@@ -390,12 +388,6 @@ class PoissonStructure:
     @property
     def base_dim(self):
         return len(self.variables)
-
-    def matrix_entry(self, mu, nu) -> Poly:
-        entry = self.components.get((min(mu, nu), max(mu, nu)))
-        if entry is None:
-            return Poly.zero(self.variables)
-        return entry if mu < nu else -entry
 
     def as_elem(self) -> GradedElem:
         """The bivector as a degree-2 side A element, built once."""

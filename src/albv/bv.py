@@ -23,7 +23,6 @@ from .exterior import (
     A_SIDE,
     DUAL_SIDE,
     GradedElem,
-    Volume,
     contract_or_zero,
     elem_from_terms,
     frame_action,
@@ -60,9 +59,6 @@ class TopConnection:
             raise ValueError("connection form does not live on this structure")
         self.alpha = alpha
 
-    def reference_volume(self) -> Volume:
-        return self.algebroid.volume(1)
-
     def operator(self):
         return lambda u: generating_operator(self, u)
 
@@ -89,7 +85,7 @@ def boundary(conn: TopConnection, u: GradedElem) -> GradedElem:
         raise ValueError("generating operator acts on side A elements")
     if not 0 < u.degree <= a.rank:
         return a.zero_elem(A_SIDE, u.degree - 1)
-    omega = star_inv(u, conn.reference_volume())
+    omega = star_inv(u, a.volume(1))
     twisted = differential(a, omega)
     if conn.alpha:
         twisted = twisted + wedge(conn.alpha, omega)

@@ -48,7 +48,6 @@ __all__ = [
     "DUAL_SIDE",
     "GradedElem",
     "Volume",
-    "dual_side",
     "as_side",
     "wedge",
     "pairing",
@@ -58,7 +57,6 @@ __all__ = [
     "star_inv",
     "FrameAction",
     "frame_action",
-    "frame_change_elem",
     "frame_elem",
     "coframe_elem",
     "scalar_elem",
@@ -71,14 +69,6 @@ __all__ = [
 
 A_SIDE = "A"
 DUAL_SIDE = "A*"
-
-
-def dual_side(side):
-    if side == A_SIDE:
-        return DUAL_SIDE
-    if side == DUAL_SIDE:
-        return A_SIDE
-    raise ValueError("unknown side %r" % (side,))
 
 
 def shuffle_sign(left, right) -> int:
@@ -414,9 +404,8 @@ def _relabel(elem, unit, inverse):
         rest = tuple(sorted(full - set(idx)))
         scale = unit * (shuffle_sign(rest, idx) if inverse else shuffle_sign(idx, rest))
         out[rest] = coeff if scale == 1 else coeff * scale
-    return GradedElem(
-        dual_side(elem.side), elem.rank - elem.degree, elem.rank, elem.variables, out
-    )
+    side = DUAL_SIDE if elem.side == A_SIDE else A_SIDE
+    return GradedElem(side, elem.rank - elem.degree, elem.rank, elem.variables, out)
 
 
 def star(omega, vol: Volume) -> GradedElem:
@@ -527,9 +516,3 @@ def frame_action(g, n) -> FrameAction:
             raise ValueError("frame matrix must be %d x %d" % (n, n))
         return g
     return FrameAction(g, n)
-
-
-def frame_change_elem(g, elem) -> GradedElem:
-    """Transform ``elem`` under the constant frame automorphism ``g``, a
-    matrix or its ``FrameAction``."""
-    return frame_action(g, elem.rank)(elem)

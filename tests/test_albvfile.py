@@ -150,7 +150,7 @@ def test_build_poisson_and_connection_and_volume():
     doc = Document.parse(PLANE_TEXT)
     a = doc.build_algebroid()
     pi = doc.build_poisson()
-    assert pi.matrix_entry(0, 1) == a.poly("y")
+    assert pi.components == {(0, 1): a.poly("y")}
     conn = doc.build_connection(a)
     assert conn.alpha == a.poly("x") * a.coframe(1)
     vol = doc.build_volume(a)

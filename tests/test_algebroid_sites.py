@@ -1,7 +1,8 @@
-"""``LieAlgebroid`` is built from frame data in a few places only.
+"""``LieAlgebroid`` is built from frame data in two places only.
 
 The base structures (tangent, Lie algebra, custom and file-built) take their
-anchor and structure functions as given.  Every derived structure states a
+anchor and structure functions as given, all through ``custom_algebroid``.
+Every derived structure states a
 differential and hands it to ``algebroid_from_differential``, the one reader
 of anchor and structure data, so none of them may call the constructor.  This
 scans the package source for calls of ``LieAlgebroid`` and names the
@@ -12,13 +13,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "albv"
-ALLOWED = {
-    "tangent_algebroid",
-    "lie_algebra",
-    "custom_algebroid",
-    "algebroid_from_differential",
-    "Document.build_algebroid",
-}
+ALLOWED = {"custom_algebroid", "algebroid_from_differential"}
 
 
 def constructor_calls(source, filename="<string>"):

@@ -23,7 +23,7 @@ from albv.exterior import (
     GradedElem,
     basis_tuples,
     contract_or_zero,
-    frame_change_elem,
+    frame_action,
     pairing,
     wedge,
 )
@@ -175,12 +175,13 @@ def test_operator_frame_naturality():
     conn = curved_connection(a)
     g = [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(1)]]
     moved = conn.frame_change(g)
+    act = frame_action(g, 2)
     rng = random.Random(67)
     for degree in range(1, 3):
         for _ in range(3):
             u = random_elem(rng, a, A_SIDE, degree)
-            lhs = frame_change_elem(g, generating_operator(conn, u))
-            rhs = generating_operator(moved, frame_change_elem(g, u))
+            lhs = act(generating_operator(conn, u))
+            rhs = generating_operator(moved, act(u))
             assert (lhs - rhs).is_zero
 
 
@@ -191,7 +192,6 @@ def test_connection_frame_change_expands_each_minor_once(monkeypatch):
     connection exactly as its matrix does."""
     import albv.exterior
     from albv.algebroid import PoissonStructure, cotangent_algebroid
-    from albv.exterior import frame_action
 
     so3 = cotangent_algebroid(
         PoissonStructure(("x", "y", "z"), {(0, 1): "z", (1, 2): "x", (0, 2): "-y"})
@@ -215,7 +215,7 @@ def test_connection_frame_change_expands_each_minor_once(monkeypatch):
     assert seen and len(seen) == len(set(seen)) <= 20
     assert frame_action(act, 3) is act
     assert moved.algebroid == by_matrix.algebroid and moved.alpha == by_matrix.alpha
-    assert images == [frame_change_elem(g, u) for u in probes]
+    assert images == [frame_action(g, 3)(u) for u in probes]
 
 
 def half_adjoint(a):
