@@ -133,6 +133,11 @@ class LieAlgebroid:
             if isinstance(comps, dict):
                 row = [self._zero] * self.rank
                 for k, v in comps.items():
+                    if k not in range(self.rank):
+                        raise ValueError(
+                            "structure entry %r: frame index %r outside 0..%d"
+                            % (key, k, self.rank - 1)
+                        )
                     row[k] = _coerce_poly(v, self.variables)
                 comps = row
             comps = tuple(_coerce_poly(v, self.variables) for v in comps)

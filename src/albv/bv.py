@@ -179,20 +179,14 @@ class AConnectionOnA:
     def __init__(self, algebroid: LieAlgebroid, gamma):
         self.algebroid = algebroid
         n = algebroid.rank
-        rows = []
-        for i in range(n):
-            cols = []
-            for j in range(n):
-                cols.append(
-                    tuple(
-                        _coerce_poly(gamma[i][j][k], algebroid.variables)
-                        for k in range(n)
-                    )
-                )
-            rows.append(tuple(cols))
-        if len(rows) != n:
+        if len(gamma) != n or any(
+            len(row) != n or any(len(col) != n for col in row) for row in gamma
+        ):
             raise ValueError("gamma must be %d x %d x %d" % (n, n, n))
-        self.gamma = tuple(rows)
+        self.gamma = tuple(
+            tuple(tuple(_coerce_poly(c, algebroid.variables) for c in col) for col in row)
+            for row in gamma
+        )
 
     def nabla_frame(self, i, j) -> GradedElem:
         a = self.algebroid

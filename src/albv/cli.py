@@ -3,10 +3,11 @@
 Subcommands: ``validate``, ``cohomology``, ``homology``, ``modular``,
 ``star`` and ``verify``, each taking an .albv file.  Exit status is 0 when
 every reported check passes, 1 when any check fails, and 2 for usage or
-parse problems and for a table above ``homology.MAX_BLOCK_SIZE``.  With
-``--json`` the report is a single JSON object with the keys ``command``,
-``checks``, ``tables`` and ``sign_s``; without it the same content is
-printed as plain lines.  Output is deterministic for a fixed file and seed.
+parse problems (a ``--trials`` above ``MAX_TRIALS`` among them) and for a
+table above ``homology.MAX_BLOCK_SIZE``.  With ``--json`` the report is a
+single JSON object with the keys ``command``, ``checks``, ``tables`` and
+``sign_s``; without it the same content is printed as plain lines.  Output
+is deterministic for a fixed file and seed.
 """
 
 from __future__ import annotations
@@ -32,14 +33,23 @@ from .verify import SUITES, CheckResult, run_suites
 __all__ = ["main", "build_parser"]
 
 
-def _int_at_least(minimum):
-    """An argparse type: an integer no smaller than ``minimum``."""
+# probes per identity in ``verify``, whose run time grows linearly with them
+MAX_TRIALS = 500
+
+
+def _bounded_int(minimum, maximum=None):
+    """An argparse type: an integer no smaller than ``minimum`` and, when
+    ``maximum`` is given, no larger than it."""
 
     def parse(text):
         value = int(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(
                 "must be at least %d, got %d" % (minimum, value)
+            )
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(
+                "must be at most %d, got %d" % (maximum, value)
             )
         return value
 
@@ -78,13 +88,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("validate", parents=[common], help="run the structure checks")
 
     p = sub.add_parser("cohomology", parents=[common], help="differential Betti table")
-    p.add_argument("--max-weight", type=_int_at_least(0), default=4)
+    p.add_argument("--max-weight", type=_bounded_int(0), default=4)
 
     p = sub.add_parser("homology", parents=[common], help="boundary Betti table")
     p.add_argument(
         "--kb", action="store_true", help="use the bivector operator on base forms"
     )
-    p.add_argument("--max-weight", type=_int_at_least(0), default=4)
+    p.add_argument("--max-weight", type=_bounded_int(0), default=4)
 
     sub.add_parser(
         "modular", parents=[common], help="modular field and the sign of the relation"
@@ -97,9 +107,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common], help="seeded identity suites")
     p.add_argument("--suite", choices=SUITES, default="all")
-    p.add_argument("--trials", type=_int_at_least(1), default=20)
+    p.add_argument(
+        "--trials",
+        type=_bounded_int(1, MAX_TRIALS),
+        default=20,
+        help="probes per identity, 1 to %d (default 20)" % MAX_TRIALS,
+    )
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-deg", type=_int_at_least(0), default=2)
+    p.add_argument("--max-deg", type=_bounded_int(0), default=2)
     return parser
 
 

@@ -295,6 +295,10 @@ def _tokenize(text):
 # error instead of exhausting the interpreter stack
 MAX_NESTING = 100
 
+# a power b^N with N * max(deg b, 1) above this is refused before it is
+# computed, since its cost grows with N even when b is a constant
+MAX_POWER_DEGREE = 100
+
 
 class _Parser:
     """Recursive-descent parser for the polynomial literal grammar.
@@ -302,7 +306,8 @@ class _Parser:
     Grammar: integer and rational (p/q) literals, declared variable names,
     the operators + - * / ^ (with / restricted to division by a nonzero
     constant), and parentheses nested at most ``MAX_NESTING`` deep, unary
-    signs included.  Whitespace is insignificant; there is no implicit
+    signs included.  A power b^N is refused when N * max(deg b, 1) exceeds
+    ``MAX_POWER_DEGREE``.  Whitespace is insignificant; there is no implicit
     multiplication.
     """
 
@@ -370,9 +375,15 @@ class _Parser:
     def power(self):
         base = self.atom()
         if self.peek()[0] == "^":
-            _, _, where = self.take()
-            tok = self.take("int")
-            return base ** tok[1]
+            self.take()
+            _, exponent, where = self.take("int")
+            if exponent * max(base.degree(), 1) > MAX_POWER_DEGREE:
+                raise PolyParseError(
+                    "exponent %d on a base of degree %d exceeds the power bound %d"
+                    % (exponent, base.degree(), MAX_POWER_DEGREE),
+                    where,
+                )
+            return base ** exponent
         return base
 
     def atom(self):

@@ -3,7 +3,7 @@
 Each suite draws seeded probes, evaluates the exact identities, and records
 one result per identity.  The same seed always produces the same probes, the
 same ordering, and hence byte-identical reports.  These functions back the
-``verify`` command, and the test suite calls them directly.
+``verify`` command; the tests reach them through ``cli.main``.
 
 Most identities are laws: a local function draws one probe and returns the
 identity's residual on it; ``_Session.law`` calls it once per probe and lists

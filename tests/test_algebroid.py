@@ -211,6 +211,15 @@ def test_structure_key_bounds():
         LieAlgebroid((), 2, [(), ()], {(1, 0): {0: 1}})
 
 
+def test_structure_dict_entries_refuse_a_frame_index_outside_the_rank():
+    """-1 used to land on e2 through negative indexing, and 5 raised an
+    IndexError; both are refused by name."""
+    for k in (-1, 5):
+        with pytest.raises(ValueError, match=r"frame index %d outside 0\.\.1" % k):
+            lie_algebra(2, {(0, 1): {k: 1}})
+    assert lie_algebra(2, {(0, 1): {1: 1}}) == aff1()
+
+
 def test_cotangent_of_xy_bivector_by_hand():
     """pi = xy d/dx ^ d/dy, so {x, y} = xy.
 

@@ -237,6 +237,22 @@ def test_half_adjoint_connection_is_torsion_free_with_zero_trace():
     assert conn.induced_top_connection().alpha.is_zero
 
 
+def test_connection_data_must_be_n_by_n_by_n():
+    """Short data used to raise IndexError and long data was cut silently."""
+    a = plane()
+    z = ["0", "0"]
+    for gamma in (
+        [[z, z]],
+        [[z, z], [z, z], [z, z]],
+        [[z, z, z], [z, z]],
+        [[z, z], [z, ["0"]]],
+        [[z, z], [z, z + ["0"]]],
+    ):
+        with pytest.raises(ValueError, match="gamma must be 2 x 2 x 2"):
+            AConnectionOnA(a, gamma)
+    assert AConnectionOnA(a, [[z, z], [z, z]]).is_torsion_free()
+
+
 def test_torsion_witnesses():
     a = plane()
     gamma = [[["0", "0"], ["1", "0"]], [["0", "0"], ["0", "0"]]]

@@ -158,6 +158,15 @@ def test_parse_error_reports_the_line(tmp_path, capsys):
     assert "line 4" in err and "i<j" in err
 
 
+def test_oversized_power_is_a_usage_error_with_its_line(tmp_path, capsys):
+    path = put(tmp_path, "power.albv", PLANE_TEXT.replace('"x"]', '"x^100000"]'))
+    assert main(["validate", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: line 9: bad polynomial 'x^100000'")
+    assert "exceeds the power bound" in captured.err
+
+
 def test_deeply_nested_polynomial_is_a_usage_error(tmp_path):
     # 2000 nested parentheses used to exhaust the stack inside the parser
     nested = "(" * 2000 + "x" + ")" * 2000
@@ -608,6 +617,23 @@ def test_verify_rejects_zero_trials_and_negative_degrees(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+
+
+def test_verify_refuses_trials_above_the_cap_without_running(tmp_path, capsys, monkeypatch):
+    from albv import cli
+
+    monkeypatch.setattr(cli, "run_suites", lambda *args: pytest.fail("suites ran"))
+    path = put(tmp_path, "plane.albv", PLANE_TEXT)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", path, "--trials", str(cli.MAX_TRIALS + 1)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    expected = "--trials: must be at most %d, got %d" % (cli.MAX_TRIALS, cli.MAX_TRIALS + 1)
+    assert expected in captured.err
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    assert "1 to %d" % cli.MAX_TRIALS in capsys.readouterr().out
 
 
 def test_tables_reject_a_negative_weight_cap(tmp_path, capsys):

@@ -2,7 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from albv.poly import MAX_NESTING, Poly, PolyParseError, merge_terms, parse_poly
+from albv.poly import (
+    MAX_NESTING,
+    MAX_POWER_DEGREE,
+    Poly,
+    PolyParseError,
+    merge_terms,
+    parse_poly,
+)
 from conftest import counting
 
 XY = ("x", "y")
@@ -98,6 +105,20 @@ def test_nesting_is_bounded_by_a_parse_error():
         assert exc.value.position == n + 1
     with pytest.raises(PolyParseError, match="nesting"):
         parse_poly("(" * 5000 + "x" + ")" * 5000, XY)
+
+
+def test_powers_are_bounded_by_a_parse_error():
+    """A power b^N is refused, before it is computed, when N * max(deg b, 1)
+    exceeds the bound; a constant base counts as degree 1."""
+    n = MAX_POWER_DEGREE
+    x, y = Poly.variable("x", XY), Poly.variable("y", XY)
+    assert parse_poly("x^%d" % n, XY) == x**n
+    assert parse_poly("(x*y)^%d" % (n // 2), XY) == (x * y) ** (n // 2)
+    assert parse_poly("2^%d" % n, XY) == Poly.constant(2**n, XY)
+    for text in ("x^%d" % (n + 1), "(x*y)^%d" % (n // 2 + 1), "2^%d" % (n + 1), "x^100000"):
+        with pytest.raises(PolyParseError, match="power bound %d" % n) as exc:
+            parse_poly(text, XY)
+        assert exc.value.position == text.index("^") + 1
 
 
 def test_empty_variable_tuple_is_plain_rationals():
