@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from .exterior import (
@@ -352,7 +353,14 @@ def custom_algebroid(variables, rank, anchor, structure, check=True) -> LieAlgeb
 
 
 def tangent_algebroid(variables) -> LieAlgebroid:
-    """The tangent structure: identity anchor, vanishing brackets."""
+    """The tangent structure: identity anchor, vanishing brackets.  It is
+    fixed by the variables, so it is built once per variable tuple and the
+    one structure is shared by every caller."""
+    return _tangent(tuple(variables))
+
+
+@lru_cache(maxsize=64)
+def _tangent(variables):
     m = len(variables)
     anchor = [[int(mu == i) for mu in range(m)] for i in range(m)]
     return custom_algebroid(variables, m, anchor, {}, check=False)

@@ -22,6 +22,7 @@ from .exterior import DUAL_SIDE, GradedElem, basis_tuples, star
 from .homology import (
     TableTooLarge,
     boundary_betti,
+    check_block_size,
     cohomology_betti,
     kb_betti,
     modular_relation_check,
@@ -182,6 +183,21 @@ def _structure_gate(report, a, pi):
     return vreport
 
 
+def _check_table_size(args, doc):
+    """Refuse a table command whose largest weight slice is above the block
+    limit, from the file alone: the first check the table makes, made before
+    the axiom gate, whose cost grows with the cube of the rank."""
+    m = len(doc.base_vars)
+    if getattr(args, "kb", False):
+        if doc.poisson is None:
+            return  # the handler refuses it
+        rank = m
+    else:
+        rank = doc.rank
+    # a table over no variables has the one weight 0
+    check_block_size(rank, m, (args.max_weight if m else 0,))
+
+
 def _cmd_validate(args, doc, report):
     a = doc.build_algebroid(check=False)
     pi = doc.build_poisson(check=False)
@@ -286,6 +302,8 @@ def main(argv=None) -> int:
         # those suites contain the axiom check already
         gated = False
     try:
+        if args.command in ("cohomology", "homology"):
+            _check_table_size(args, doc)
         if gated:
             a = doc.build_algebroid(check=False)
             pi = doc.build_poisson(check=False)

@@ -31,6 +31,16 @@ zero of one degree never absorbs or hides a summand of another.
 An operator with many summands per output coefficient merges them with
 ``merge_terms`` into one term dict per index tuple and builds its result once
 through ``elem_from_terms``: one Poly per coefficient and one element.
+
+Input is validated once, where it enters.  A direct ``GradedElem(...)`` call,
+and so every element read from a file or built by a caller, checks each
+index tuple (``operator.index`` on each entry, length equal to the degree,
+range, strict order) and each coefficient's variables.  Closed operations,
+whose keys the package built itself, pass the private keyword
+``_checked=True`` instead: ``elem_from_terms``, ``as_side``, the star
+relabelling, ``GradedElem`` addition, negation and scaling, and
+``randgen``.  That path still drops zero coefficients and sorts the
+components, so both paths build the same element from the same components.
 """
 
 from __future__ import annotations
@@ -116,7 +126,9 @@ class GradedElem:
 
     __slots__ = ("side", "degree", "rank", "variables", "components")
 
-    def __init__(self, side, degree, rank, variables, components=None):
+    def __init__(
+        self, side, degree, rank, variables, components=None, *, _checked=False
+    ):
         if side not in (A_SIDE, DUAL_SIDE):
             raise ValueError("unknown side %r" % (side,))
         self.side = side
@@ -124,7 +136,11 @@ class GradedElem:
         self.rank = int(rank)
         self.variables = tuple(variables)
         clean = {}
-        if components:
+        if components and _checked:
+            # a closed operation's keys are increasing index tuples in range
+            # and its coefficients are Polys on these variables
+            clean = {idx: coeff for idx, coeff in components.items() if coeff.terms}
+        elif components:
             degree, rank, variables = self.degree, self.rank, self.variables
             # keys are distinct, so each coefficient is kept as given: closed
             # operations merge their terms before they get here
@@ -147,7 +163,7 @@ class GradedElem:
                     )
                 if coeff.terms:
                     clean[idx] = coeff
-        self.components = dict(sorted(clean.items()))
+        self.components = dict(sorted(clean.items())) if len(clean) > 1 else clean
 
     # -- constructors ------------------------------------------------------
 
@@ -194,10 +210,12 @@ class GradedElem:
             mine = comps.get(idx)
             if mine is not None:
                 merged = merge_terms(dict(mine.terms), coeff, scale)
-                comps[idx] = Poly(self.variables, merged)
+                comps[idx] = Poly(self.variables, merged, _checked=True)
             else:
                 comps[idx] = coeff if scale == 1 else coeff * scale
-        return GradedElem(self.side, self.degree, self.rank, self.variables, comps)
+        return GradedElem(
+            self.side, self.degree, self.rank, self.variables, comps, _checked=True
+        )
 
     def __add__(self, other):
         return self._merged(other, 1)
@@ -209,6 +227,7 @@ class GradedElem:
             self.rank,
             self.variables,
             {i: -c for i, c in self.components.items()},
+            _checked=True,
         )
 
     def __sub__(self, other):
@@ -222,6 +241,7 @@ class GradedElem:
                 self.rank,
                 self.variables,
                 {i: c * scalar for i, c in self.components.items()},
+                _checked=True,
             )
         return NotImplemented
 
@@ -303,9 +323,13 @@ def top_elem(rank, variables, side=A_SIDE, coeff=1) -> GradedElem:
 def elem_from_terms(side, degree, rank, variables, acc) -> GradedElem:
     """The element with one Poly per index tuple of ``acc``, built from that
     tuple's merged ``{exponent tuple: coefficient}`` dict; a tuple that got
-    no terms builds nothing."""
-    comps = {idx: Poly(variables, terms) for idx, terms in acc.items() if terms}
-    return GradedElem(side, degree, rank, variables, comps)
+    no terms builds nothing.  The keys are the caller's own, increasing
+    index tuples and exponent tuples of the right width, so they are not
+    checked again."""
+    comps = {
+        idx: Poly(variables, terms, _checked=True) for idx, terms in acc.items() if terms
+    }
+    return GradedElem(side, degree, rank, variables, comps, _checked=True)
 
 
 def as_side(elem, side) -> GradedElem:
@@ -316,7 +340,9 @@ def as_side(elem, side) -> GradedElem:
     """
     if side == elem.side:
         return elem
-    return GradedElem(side, elem.degree, elem.rank, elem.variables, elem.components)
+    return GradedElem(
+        side, elem.degree, elem.rank, elem.variables, elem.components, _checked=True
+    )
 
 
 # -- multiplicative structure ---------------------------------------------
@@ -392,20 +418,28 @@ def contract_or_zero(theta, v) -> GradedElem:
     return contract(theta, v)
 
 
+@cache
+def _complement(rank, idx, inverse):
+    """The complement J of the index tuple I in ``range(rank)`` and the sign
+    that sorts I + J (J + I when ``inverse``), worked out once per key."""
+    rest = tuple(i for i in range(rank) if i not in idx)
+    return rest, shuffle_sign(rest, idx) if inverse else shuffle_sign(idx, rest)
+
+
 def _relabel(elem, unit, inverse):
     """Send each component on I to the complement J of I, on the other side,
     with its coefficient times ``unit`` and the sign that sorts I + J (J + I
     when ``inverse``); a scale of 1 shares the coefficient."""
     if unit.denominator == 1:
         unit = unit.numerator  # keep integer coefficients in int arithmetic
-    full = set(range(elem.rank))
+    rank = elem.rank
     out = {}
     for idx, coeff in elem.components.items():
-        rest = tuple(sorted(full - set(idx)))
-        scale = unit * (shuffle_sign(rest, idx) if inverse else shuffle_sign(idx, rest))
+        rest, sign = _complement(rank, idx, inverse)
+        scale = unit * sign
         out[rest] = coeff if scale == 1 else coeff * scale
     side = DUAL_SIDE if elem.side == A_SIDE else A_SIDE
-    return GradedElem(side, elem.rank - elem.degree, elem.rank, elem.variables, out)
+    return GradedElem(side, rank - elem.degree, rank, elem.variables, out, _checked=True)
 
 
 def star(omega, vol: Volume) -> GradedElem:

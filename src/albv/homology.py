@@ -80,6 +80,7 @@ __all__ = [
     "betti_table",
     "MAX_BLOCK_SIZE",
     "TableTooLarge",
+    "check_block_size",
     "cohomology_betti",
     "boundary_betti",
     "kb_betti",
@@ -168,6 +169,23 @@ def _block_size(rank, m, k, weights):
     return tuples * sum(_monomial_count(m, v) for v in weights)
 
 
+def check_block_size(rank, m, weights):
+    """Raise ``TableTooLarge`` if the blocks of a rank-``rank`` table on m
+    variables over ``weights`` have more than ``MAX_BLOCK_SIZE`` basis
+    monomials in the middle degree, the degree with the most.  The count
+    comes from binomials, so nothing is built; ``betti_table`` checks each
+    block with it, and the command line checks a table's largest slice with
+    it before the axiom gate."""
+    k = rank // 2
+    size = _block_size(rank, m, k, weights)
+    if size > MAX_BLOCK_SIZE:
+        raise TableTooLarge(
+            "table too large: a block of degree %d and weight at most %d has "
+            "%d basis monomials, above the limit of %d"
+            % (k, max(weights), size, MAX_BLOCK_SIZE)
+        )
+
+
 @dataclass
 class BettiTable:
     """Homology dimensions per (exterior degree k, weight w), exact."""
@@ -247,16 +265,7 @@ def betti_table(
 
     @cache
     def check(weights):
-        """Refuse the blocks over ``weights`` if the largest, in the middle
-        degree, has more than ``MAX_BLOCK_SIZE`` basis monomials."""
-        k = rank // 2
-        size = _block_size(rank, len(variables), k, weights)
-        if size > MAX_BLOCK_SIZE:
-            raise TableTooLarge(
-                "table too large: a block of degree %d and weight at most %d has "
-                "%d basis monomials, above the limit of %d"
-                % (k, max(weights), size, MAX_BLOCK_SIZE)
-            )
+        check_block_size(rank, len(variables), weights)
 
     # the largest slice the shift scan builds
     check((max_weight,))

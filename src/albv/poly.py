@@ -16,11 +16,22 @@ coefficient}`` dict, and the caller builds one Poly from the finished dict;
 cancelled terms are dropped by the constructor.  Poly arithmetic and the
 operators of the other modules share this one merge, so an operator with many
 summands builds one Poly per output coefficient, not one per summand.
+
+Input is validated once, where it enters.  A direct ``Poly(variables,
+terms)`` call, and so ``parse_poly`` and every file or command-line entry,
+checks each exponent tuple (``operator.index`` on each exponent, the width
+against the variables, no negative entry) and coerces each coefficient.
+Closed operations, whose keys the package built itself, pass the private
+keyword ``_checked=True`` instead: Poly arithmetic and ``partial`` here, and
+the operators of ``exterior`` and ``randgen``.  That path still drops zero
+coefficients and stores integral Fractions as ints, so both paths build the
+same Poly from the same terms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from operator import add, index
 
 __all__ = ["Poly", "parse_poly", "PolyParseError", "merge_terms"]
@@ -73,10 +84,19 @@ class Poly:
 
     __slots__ = ("variables", "terms")
 
-    def __init__(self, variables, terms=None):
+    def __init__(self, variables, terms=None, *, _checked=False):
         self.variables = tuple(variables)
         clean = {}
-        if terms:
+        if terms and _checked:
+            # a closed operation's keys are exponent tuples of the right width
+            # and its coefficients are ints and Fractions: only zeros and
+            # integral Fractions need work
+            for expo, coeff in terms.items():
+                if coeff:
+                    if type(coeff) is not int and coeff.denominator == 1:
+                        coeff = coeff.numerator
+                    clean[expo] = coeff
+        elif terms:
             width = len(self.variables)
             # keys are distinct, so each coefficient is kept as given: closed
             # operations merge their terms before they get here
@@ -153,7 +173,8 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_compatible(other)
-        return Poly(self.variables, merge_terms(dict(self.terms), other, scale))
+        terms = merge_terms(dict(self.terms), other, scale)
+        return Poly(self.variables, terms, _checked=True)
 
     def __add__(self, other):
         return self._merged(other, 1)
@@ -161,7 +182,8 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.variables, {e: -c for e, c in self.terms.items()})
+        terms = {e: -c for e, c in self.terms.items()}
+        return Poly(self.variables, terms, _checked=True)
 
     def __sub__(self, other):
         return self._merged(other, -1)
@@ -171,11 +193,11 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Poly(self.variables, merge_terms({}, self, other))
+            return Poly(self.variables, merge_terms({}, self, other), _checked=True)
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_compatible(other)
-        return Poly(self.variables, merge_terms({}, self, 1, other))
+        return Poly(self.variables, merge_terms({}, self, 1, other), _checked=True)
 
     __rmul__ = __mul__
 
@@ -206,7 +228,7 @@ class Poly:
             new[index] = k - 1
             # lowering one exponent is injective, so no two terms meet
             terms[tuple(new)] = coeff * k
-        return Poly(self.variables, terms)
+        return Poly(self.variables, terms, _checked=True)
 
     # -- comparison / display ----------------------------------------------
 
@@ -299,6 +321,23 @@ MAX_NESTING = 100
 # computed, since its cost grows with N even when b is a constant
 MAX_POWER_DEGREE = 100
 
+# a power b^N that could have more terms than this is refused before it is
+# computed, since the degree bound alone lets many variables through:
+# (x+y+z)^43 has 990 terms, while (x+y+z+w)^50 has 23,426 and took 2 s
+MAX_POWER_TERMS = 1000
+
+
+def _power_term_bound(base, exponent):
+    """The most terms ``base ** exponent`` can have.  With t terms in the
+    base, the product of N factors picks a multiset of N of them, at most
+    C(N + t - 1, t - 1) monomials; with m variables it has degree at most
+    N * deg b, at most C(N * deg b + m, m) monomials."""
+    t = len(base.terms)
+    if t == 0:
+        return 1
+    m = len(base.variables)
+    return min(comb(exponent + t - 1, t - 1), comb(exponent * base.degree() + m, m))
+
 
 class _Parser:
     """Recursive-descent parser for the polynomial literal grammar.
@@ -307,7 +346,8 @@ class _Parser:
     the operators + - * / ^ (with / restricted to division by a nonzero
     constant), and parentheses nested at most ``MAX_NESTING`` deep, unary
     signs included.  A power b^N is refused when N * max(deg b, 1) exceeds
-    ``MAX_POWER_DEGREE``.  Whitespace is insignificant; there is no implicit
+    ``MAX_POWER_DEGREE``, or when it could have more than ``MAX_POWER_TERMS``
+    terms.  Whitespace is insignificant; there is no implicit
     multiplication.
     """
 
@@ -381,6 +421,14 @@ class _Parser:
                 raise PolyParseError(
                     "exponent %d on a base of degree %d exceeds the power bound %d"
                     % (exponent, base.degree(), MAX_POWER_DEGREE),
+                    where,
+                )
+            bound = _power_term_bound(base, exponent)
+            if bound > MAX_POWER_TERMS:
+                raise PolyParseError(
+                    "exponent %d on a base of %d terms could give %d terms, "
+                    "above the term bound %d"
+                    % (exponent, len(base.terms), bound, MAX_POWER_TERMS),
                     where,
                 )
             return base ** exponent

@@ -2,7 +2,10 @@
 
 Everything takes an explicit random.Random so runs are reproducible; the
 verify command and the test suite both build their streams from a seed.
-Coefficients are small integers so residuals stay readable.
+Coefficients are small integers so residuals stay readable.  Probe
+polynomials draw from ``getrandbits`` by the rule of ``Random.randrange``
+(``_below``), without its per-call argument handling: every probe is the one
+``randrange`` gives for the seed, so reports stay byte-identical.
 """
 
 from __future__ import annotations
@@ -24,23 +27,44 @@ __all__ = [
 ]
 
 
+def _below(getrandbits, n):
+    """A draw from ``range(n)``, n >= 1, from the bound ``getrandbits`` of a
+    ``random.Random``: the same draw, and the same stream afterwards, as
+    ``Random.randrange(n)``, whose rule this is (k = n.bit_length() bits,
+    drawn again while r >= n), without its argument handling."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def random_poly(rng: random.Random, variables, max_deg=2) -> Poly:
     m = len(variables)
+    if m and max_deg < 0:
+        raise ValueError("max_deg must be nonnegative, got %d" % max_deg)
+    bits = rng.getrandbits
+    top = max_deg + 1
+    k = top.bit_length()
     terms = {}
-    # randrange(a, b + 1) is randint(a, b), one call shorter: same draws
-    for _ in range(rng.randrange(1, 4)):
-        if m == 0:
-            expo = ()
-        else:
-            expo = None
-            while expo is None:
-                cand = tuple([rng.randrange(max_deg + 1) for _ in range(m)])
-                if sum(cand) <= max_deg:
-                    expo = cand
-        coeff = rng.randrange(-3, 4)
+    # the draws of randrange(1, 4), randrange(max_deg + 1), randrange(-3, 4);
+    # the exponent draws spell out _below, the innermost loop of the probes
+    for _ in range(1 + _below(bits, 3)):
+        expo = ()
+        while m:
+            cand = []
+            for _ in range(m):
+                r = bits(k)
+                while r >= top:
+                    r = bits(k)
+                cand.append(r)
+            if sum(cand) <= max_deg:
+                expo = tuple(cand)
+                break
+        coeff = _below(bits, 7) - 3
         if coeff:
             terms[expo] = terms[expo] + coeff if expo in terms else coeff
-    return Poly(variables, terms)
+    return Poly(variables, terms, _checked=True)
 
 
 def random_elem(rng: random.Random, a, side, degree, max_deg=2) -> GradedElem:
@@ -48,7 +72,7 @@ def random_elem(rng: random.Random, a, side, degree, max_deg=2) -> GradedElem:
     for idx in basis_tuples(a.rank, degree):
         if rng.random() < 0.7:
             comps[idx] = random_poly(rng, a.variables, max_deg)
-    return GradedElem(side, degree, a.rank, a.variables, comps)
+    return GradedElem(side, degree, a.rank, a.variables, comps, _checked=True)
 
 
 def random_section(rng: random.Random, a, max_deg=2) -> GradedElem:

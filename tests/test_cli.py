@@ -167,6 +167,20 @@ def test_oversized_power_is_a_usage_error_with_its_line(tmp_path, capsys):
     assert "exceeds the power bound" in captured.err
 
 
+def test_power_with_too_many_terms_is_a_usage_error_with_its_line(tmp_path, capsys):
+    """(x+y+z)^44 is within the degree bound but could have C(46, 2) = 1,035
+    terms, above the term bound."""
+    text = SO3_TEXT.replace('"c": "x"', '"c": "(x+y+z)^44"')
+    path = put(tmp_path, "terms.albv", text)
+    assert main(["validate", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: line 6: bad polynomial '(x+y+z)^44': exponent 44 on a base of 3 "
+        "terms could give 1035 terms, above the term bound 1000 (at position 8)\n"
+    )
+
+
 def test_deeply_nested_polynomial_is_a_usage_error(tmp_path):
     # 2000 nested parentheses used to exhaust the stack inside the parser
     nested = "(" * 2000 + "x" + ")" * 2000
@@ -570,6 +584,37 @@ def test_rank_33_mutant_exits_2_at_once(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr == (
+        "error: table too large: a block of degree 16 and weight at most 0 has "
+        "%d basis monomials, above the limit of %d\n" % (comb(33, 16), MAX_BLOCK_SIZE)
+    )
+
+
+@pytest.mark.parametrize("command", [["cohomology"], ["homology"]])
+def test_table_size_is_refused_before_the_axiom_gate(
+    tmp_path, capsys, monkeypatch, command
+):
+    """The rank-33 mutant's largest slice is counted from the file alone, so
+    the table commands exit 2 without running the structure checks, whose
+    C(33, 3) Jacobi triples used to take most of the run."""
+    from math import comb
+
+    from albv.algebroid import LieAlgebroid
+    from albv.homology import MAX_BLOCK_SIZE
+
+    calls = []
+    validate = LieAlgebroid.validate
+
+    def counting_validate(self):
+        calls.append(self)
+        return validate(self)
+
+    monkeypatch.setattr(LieAlgebroid, "validate", counting_validate)
+    path = put(tmp_path, "sl33.albv", SL2_TEXT.replace("rank = 3", "rank = 33"))
+    assert main(command + [path]) == 2
+    out, err = capsys.readouterr()
+    assert len(calls) == 0
+    assert out == ""
+    assert err == (
         "error: table too large: a block of degree 16 and weight at most 0 has "
         "%d basis monomials, above the limit of %d\n" % (comb(33, 16), MAX_BLOCK_SIZE)
     )

@@ -197,6 +197,29 @@ def test_non_integral_indices_are_refused():
         GradedElem("A", 1, 2, (), {(0.5,): 1, (0,): 2})
 
 
+@pytest.mark.parametrize(
+    "components, message",
+    [
+        ({(0,): 1}, "index tuple (0,) has length 1, expected degree 2"),
+        ({(0, 1, 2): 1}, "index tuple (0, 1, 2) has length 3, expected degree 2"),
+        ({(0, 3): 1}, "index tuple (0, 3) out of range"),
+        ({(-1, 1): 1}, "index tuple (-1, 1) out of range"),
+        ({(1, 0): 1}, "index tuple (1, 0) is not strictly increasing"),
+        ({(1, 1): 1}, "index tuple (1, 1) is not strictly increasing"),
+        (
+            {(0, 1): Poly.constant(1, ("x",))},
+            "variable-list mismatch: ('x',) vs ('x', 'y')",
+        ),
+    ],
+)
+def test_the_constructor_refuses_bad_components(components, message):
+    """A direct constructor call is the validating path: outside input is
+    refused with these messages."""
+    with pytest.raises(ValueError) as exc:
+        GradedElem(A_SIDE, 2, 3, XY, components)
+    assert str(exc.value) == message
+
+
 def test_a_one_component_element_builds_no_poly(monkeypatch):
     """The constructor keeps the Poly it is given: no zero, no sum."""
     coeff = parse_poly("x*y", XY)

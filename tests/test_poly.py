@@ -1,10 +1,12 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from albv.poly import (
     MAX_NESTING,
     MAX_POWER_DEGREE,
+    MAX_POWER_TERMS,
     Poly,
     PolyParseError,
     merge_terms,
@@ -119,6 +121,61 @@ def test_powers_are_bounded_by_a_parse_error():
         with pytest.raises(PolyParseError, match="power bound %d" % n) as exc:
             parse_poly(text, XY)
         assert exc.value.position == text.index("^") + 1
+
+
+def test_powers_are_bounded_by_their_term_count(monkeypatch):
+    """A power b^N is refused, before it is computed, when it could have
+    more than ``MAX_POWER_TERMS`` terms: the fewer of C(N + t - 1, t - 1),
+    the multisets of N of the t terms of b, and C(N deg b + m, m), the
+    monomials of degree at most N deg b in m variables."""
+    xyzw = ("x", "y", "z", "w")
+    # a linear base of 3 terms: the multiset count is the smaller, and exact
+    assert len(parse_poly("(x+y+z)^43", xyzw).terms) == comb(45, 2) <= MAX_POWER_TERMS
+    # six terms of degree at most 2 in two variables: the monomial count is
+    # the smaller, and exact
+    base = "(1+x+y+x*y+x^2+y^2)"
+    assert len(parse_poly(base + "^20", XY).terms) == comb(42, 2) <= MAX_POWER_TERMS
+    assert len(parse_poly("(x+y)^100", XY).terms) == 101
+    power = Poly.__pow__
+
+    def small_powers_only(p, n):
+        if n > 2:
+            pytest.fail("power computed")
+        return power(p, n)
+
+    monkeypatch.setattr(Poly, "__pow__", small_powers_only)
+    refused = [
+        ("(x+y+z)^44", xyzw, 3, comb(46, 2)),
+        ("(x+y+z+w)^50", xyzw, 4, comb(53, 3)),
+        (base + "^30", XY, 6, comb(62, 2)),
+    ]
+    for text, variables, t, bound in refused:
+        assert bound > MAX_POWER_TERMS
+        with pytest.raises(PolyParseError) as exc:
+            parse_poly(text, variables)
+        exponent = int(text[text.rindex("^") + 1 :])
+        assert str(exc.value) == (
+            "exponent %d on a base of %d terms could give %d terms, above the term "
+            "bound %d (at position %d)"
+            % (exponent, t, bound, MAX_POWER_TERMS, text.rindex("^") + 1)
+        )
+
+
+@pytest.mark.parametrize(
+    "terms, message",
+    [
+        ({(1,): 1}, "exponent tuple (1,) does not match variables ('x', 'y')"),
+        ({(1, 0, 0): 1}, "exponent tuple (1, 0, 0) does not match variables ('x', 'y')"),
+        ({(1, -1): 1}, "negative exponent in (1, -1)"),
+        ({(0, 0): 1, (-2, 3): 1}, "negative exponent in (-2, 3)"),
+    ],
+)
+def test_the_constructor_refuses_bad_exponent_tuples(terms, message):
+    """A direct constructor call is the validating path: outside input is
+    refused with these messages."""
+    with pytest.raises(ValueError) as exc:
+        Poly(XY, terms)
+    assert str(exc.value) == message
 
 
 def test_empty_variable_tuple_is_plain_rationals():
