@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from operator import index
 
 from .exterior import (
     A_SIDE,
@@ -149,6 +150,11 @@ class LieAlgebroid:
             if any(not c.is_zero for c in comps):
                 clean[(i, j)] = comps
         self.structure = dict(sorted(clean.items()))
+        # fixed by the structure, so built on the first request and shared:
+        # frame, coframe and top elements and volumes, and the table rows of
+        # the differential, which ``rows.differential_rows`` compiles
+        self._fixed = {}
+        self._rows = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -162,11 +168,25 @@ class LieAlgebroid:
     def zero_poly(self) -> Poly:
         return Poly.zero(self.variables)
 
+    def _kept(self, key, build):
+        """The fixed element stored under ``key``, from ``build()`` on the
+        first request; elements are immutable, so every caller shares it."""
+        out = self._fixed.get(key)
+        if out is None:
+            out = self._fixed[key] = build()
+        return out
+
     def frame(self, i) -> GradedElem:
-        return frame_elem(i, self.rank, self.variables)
+        i = index(i)
+        return self._kept(
+            ("frame", i), lambda: frame_elem(i, self.rank, self.variables)
+        )
 
     def coframe(self, i) -> GradedElem:
-        return coframe_elem(i, self.rank, self.variables)
+        i = index(i)
+        return self._kept(
+            ("coframe", i), lambda: coframe_elem(i, self.rank, self.variables)
+        )
 
     def scalar(self, value, side=A_SIDE) -> GradedElem:
         return scalar_elem(_coerce_poly(value, self.variables), side, self.rank)
@@ -175,10 +195,18 @@ class LieAlgebroid:
         return GradedElem.zero(side, degree, self.rank, self.variables)
 
     def top(self, side=A_SIDE, coeff=1) -> GradedElem:
-        return top_elem(self.rank, self.variables, side, coeff)
+        # the type is in the key, so a coefficient that ``top_elem`` refuses
+        # (a float) is not served the element of an equal int
+        return self._kept(
+            ("top", side, type(coeff), coeff),
+            lambda: top_elem(self.rank, self.variables, side, coeff),
+        )
 
     def volume(self, coeff=1) -> Volume:
-        return Volume(Fraction(coeff), self.rank, self.variables)
+        coeff = Fraction(coeff)
+        return self._kept(
+            ("volume", coeff), lambda: Volume(coeff, self.rank, self.variables)
+        )
 
     def structure_coeff(self, i, j, k) -> Poly:
         """Coefficient of the k-th frame section in the bracket of i and j."""
@@ -216,7 +244,7 @@ class LieAlgebroid:
         row = self._anchor_rows[i]
         if len(row) == 1 and row[0][1] is None:
             return f.partial(row[0][0])  # one unit entry: the partial itself
-        return Poly(self.variables, self.anchor_terms({}, i, f))
+        return Poly(self.variables, self.anchor_terms({}, i, f), _checked=True)
 
     def anchor_apply(self, x: GradedElem, f: Poly) -> Poly:
         if x.side != A_SIDE or x.degree != 1:
@@ -224,7 +252,7 @@ class LieAlgebroid:
         terms = {}
         for (i,), coeff in x.components.items():
             merge_terms(terms, coeff, 1, self.anchor_frame(i, f))
-        return Poly(self.variables, terms)
+        return Poly(self.variables, terms, _checked=True)
 
     # -- bracket of sections ----------------------------------------------
 
@@ -391,6 +419,7 @@ class PoissonStructure:
         self.components = dict(sorted(clean.items()))
         self._elem = GradedElem(A_SIDE, 2, m, self.variables, self.components)
         self._cotangent = None  # built unchecked on the first request
+        self._kb_rows = None  # compiled by ``rows.kb_rows`` on the first request
         if check:
             bad = self.jacobiator()
             if not bad.is_zero:

@@ -58,6 +58,7 @@ class TopConnection:
         if alpha.rank != algebroid.rank or alpha.variables != algebroid.variables:
             raise ValueError("connection form does not live on this structure")
         self.alpha = alpha
+        self._rows = None  # compiled by ``rows.boundary_rows`` on the first request
 
     def operator(self):
         return lambda u: generating_operator(self, u)

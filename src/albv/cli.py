@@ -4,10 +4,11 @@ Subcommands: ``validate``, ``cohomology``, ``homology``, ``modular``,
 ``star`` and ``verify``, each taking an .albv file.  Exit status is 0 when
 every reported check passes, 1 when any check fails, and 2 for usage or
 parse problems (a ``--trials`` above ``MAX_TRIALS`` among them) and for a
-table above ``homology.MAX_BLOCK_SIZE``.  With ``--json`` the report is a
-single JSON object with the keys ``command``, ``checks``, ``tables`` and
-``sign_s``; without it the same content is printed as plain lines.  Output
-is deterministic for a fixed file and seed.
+table above ``homology.MAX_BLOCK_SIZE``, ``verify``'s duality tables at
+weight 2 included.  With ``--json`` the report is a single JSON object
+with the keys ``command``, ``checks``, ``tables`` and ``sign_s``; without
+it the same content is printed as plain lines.  Output is deterministic for
+a fixed file and seed.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import cache
 
 from .albvfile import Document, DocumentError
 from .exterior import DUAL_SIDE, GradedElem, basis_tuples, star
@@ -184,18 +186,23 @@ def _structure_gate(report, a, pi):
 
 
 def _check_table_size(args, doc):
-    """Refuse a table command whose largest weight slice is above the block
-    limit, from the file alone: the first check the table makes, made before
-    the axiom gate, whose cost grows with the cube of the rank."""
+    """Refuse a command whose largest table slice is above the block limit,
+    from the file alone: the first check a table makes, made before the
+    axiom gate, whose cost grows with the cube of the rank.  ``verify``'s
+    tables are its duality tables at weight 2, the Poisson one on base
+    forms; it checks them before any suite draws a probe, as the draws grow
+    with the same binomials."""
     m = len(doc.base_vars)
-    if getattr(args, "kb", False):
-        if doc.poisson is None:
-            return  # the handler refuses it
-        rank = m
+    if args.command == "verify":
+        shapes = [(doc.rank, 2)] + ([(m, 2)] if doc.poisson is not None else [])
+    elif getattr(args, "kb", False):
+        # without a bivector the handler refuses it
+        shapes = [(m, args.max_weight)] if doc.poisson is not None else []
     else:
-        rank = doc.rank
-    # a table over no variables has the one weight 0
-    check_block_size(rank, m, (args.max_weight if m else 0,))
+        shapes = [(doc.rank, args.max_weight)]
+    for rank, weight in shapes:
+        # a table over no variables has the one weight 0
+        check_block_size(rank, m, (weight if m else 0,))
 
 
 def _cmd_validate(args, doc, report):
@@ -287,9 +294,14 @@ class _Usage(Exception):
     pass
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     out = sys.stdout
     report = _Report(args.command)
     try:
@@ -302,7 +314,7 @@ def main(argv=None) -> int:
         # those suites contain the axiom check already
         gated = False
     try:
-        if args.command in ("cohomology", "homology"):
+        if args.command in ("cohomology", "homology", "verify"):
             _check_table_size(args, doc)
         if gated:
             a = doc.build_algebroid(check=False)

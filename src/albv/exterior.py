@@ -39,8 +39,9 @@ range, strict order) and each coefficient's variables.  Closed operations,
 whose keys the package built itself, pass the private keyword
 ``_checked=True`` instead: ``elem_from_terms``, ``as_side``, the star
 relabelling, ``GradedElem`` addition, negation and scaling, and
-``randgen``.  That path still drops zero coefficients and sorts the
-components, so both paths build the same element from the same components.
+``randgen``; ``pairing`` builds its Poly the same way.  That path still
+drops zero coefficients and sorts the components, so both paths build the
+same element from the same components.
 """
 
 from __future__ import annotations
@@ -379,7 +380,7 @@ def pairing(theta, u) -> Poly:
         other = u.components.get(idx)
         if other is not None:
             merge_terms(terms, coeff, 1, other)
-    return Poly(u.variables, terms)
+    return Poly(u.variables, terms, _checked=True)
 
 
 def contract(theta, v) -> GradedElem:

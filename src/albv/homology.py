@@ -22,8 +22,13 @@ with the most index tuples, which bounds both sides of the block; above
 ``MAX_BLOCK_SIZE`` basis monomials the table raises ``TableTooLarge``.
 
 The four tables take their row functions from ``rows``, compiled from
-generator data; the operators defined or re-exported here stay as the route
-the checks use and as the oracle of those rows.
+generator data and kept on the structure that fixes them; the operators
+defined or re-exported here stay as the route the checks use and as the
+oracle of those rows.  What a table's shape fixes is kept per shape: the
+basis of each degree and weight, and each block's map from target monomial
+to column, in bounded caches keyed by rank, variable count, degree and
+weights.  Nothing else outlives a table: every table asks each basis
+monomial's row once and ranks each block once.
 
 Also here: the star-conjugation check of the boundary (defined in ``bv``
 and re-exported here), the Koszul-Brylinski operator on base forms, the
@@ -39,7 +44,7 @@ a report needs one call for both modular checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from math import comb
 
 from .algebroid import (
@@ -186,6 +191,29 @@ def check_block_size(rank, m, weights):
         )
 
 
+# The basis of one shape and the index maps of its blocks are fixed by
+# (rank, m, degree, weights), whatever the operator, so tables share them.
+# Both caches are bounded, and nothing writes to what they hand out; the
+# size checks run before either is asked.
+
+
+@lru_cache(maxsize=128)
+def _basis(rank, m, k, w):
+    """(index tuple, exponent tuple) of every basis monomial of degree k and
+    weight w, in table order."""
+    return tuple(
+        (idx, expo) for idx in basis_tuples(rank, k) for expo in _exponents(m, w)
+    )
+
+
+@lru_cache(maxsize=128)
+def _index_map(rank, m, k, weights):
+    """Position of each basis monomial of degree k over ``weights`` in a
+    block's target columns, weights in the given order."""
+    dst = (mono for v in weights for mono in _basis(rank, m, k, v))
+    return {mono: pos for pos, mono in enumerate(dst)}
+
+
 @dataclass
 class BettiTable:
     """Homology dimensions per (exterior degree k, weight w), exact."""
@@ -261,26 +289,19 @@ def betti_table(
     if k_step not in (1, -1):
         raise ValueError("k_step must be +1 or -1")
     variables = tuple(variables)
-    max_weight = 0 if not variables else max_weight
+    m = len(variables)
+    max_weight = 0 if not m else max_weight
 
     @cache
     def check(weights):
-        check_block_size(rank, len(variables), weights)
+        check_block_size(rank, m, weights)
 
     # the largest slice the shift scan builds
     check((max_weight,))
 
     @cache
-    def basis(k, w):
-        return [
-            (idx, expo)
-            for idx in basis_tuples(rank, k)
-            for expo in _exponents(len(variables), w)
-        ]
-
-    @cache
     def images(k, w):
-        return [row(idx, expo) for idx, expo in basis(k, w)]
+        return [row(idx, expo) for idx, expo in _basis(rank, m, k, w)]
 
     shifts = {
         sum(expo) - w
@@ -307,20 +328,19 @@ def betti_table(
         # one-shift targets are slices of weight at most max_weight, and
         # mixed-shift targets have the source's weights
         check(weights)
-        targets = [v + shift for v in weights] if homogeneous else weights
-        dst = [mono for v in targets for mono in basis(k + k_step, v)]
-        index_map = {mono: pos for pos, mono in enumerate(dst)}
+        targets = tuple(v + shift for v in weights) if homogeneous else weights
+        index_map = _index_map(rank, m, k + k_step, targets)
         rows = []
         for v in weights:
             for image in images(k, v):
-                dense = [0] * len(dst)
+                dense = [0] * len(index_map)
                 for key, c in image.items():
                     pos = index_map.get(key)
                     if pos is None:
                         raise ValueError("operator image leaves the expected slice")
                     dense[pos] = c
                 rows.append(dense)
-        return matrix_rank(rows) if rows and dst else 0
+        return matrix_rank(rows) if rows and index_map else 0
 
     @cache
     def rank_out(k, w):
@@ -332,7 +352,7 @@ def betti_table(
     entries = {}
     for k in range(rank + 1):
         for w in range(max_weight + 1):
-            dim = sum(len(basis(k, wp)) for wp in window(w))
+            dim = sum(len(_basis(rank, m, k, wp)) for wp in window(w))
             betti = dim - rank_out(k, w) - rank_out(k - k_step, w - lift)
             if betti < 0:
                 raise ValueError(

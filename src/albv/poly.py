@@ -22,10 +22,12 @@ terms)`` call, and so ``parse_poly`` and every file or command-line entry,
 checks each exponent tuple (``operator.index`` on each exponent, the width
 against the variables, no negative entry) and coerces each coefficient.
 Closed operations, whose keys the package built itself, pass the private
-keyword ``_checked=True`` instead: Poly arithmetic and ``partial`` here, and
-the operators of ``exterior`` and ``randgen``.  That path still drops zero
-coefficients and stores integral Fractions as ints, so both paths build the
-same Poly from the same terms.
+keyword ``_checked=True`` instead: Poly arithmetic, ``partial`` and
+``constant`` (after coercing its value) here, the operators of ``exterior``
+(``pairing`` among them) and ``randgen``, and the anchor images of
+``LieAlgebroid``.  That path still drops zero coefficients and stores
+integral Fractions as ints, so both paths build the same Poly from the same
+terms.
 """
 
 from __future__ import annotations
@@ -123,9 +125,10 @@ class Poly:
     @classmethod
     def constant(cls, value, variables):
         value = _coerce(value)
+        variables = tuple(variables)
         if value == 0:
             return cls(variables)
-        return cls(variables, {(0,) * len(tuple(variables)): value})
+        return cls(variables, {(0,) * len(variables): value}, _checked=True)
 
     @classmethod
     def variable(cls, name, variables):

@@ -31,6 +31,15 @@ sum_mu b_mu x^(b - 1_mu) [D, x_mu], and
 so the row of every monomial x^b e_I follows from the rows of e_I and of
 x_mu e_I.  ``_first_order`` compiles those once per index tuple, and the
 Leibniz code below is only asked at weights 0 and 1.
+
+A row function, with the rows it has compiled, is kept on the structure
+that fixes it, built on the first request like ``PoissonStructure.cotangent``:
+the differential's on its ``LieAlgebroid``, the boundary's on its
+``TopConnection`` and the Koszul-Brylinski operator's on its
+``PoissonStructure``.  Every table on one structure shares them, and they go
+when the structure goes.  A nonzero twist alpha is not fixed by the algebroid,
+so ``differential_rows(a, alpha)`` builds fresh rows; the boundary reaches a
+twist only through its own connection, which keeps them.
 """
 
 from __future__ import annotations
@@ -119,6 +128,8 @@ def _first_order(raw, m):
 def differential_rows(a: LieAlgebroid, alpha: GradedElem | None = None):
     """Rows of the differential of ``a`` on side A* monomials, plus ``alpha ^``.
 
+    Without a twist, or with a zero one, the rows are kept on ``a``.
+
     By the Leibniz rule, d(x^b eps_I) = d(x^b) ^ eps_I + x^b d(eps_I), with
     d(x^b) = sum_mu b_mu x^(b - 1_mu) d x_mu, and d(eps_I) the sum over
     positions s of (-1)^s times eps_I with d eps_{I_s} in place.  The
@@ -128,6 +139,15 @@ def differential_rows(a: LieAlgebroid, alpha: GradedElem | None = None):
     The Leibniz rule is applied at weights 0 and 1 only; ``_first_order``
     extends it to every weight.
     """
+    if alpha:
+        return _leibniz_rows(a, alpha)
+    if a._rows is None:
+        a._rows = _leibniz_rows(a, None)
+    return a._rows
+
+
+def _leibniz_rows(a: LieAlgebroid, alpha):
+    """Rows of d + alpha^ on ``a``, compiled afresh; ``alpha`` may be None."""
     d_coord = [
         _flat({(i,): a.anchor[i][mu] for i in range(a.rank)})
         for mu in range(a.base_dim)
@@ -181,7 +201,8 @@ def _contraction_rows(theta: GradedElem):
 
 
 def boundary_rows(conn: TopConnection):
-    """Rows of ``-star((d + alpha^) star_inv(u))`` on side A monomials.
+    """Rows of ``-star((d + alpha^) star_inv(u))`` on side A monomials, kept
+    on ``conn``.
 
     With the unit reference volume, ``star_inv`` sends e_I to the signed
     coframe monomial on the complement and ``star`` sends eps_J back to the
@@ -189,6 +210,12 @@ def boundary_rows(conn: TopConnection):
     linear over functions, so the conjugate is first order like d + alpha^
     and is asked only at weights 0 and 1.
     """
+    if conn._rows is None:
+        conn._rows = _boundary_rows(conn)
+    return conn._rows
+
+
+def _boundary_rows(conn: TopConnection):
     n = conn.algebroid.rank
     d = differential_rows(conn.algebroid, conn.alpha)
 
@@ -208,11 +235,18 @@ def boundary_rows(conn: TopConnection):
 
 
 def kb_rows(pi: PoissonStructure):
-    """Rows of the Koszul-Brylinski operator i_pi d - d i_pi on base forms.
+    """Rows of the Koszul-Brylinski operator i_pi d - d i_pi on base forms,
+    kept on ``pi``.
 
     The composite is asked only at weights 0 and 1; its d factor is itself
     extended from weights 0 and 1 of the tangent differential.
     """
+    if pi._kb_rows is None:
+        pi._kb_rows = _kb_rows(pi)
+    return pi._kb_rows
+
+
+def _kb_rows(pi: PoissonStructure):
     d = differential_rows(tangent_algebroid(pi.variables))
     i_pi = _contraction_rows(pi.as_elem())
 

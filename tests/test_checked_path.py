@@ -12,6 +12,8 @@ of an element are sorted.
 import random
 from fractions import Fraction
 
+import pytest
+
 from albv.algebroid import PoissonStructure, cotangent_algebroid
 from albv.calculus import differential, schouten
 from albv.exterior import (
@@ -23,6 +25,7 @@ from albv.exterior import (
     contract,
     elem_from_terms,
     frame_action,
+    pairing,
     star,
     star_inv,
     wedge,
@@ -80,13 +83,50 @@ def elem_outputs(rng, a):
     yield elem_from_terms(A_SIDE, u.degree, a.rank, XYZ, acc)
 
 
+def structure_outputs(rng, a):
+    """Outputs of the structure's accessors and anchor, of ``pairing`` and of
+    ``Poly.constant``, which build through the checked path or are kept on
+    the structure."""
+    p = random_poly(rng, XYZ)
+    x = random_elem(rng, a, A_SIDE, 1)
+    u = random_elem(rng, a, A_SIDE, 2)
+    theta = random_elem(rng, a, DUAL_SIDE, 2)
+    values = (0, 3, Fraction(4, 2), Fraction(-1, 3), "2/5")
+    yield from (Poly.constant(c, XYZ) for c in values)
+    yield from (a.frame(i) for i in range(a.rank))
+    yield from (a.coframe(i) for i in range(a.rank))
+    yield from (a.top(), a.top(DUAL_SIDE), a.top(coeff=Fraction(2, 3)))
+    yield from (a.anchor_frame(i, p) for i in range(a.rank))
+    yield from (a.anchor_apply(x, p), pairing(theta, u))
+
+
 def test_closed_operations_pass_the_validating_constructor():
     a = cotangent_algebroid(PoissonStructure(XYZ, SO3))
     seen = nonzero = 0
     for seed in range(20):
         rng = random.Random(seed)
-        for out in list(poly_outputs(rng)) + list(elem_outputs(rng, a)):
+        outputs = list(poly_outputs(rng)) + list(elem_outputs(rng, a))
+        for out in outputs + list(structure_outputs(rng, a)):
             rebuilds(out)
             seen += 1
             nonzero += bool(out)
     assert nonzero > seen * 3 // 4
+
+
+def test_fixed_elements_are_built_once_per_structure():
+    a = cotangent_algebroid(PoissonStructure(XYZ, SO3))
+    assert a.frame(0) is a.frame(0)
+    assert a.coframe(2) is a.coframe(2)
+    assert a.top(DUAL_SIDE) is a.top(DUAL_SIDE)
+    assert a.volume(-1) is a.volume(Fraction(-1))
+    assert a.frame(0) is not a.frame(1)
+    assert a.top() is not a.top(DUAL_SIDE)
+    assert a.volume(1) == Volume(1, a.rank, XYZ)
+    # what the builders refuse is refused again, not served from the store
+    for bad in (-1, a.rank):
+        with pytest.raises(ValueError):
+            a.frame(bad)
+    with pytest.raises(TypeError):
+        a.frame(1.0)
+    with pytest.raises(TypeError):
+        a.top(coeff=1.0)

@@ -589,13 +589,15 @@ def test_rank_33_mutant_exits_2_at_once(tmp_path):
     )
 
 
-@pytest.mark.parametrize("command", [["cohomology"], ["homology"]])
+@pytest.mark.parametrize("command", [["cohomology"], ["homology"], ["verify"]])
 def test_table_size_is_refused_before_the_axiom_gate(
     tmp_path, capsys, monkeypatch, command
 ):
     """The rank-33 mutant's largest slice is counted from the file alone, so
     the table commands exit 2 without running the structure checks, whose
-    C(33, 3) Jacobi triples used to take most of the run."""
+    C(33, 3) Jacobi triples used to take most of the run.  ``verify`` counts
+    its duality tables' slices the same way, before any suite draws a probe
+    of degree up to 33."""
     from math import comb
 
     from albv.algebroid import LieAlgebroid
@@ -618,6 +620,31 @@ def test_table_size_is_refused_before_the_axiom_gate(
         "error: table too large: a block of degree 16 and weight at most 0 has "
         "%d basis monomials, above the limit of %d\n" % (comb(33, 16), MAX_BLOCK_SIZE)
     )
+
+
+def test_verify_counts_the_base_forms_table_of_its_bivector(
+    tmp_path, capsys, monkeypatch
+):
+    """A rank-1 structure over 3-space with the so(3)* bivector: its own
+    weight-2 slices have C(4, 2) = 6 basis monomials, but the
+    Koszul-Brylinski table on base forms has 3 C(4, 2) = 18 in degree 1, so
+    ``verify`` refuses the file when the limit is one below that."""
+    import albv.homology
+
+    text = SO3_TEXT.replace(
+        'kind = "tangent"', 'kind = "custom"\nrank = 1\nanchor = [["0", "0", "0"]]'
+    )
+    path = put(tmp_path, "line.albv", text)
+    monkeypatch.setattr(albv.homology, "MAX_BLOCK_SIZE", 17)
+    assert main(["verify", path, "--suite", "core", "--trials", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: table too large: a block of degree 1 and weight at most 2 has "
+        "18 basis monomials, above the limit of 17\n"
+    )
+    monkeypatch.setattr(albv.homology, "MAX_BLOCK_SIZE", 18)
+    assert main(["verify", path, "--suite", "core", "--trials", "1"]) == 0
 
 
 def test_verify_reports_the_first_failing_probe(tmp_path, capsys, monkeypatch):

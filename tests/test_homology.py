@@ -276,6 +276,23 @@ def test_compiled_rows_equal_the_operator_images():
     assert seen == 4 * 280 + 2 * 160 + 2 * 60 + 6 * 40 + 2 * 8
 
 
+def test_rows_are_kept_on_the_structure_that_fixes_them():
+    so3 = PoissonStructure(("x", "y", "z"), {(0, 1): "z", (1, 2): "x", (0, 2): "-y"})
+    cot = so3.cotangent()
+    conn = TopConnection(cot)
+    plane = tangent_algebroid(XY)
+    alpha = plane.poly("x") * plane.coframe(1)
+    assert kb_rows(so3) is kb_rows(so3)
+    assert differential_rows(cot) is differential_rows(cot)
+    assert differential_rows(cot, cot.zero_elem(DUAL_SIDE, 1)) is differential_rows(cot)
+    assert boundary_rows(conn) is boundary_rows(conn)
+    assert boundary_rows(TopConnection(cot)) is not boundary_rows(conn)
+    # a twist is not fixed by the algebroid: its rows are kept on its connection
+    assert differential_rows(plane, alpha) is not differential_rows(plane, alpha)
+    twisted = TopConnection(plane, alpha)
+    assert boundary_rows(twisted) is boundary_rows(twisted)
+
+
 def test_kb_table_builds_no_element_per_basis_monomial(monkeypatch):
     """so(3)* has 160 basis monomials up to weight 3 and 448 up to weight 5;
     the Poly and GradedElem objects a table builds do not depend on that."""
@@ -304,14 +321,33 @@ def test_tables_sort_no_index_tuple_per_basis_monomial(monkeypatch):
     The rows of every other weight follow from those by the first-order
     rule, so the ``sort_with_sign`` calls of a table do not depend on its
     top weight: so(3)* has 160 basis monomials up to weight 3 and 448 up to
-    weight 5.
+    weight 5.  Rows are kept on the structure that fixes them, so each
+    weight gets fresh structures (the tangent algebroid, shared per variable
+    tuple, included), and a second table on the same structures sorts
+    nothing.
     """
+    import albv.algebroid
     import albv.rows
 
     xyz = ("x", "y", "z")
-    so3 = PoissonStructure(xyz, {(0, 1): "z", (1, 2): "x", (0, 2): "-y"})
-    cot = TopConnection(cotangent_algebroid(so3))
-    t3 = tangent_algebroid(xyz)
+
+    def so3():
+        albv.algebroid._tangent.cache_clear()
+        return PoissonStructure(xyz, {(0, 1): "z", (1, 2): "x", (0, 2): "-y"})
+
+    def kb_table():
+        pi = so3()
+        return lambda w: kb_betti(pi, w)
+
+    def cohomology_table():
+        albv.algebroid._tangent.cache_clear()
+        t3 = tangent_algebroid(xyz)
+        return lambda w: cohomology_betti(t3, w)
+
+    def boundary_table():
+        cot = TopConnection(cotangent_algebroid(so3()))
+        return lambda w: boundary_betti(cot, w)
+
     sort = albv.rows.sort_with_sign
     calls = []
 
@@ -320,17 +356,90 @@ def test_tables_sort_no_index_tuple_per_basis_monomial(monkeypatch):
         return sort(indices)
 
     monkeypatch.setattr(albv.rows, "sort_with_sign", counting_sort)
-    for table in (
-        lambda w: kb_betti(so3, w),
-        lambda w: cohomology_betti(t3, w),
-        lambda w: boundary_betti(cot, w),
-    ):
-        counts = []
-        for w in (3, 5):
+    counts = {}
+    for w in (3, 5):
+        for pos, fresh in enumerate((kb_table, cohomology_table, boundary_table)):
+            table = fresh()
             calls.clear()
             table(w)
-            counts.append(len(calls))
-        assert counts[0] == counts[1] > 0
+            counts.setdefault(pos, []).append(len(calls))
+            calls.clear()
+            table(w)
+            assert calls == []
+    for first, second in counts.values():
+        assert first == second > 0
+
+
+def shared_structures():
+    """The structures the tables of ``SHARED_TABLES`` are computed on."""
+    xyz = ("x", "y", "z")
+    so3 = PoissonStructure(xyz, {(0, 1): "z", (1, 2): "x", (0, 2): "-y"})
+    t3 = tangent_algebroid(xyz)
+    plane = tangent_algebroid(XY)
+    return {
+        "so3": so3,
+        "t3": t3,
+        "cot": TopConnection(cotangent_algebroid(so3)),
+        "t3 trivial": TopConnection(t3),
+        "plane": TopConnection(plane),
+        "mixed plane": TopConnection(plane, plane.coframe(0)),
+    }
+
+
+# the six tables the benchmark times, then the capped boundary table of the
+# plane and the capped table of d + eps1^ on the same plane algebroid
+SHARED_TABLES = {
+    "kb so(3)* w=5": lambda s: kb_betti(s["so3"], 5),
+    "lichnerowicz so(3)* w=3": lambda s: lichnerowicz_betti(s["so3"], 3),
+    "cohomology tangent 3-space w=6": lambda s: cohomology_betti(s["t3"], 6),
+    "boundary cotangent so(3)* w=5": lambda s: boundary_betti(s["cot"], 5),
+    "capped boundary tangent 3-space w=4": lambda s: boundary_betti(
+        s["t3 trivial"], 4, force_capped=True
+    ),
+    "capped boundary cotangent so(3)* w=4": lambda s: boundary_betti(
+        s["cot"], 4, force_capped=True
+    ),
+    "capped boundary plane w=3": lambda s: boundary_betti(
+        s["plane"], 3, force_capped=True
+    ),
+    "mixed plane w=3": lambda s: boundary_betti(s["mixed plane"], 3),
+}
+
+
+def fresh_bench_tables():
+    """Each table of ``SHARED_TABLES`` by name, computed on structures built
+    for it alone and with the shape caches cleared."""
+    import albv.algebroid
+    import albv.homology
+
+    def fresh():
+        for cached in (
+            albv.algebroid._tangent,
+            albv.homology._basis,
+            albv.homology._index_map,
+        ):
+            cached.cache_clear()
+        return shared_structures()
+
+    return {name: table(fresh()) for name, table in SHARED_TABLES.items()}
+
+
+def test_tables_on_shared_structures_equal_tables_on_fresh_ones():
+    """Rows are kept on the structures that fix them and bases and index
+    maps per shape, so no table may read another's: on shared structures,
+    in two interleaved orders, every table equals its fresh computation.
+    The orders put the twisted (mixed-shift) plane table right after the
+    untwisted boundary table of the same algebroid, and the Koszul-Brylinski
+    and Lichnerowicz tables of one bivector next to each other."""
+    expected = fresh_bench_tables()
+    shared = shared_structures()
+    names = list(SHARED_TABLES)
+    order = names + names[::-1] + names[::2] + names[1::2]
+    for name in order:
+        got = SHARED_TABLES[name](shared)
+        assert got == expected[name], name
+    assert expected["mixed plane w=3"].capped
+    assert expected["mixed plane w=3"] != expected["capped boundary plane w=3"]
 
 
 def test_weight_raising_operator_is_refused():
