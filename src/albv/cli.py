@@ -1,14 +1,18 @@
 """Command line front end.
 
 Subcommands: ``validate``, ``cohomology``, ``homology``, ``modular``,
-``star`` and ``verify``, each taking an .albv file.  Exit status is 0 when
-every reported check passes, 1 when any check fails, and 2 for usage or
-parse problems (a ``--trials`` above ``MAX_TRIALS`` among them) and for a
-table above ``homology.MAX_BLOCK_SIZE``, ``verify``'s duality tables at
-weight 2 included.  With ``--json`` the report is a single JSON object
-with the keys ``command``, ``checks``, ``tables`` and ``sign_s``; without
-it the same content is printed as plain lines.  Output is deterministic for
-a fixed file and seed.
+``star`` and ``verify``, each taking an .albv file.  ``main`` builds the
+file's algebroid and bivector once, for the structure gate and the handler.
+The gate is ``verify.structure_gate``; it opens every command but
+``validate``, which prints its report, and ``verify --suite algebroid|all``,
+whose algebroid suite opens with it; ``--no-validate`` skips it.  Exit
+status is 0 when every reported check passes, 1 when any check fails, and 2
+for usage or parse problems (a ``--trials`` above ``MAX_TRIALS`` among them)
+and for a table above ``homology.MAX_BLOCK_SIZE``, ``verify``'s duality
+tables at ``verify.TABLE_WEIGHT`` included.  Every command prints one
+``verify.Report``: with ``--json`` a single JSON object with the keys
+``command``, ``checks``, ``tables`` and ``sign_s``, without it the same
+content as plain lines.  Output is deterministic for a fixed file and seed.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .homology import (
 )
 from .bv import curvature
 from .poly import Poly
-from .verify import SUITES, CheckResult, run_suites
+from .verify import SUITES, TABLE_WEIGHT, Report, run_suites, structure_gate
 
 __all__ = ["main", "build_parser"]
 
@@ -137,64 +141,18 @@ class _StarTable:
         return {"operator": "star", "degree": self.degree, "entries": self.entries}
 
 
-class _Report:
-    """Checks as ``CheckResult``; tables as objects with ``to_text``/``to_json``."""
-
-    def __init__(self, command):
-        self.command = command
-        self.checks = []
-        self.tables = []
-        self.sign = None
-        self.info = []
-
-    def record(self, name, failures):
-        self.checks.append(CheckResult.of(name, failures))
-
-    @property
-    def failed(self) -> bool:
-        return any(not c.ok for c in self.checks)
-
-    def to_json(self):
-        return {
-            "command": self.command,
-            "checks": [c.to_json() for c in self.checks],
-            "tables": [t.to_json() for t in self.tables],
-            "sign_s": self.sign,
-        }
-
-    def print_text(self, out):
-        for check in self.checks:
-            print(check.line(), file=out)
-        for line in self.info:
-            print(line, file=out)
-        if self.sign is not None:
-            print("sign_s: %+d" % self.sign, file=out)
-        for table in self.tables:
-            print(table.to_text(), file=out)
-
-
-def _structure_gate(report, a, pi):
-    """Add the axiom and bivector checks to the report; returns the axiom report."""
-    vreport = a.validate()
-    report.record("axioms", vreport.failures)
-    if pi is not None:
-        bad = pi.jacobiator()
-        report.record(
-            "bivector-self-commutes", [] if bad.is_zero else ["self-bracket is %s" % bad]
-        )
-    return vreport
-
-
 def _check_table_size(args, doc):
     """Refuse a command whose largest table slice is above the block limit,
     from the file alone: the first check a table makes, made before the
-    axiom gate, whose cost grows with the cube of the rank.  ``verify``'s
-    tables are its duality tables at weight 2, the Poisson one on base
-    forms; it checks them before any suite draws a probe, as the draws grow
-    with the same binomials."""
+    structure gate, whose cost grows with the cube of the rank.  ``verify``'s
+    tables are its duality tables at ``TABLE_WEIGHT``, the Poisson one on
+    base forms; it checks them before any suite draws a probe, as the draws
+    grow with the same binomials."""
     m = len(doc.base_vars)
     if args.command == "verify":
-        shapes = [(doc.rank, 2)] + ([(m, 2)] if doc.poisson is not None else [])
+        shapes = [(doc.rank, TABLE_WEIGHT)]
+        if doc.poisson is not None:
+            shapes.append((m, TABLE_WEIGHT))
     elif getattr(args, "kb", False):
         # without a bivector the handler refuses it
         shapes = [(m, args.max_weight)] if doc.poisson is not None else []
@@ -205,41 +163,28 @@ def _check_table_size(args, doc):
         check_block_size(rank, m, (weight if m else 0,))
 
 
-def _cmd_validate(args, doc, report):
-    a = doc.build_algebroid(check=False)
-    pi = doc.build_poisson(check=False)
-    vreport = _structure_gate(report, a, pi)
-    report.info.extend(vreport.lines())
-    return None
+def _cmd_validate(args, doc, report, a, pi):
+    report.info.extend(structure_gate(report, a, pi).lines())
 
 
-def _cmd_cohomology(args, doc, report):
-    a = doc.build_algebroid(check=False)
-    table = cohomology_betti(a, args.max_weight)
-    report.tables.append(table)
-    return None
+def _cmd_cohomology(args, doc, report, a, pi):
+    report.tables.append(cohomology_betti(a, args.max_weight))
 
 
-def _cmd_homology(args, doc, report):
-    a = doc.build_algebroid(check=False)
+def _cmd_homology(args, doc, report, a, pi):
     if args.kb:
-        pi = doc.build_poisson(check=False)
         if pi is None:
             raise _Usage("homology --kb needs a [poisson] section")
-        table = kb_betti(pi, args.max_weight)
-    else:
-        conn = doc.build_connection(a)
-        r = curvature(conn)
-        report.record("flat-connection", [] if r.is_zero else ["curvature %s" % r])
-        if not r.is_zero:
-            return None
-        table = boundary_betti(conn, args.max_weight)
-    report.tables.append(table)
-    return None
+        report.tables.append(kb_betti(pi, args.max_weight))
+        return
+    conn = doc.build_connection(a)
+    r = curvature(conn)
+    report.record("flat-connection", [] if r.is_zero else ["curvature %s" % r])
+    if r.is_zero:
+        report.tables.append(boundary_betti(conn, args.max_weight))
 
 
-def _cmd_modular(args, doc, report):
-    pi = doc.build_poisson(check=False)
+def _cmd_modular(args, doc, report, a, pi):
     if pi is None:
         raise _Usage("modular needs a [poisson] section")
     outcome = modular_relation_check(pi)
@@ -247,11 +192,9 @@ def _cmd_modular(args, doc, report):
     report.record("modular-field-closed", outcome["closed_failures"])
     report.record("modular-relation", outcome["failures"])
     report.sign = outcome["sign"]
-    return None
 
 
-def _cmd_star(args, doc, report):
-    a = doc.build_algebroid(check=False)
+def _cmd_star(args, doc, report, a, pi):
     if not 0 <= args.degree <= a.rank:
         raise _Usage("--degree must lie between 0 and %d" % a.rank)
     vol = doc.build_volume(a)
@@ -265,17 +208,14 @@ def _cmd_star(args, doc, report):
         label = "^".join("eps%d" % (i + 1) for i in idx) or "1"
         records.append({"input": "*(%s)" % label, "output": str(image)})
     report.tables.append(_StarTable(args.degree, records))
-    return None
 
 
-def _cmd_verify(args, doc, report):
-    results, sign, tables = run_suites(
+def _cmd_verify(args, doc, report, a, pi):
+    checks, report.sign, tables = run_suites(
         doc, args.suite, args.trials, args.seed, args.max_deg
     )
-    report.checks.extend(results)
-    report.sign = sign
+    report.checks.extend(checks)
     report.tables.extend(tables)
-    return None
 
 
 _HANDLERS = {
@@ -302,44 +242,41 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    out = sys.stdout
-    report = _Report(args.command)
+    command = args.command
+    report = Report(command)
     try:
         doc = Document.load(args.file)
     except (DocumentError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    gated = args.command in _GATED and not args.no_validate
-    if args.command == "verify" and getattr(args, "suite", None) in ("algebroid", "all"):
-        # those suites contain the axiom check already
-        gated = False
+    gated = command in _GATED and not args.no_validate
+    # verify's algebroid suite opens with the same gate
+    gated = gated and getattr(args, "suite", None) not in ("algebroid", "all")
     try:
-        if args.command in ("cohomology", "homology", "verify"):
+        if command in ("cohomology", "homology", "verify"):
             _check_table_size(args, doc)
-        if gated:
+        # one build of each structure the gate or the handler reads; verify's
+        # suites build their own
+        a = pi = None
+        if gated or command in ("validate", "cohomology", "homology", "star"):
             a = doc.build_algebroid(check=False)
+        if gated or command in ("validate", "modular") or getattr(args, "kb", False):
             pi = doc.build_poisson(check=False)
-            _structure_gate(report, a, pi)
-            if report.failed:
-                _finish(report, args, out)
-                return 1
-        handler = _HANDLERS[args.command]
-        handler(args, doc, report)
+        if gated:
+            structure_gate(report, a, pi)
+        if not report.failed:
+            _HANDLERS[command](args, doc, report, a, pi)
     except (_Usage, TableTooLarge) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except ValueError as exc:
         report.record("computation", [str(exc)])
-    _finish(report, args, out)
-    return 1 if report.failed else 0
-
-
-def _finish(report, args, out):
     if args.json:
-        json.dump(report.to_json(), out, indent=2, sort_keys=False)
-        print(file=out)
+        json.dump(report.to_json(), sys.stdout, indent=2, sort_keys=False)
+        print()
     else:
-        report.print_text(out)
+        report.print_text(sys.stdout)
+    return 1 if report.failed else 0
 
 
 if __name__ == "__main__":

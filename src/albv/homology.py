@@ -140,13 +140,15 @@ def _exponents(m, w):
 
 
 def monomial_basis_elems(variables, rank, side, degree, weight):
-    """All basis monomials x^beta e_I (or eps_I) of one degree and weight."""
-    out = []
-    for idx in basis_tuples(rank, degree):
-        for expo in _exponents(len(variables), weight):
-            coeff = Poly(variables, {expo: 1})
-            out.append(GradedElem(side, degree, rank, variables, {idx: coeff}))
-    return out
+    """All basis monomials x^beta e_I (or eps_I) of one degree and weight, in
+    table order."""
+    return [
+        GradedElem(
+            side, degree, rank, variables,
+            {idx: Poly(variables, {expo: 1}, _checked=True)}, _checked=True,
+        )
+        for idx, expo in _basis(rank, len(variables), degree, weight)
+    ]
 
 
 # Most basis monomials a rank block may have, counted in the middle exterior
@@ -180,7 +182,7 @@ def check_block_size(rank, m, weights):
     monomials in the middle degree, the degree with the most.  The count
     comes from binomials, so nothing is built; ``betti_table`` checks each
     block with it, and the command line checks a table's largest slice with
-    it before the axiom gate."""
+    it before the structure gate."""
     k = rank // 2
     size = _block_size(rank, m, k, weights)
     if size > MAX_BLOCK_SIZE:
@@ -588,22 +590,19 @@ def unimodular_duality_check(pi: PoissonStructure, max_weight=4):
     """Compare Poisson homology with reverse-degree Poisson cohomology.
 
     Only meaningful when the modular field vanishes; otherwise the check is
-    skipped and the modular field reported.
+    skipped and the modular field reported.  Both tables are returned either
+    way.
     """
     nu = modular_vector_field(pi)
-    if not nu.is_zero:
-        return {
-            "ok": True,
-            "skipped": True,
-            "modular_field": str(nu),
-            "mismatches": [],
-        }
     hom = kb_betti(pi, max_weight)
     coh = lichnerowicz_betti(pi, max_weight)
-    mismatches = _mismatches(hom, coh, "homology", "cohomology", reverse=True)
+    skipped = not nu.is_zero
+    mismatches = (
+        [] if skipped else _mismatches(hom, coh, "homology", "cohomology", reverse=True)
+    )
     return {
         "ok": not mismatches,
-        "skipped": False,
+        "skipped": skipped,
         "modular_field": str(nu),
         "homology": hom,
         "cohomology": coh,

@@ -1,9 +1,17 @@
-"""Deterministic identity suites over a parsed problem file.
+"""Deterministic identity suites over a parsed problem file, and the report
+every command prints.
 
 Each suite draws seeded probes, evaluates the exact identities, and records
 one result per identity.  The same seed always produces the same probes, the
 same ordering, and hence byte-identical reports.  These functions back the
 ``verify`` command; the tests reach them through ``cli.main``.
+
+A ``Report`` holds what a command prints: ``CheckResult`` lines, tables, the
+modular sign and plain info lines.  ``structure_gate`` records the checks
+every later line rests on, ``axioms`` and, with a bivector,
+``bivector-self-commutes``; the command line gates its commands with it, and
+the ``algebroid`` suite opens with it.  A suite session is a ``Report``, so
+the suites record straight into it.
 
 Most identities are laws: a local function draws one probe and returns the
 identity's residual on it; ``_Session.law`` calls it once per probe and lists
@@ -43,9 +51,7 @@ from .exterior import (
 from .homology import (
     boundary,
     duality_check,
-    kb_betti,
     koszul_brylinski,
-    lichnerowicz_betti,
     modular_relation_check,
     star_conjugation_check,
     unimodular_duality_check,
@@ -57,9 +63,14 @@ from .randgen import (
     random_section,
 )
 
-__all__ = ["CheckResult", "SUITES", "run_suites"]
+__all__ = [
+    "CheckResult", "Report", "SUITES", "TABLE_WEIGHT", "run_suites", "structure_gate"
+]
 
 SUITES = ("core", "algebroid", "bv", "homology", "all")
+
+# weight of the duality tables the homology suite builds and reports
+TABLE_WEIGHT = 2
 
 
 @dataclass
@@ -97,8 +108,59 @@ class CheckResult:
         return text
 
 
-class _Session:
+class Report:
+    """What a command prints: checks as ``CheckResult``, in order; tables as
+    objects with ``to_text``/``to_json``; the modular sign; info lines."""
+
+    def __init__(self, command):
+        self.command = command
+        self.checks = []
+        self.tables = []
+        self.sign = None
+        self.info = []
+
+    def record(self, name, failures):
+        self.checks.append(CheckResult.of(name, failures))
+
+    @property
+    def failed(self) -> bool:
+        return any(not c.ok for c in self.checks)
+
+    def to_json(self):
+        return {
+            "command": self.command,
+            "checks": [c.to_json() for c in self.checks],
+            "tables": [t.to_json() for t in self.tables],
+            "sign_s": self.sign,
+        }
+
+    def print_text(self, out):
+        for check in self.checks:
+            print(check.line(), file=out)
+        for line in self.info:
+            print(line, file=out)
+        if self.sign is not None:
+            print("sign_s: %+d" % self.sign, file=out)
+        for table in self.tables:
+            print(table.to_text(), file=out)
+
+
+def structure_gate(report, a, pi):
+    """Record ``axioms`` for the algebroid and, when there is a bivector,
+    ``bivector-self-commutes``; returns the algebroid's ``ValidationReport``."""
+    vreport = a.validate()
+    report.record("axioms", vreport.failures)
+    if pi is not None:
+        bad = pi.jacobiator()
+        report.record(
+            "bivector-self-commutes", [] if bad.is_zero else ["self-bracket is %s" % bad]
+        )
+    return vreport
+
+
+class _Session(Report):
     def __init__(self, doc: Document, trials, seed, max_deg):
+        super().__init__("verify")
         self.doc = doc
         self.trials = trials
         self.seed = seed
@@ -107,15 +169,9 @@ class _Session:
         self.poisson = doc.build_poisson(check=False)
         self.connection = doc.build_connection(self.algebroid)
         self.volume = doc.build_volume(self.algebroid)
-        self.results = []
-        self.tables = []
-        self.sign = None
 
     def rng(self, label) -> random.Random:
         return random.Random("%s:%s" % (self.seed, label))
-
-    def record(self, name, failures):
-        self.results.append(CheckResult.of(name, failures))
 
     def law(self, name, tag, residual, probes=None):
         """Record ``name`` from ``residual()`` on each of ``probes`` probes
@@ -208,7 +264,7 @@ def _suite_algebroid(s: _Session):
     a = s.algebroid
     rng = s.rng("algebroid")
 
-    s.record("axioms", a.validate().failures)
+    structure_gate(s, a, s.poisson)
 
     def antisymmetry():
         u, v = s.elems(rng, 2)
@@ -367,7 +423,7 @@ def _suite_homology(s: _Session):
     s.record("star-conjugation", outcome["failures"])
 
     try:
-        dual = duality_check(a, max_weight=2)
+        dual = duality_check(a, max_weight=TABLE_WEIGHT)
     except ValueError as exc:
         s.record("homology-cohomology-duality", [str(exc)])
     else:
@@ -382,9 +438,14 @@ def _suite_homology(s: _Session):
     if pi is None:
         return
 
-    form_probes = [
-        s.elems(rng, 1, DUAL_SIDE)[0] for _ in range(s.trials)
-    ]
+    # the Poisson checks act on base forms, drawn on the tangent algebroid
+    # of the base, whatever algebroid the file holds
+    t = pi.tangent()
+
+    def form():
+        return random_elem(rng, t, DUAL_SIDE, rng.randrange(t.rank + 1), s.max_deg)
+
+    form_probes = [form() for _ in range(s.trials)]
 
     walk = iter(form_probes)
     s.law(
@@ -401,9 +462,10 @@ def _suite_homology(s: _Session):
         s.sign = outcome["sign"]
 
     cot = cotangent_algebroid(pi, check=False)
+
     def kb_generating():
-        w1 = s.elems(rng, 1, DUAL_SIDE)[0]
-        w2 = s.elems(rng, 1, DUAL_SIDE)[0]
+        w1 = form()
+        w2 = form()
         sign = -1 if w1.degree % 2 else 1
         bracket = as_side(
             schouten(cot, as_side(w1, A_SIDE), as_side(w2, A_SIDE)), DUAL_SIDE
@@ -417,18 +479,16 @@ def _suite_homology(s: _Session):
 
     s.law("kb-generates-cotangent-bracket", "kb-generating", kb_generating)
 
-    outcome = unimodular_duality_check(pi, max_weight=2)
+    outcome = unimodular_duality_check(pi, max_weight=TABLE_WEIGHT)
     if outcome["skipped"]:
         reason = "modular field %s" % outcome["modular_field"]
-        s.results.append(CheckResult.skip("unimodular-duality", reason))
-        s.tables.append(kb_betti(pi, 2))
-        s.tables.append(lichnerowicz_betti(pi, 2))
+        s.checks.append(CheckResult.skip("unimodular-duality", reason))
     else:
         s.record(
             "unimodular-duality", ["entry %s" % mm for mm in outcome["mismatches"]]
         )
-        s.tables.append(outcome["homology"])
-        s.tables.append(outcome["cohomology"])
+    s.tables.append(outcome["homology"])
+    s.tables.append(outcome["cohomology"])
 
 
 _SUITE_FUNCS = {
@@ -440,11 +500,11 @@ _SUITE_FUNCS = {
 
 
 def run_suites(doc: Document, suite="all", trials=20, seed=0, max_deg=2):
-    """Run one or all suites; returns (results, sign, tables).
+    """Run one or all suites; returns (checks, sign, tables).
 
-    ``results`` are ``CheckResult`` objects and ``tables`` are ``BettiTable``
+    ``checks`` are ``CheckResult`` objects and ``tables`` are ``BettiTable``
     objects, in report order.  A ValueError inside a suite is recorded as a
-    failed ``computation`` check after the results recorded so far, and no
+    failed ``computation`` check after the checks recorded so far, and no
     later suite runs.
     """
     if suite not in SUITES:
@@ -457,4 +517,4 @@ def run_suites(doc: Document, suite="all", trials=20, seed=0, max_deg=2):
         except ValueError as exc:
             session.record("computation", [str(exc)])
             break
-    return session.results, session.sign, session.tables
+    return session.checks, session.sign, session.tables

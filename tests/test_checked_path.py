@@ -30,6 +30,7 @@ from albv.exterior import (
     star_inv,
     wedge,
 )
+from albv.homology import monomial_basis_elems
 from albv.poly import Poly
 from albv.randgen import random_elem, random_frame_matrix, random_poly
 
@@ -111,6 +112,18 @@ def test_closed_operations_pass_the_validating_constructor():
             seen += 1
             nonzero += bool(out)
     assert nonzero > seen * 3 // 4
+
+
+@pytest.mark.parametrize("variables", [(), ("x",), XYZ])
+def test_basis_monomials_pass_the_validating_constructor(variables):
+    seen = 0
+    for side in (A_SIDE, DUAL_SIDE):
+        for degree in range(4):
+            for weight in range(3):
+                for elem in monomial_basis_elems(variables, 3, side, degree, weight):
+                    rebuilds(elem)
+                    seen += 1
+    assert seen == 2 * 8 * {0: 1, 1: 3, 3: 1 + 3 + 6}[len(variables)]
 
 
 def test_fixed_elements_are_built_once_per_structure():

@@ -332,17 +332,92 @@ def test_modular_without_validation_stops_at_a_broken_bivector(tmp_path, capsys)
 
 
 def test_verify_keeps_the_checks_recorded_before_an_error(tmp_path, capsys):
-    """The broken bivector passes every check up to the Koszul-Brylinski
-    square, which fails directly; the modular relation then raises, and the
-    report keeps what came before."""
+    """The algebroid suite's structure gate fails on the broken bivector,
+    every other check up to the Koszul-Brylinski square passes, the square
+    fails directly, the modular relation then raises, and the report keeps
+    what came before."""
     path = put(tmp_path, "broken_pi.albv", BROKEN_PI_TEXT)
     assert main(["verify", path, "--seed", "3", "--trials", "6", "--json"]) == 1
     checks = json.loads(capsys.readouterr().out)["checks"]
     assert sum(c["status"] == "pass" for c in checks) == 23
     failed = [(c["name"], c["witness"]) for c in checks if c["status"] == "fail"]
-    assert [name for name, _ in failed] == ["kb-squares-to-zero", "computation"]
-    assert failed[0][1] == "square probe 3 residual (-2*x)"
-    assert failed[1][1].startswith("cotangent structure checks failed:")
+    assert [name for name, _ in failed] == [
+        "bivector-self-commutes",
+        "kb-squares-to-zero",
+        "computation",
+    ]
+    assert failed[0][1] == "self-bracket is (-2) e1^e2^e3"
+    assert failed[1][1] == "square probe 3 residual (-2*x)"
+    assert failed[2][1].startswith("cotangent structure checks failed:")
+
+
+@pytest.mark.parametrize("suite", ["core", "algebroid", "all"])
+def test_every_verify_suite_gates_the_bivector(tmp_path, capsys, suite):
+    """The command line gates ``--suite core`` and the algebroid suite opens
+    with the same gate, so the broken bivector fails each of them, with the
+    gate's two lines in the same order."""
+    path = put(tmp_path, "broken_pi.albv", BROKEN_PI_TEXT)
+    assert main(["verify", path, "--suite", suite, "--trials", "2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    at = lines.index("axioms: PASS")
+    assert lines[at + 1] == "bivector-self-commutes: FAIL (self-bracket is (-2) e1^e2^e3)"
+
+
+# a rank-1 structure over the plane whose anchor is the Euler field, with
+# the bivector {x,y} = x: the Poisson checks act on forms of the plane
+EULER_LINE_TEXT = """\
+[algebroid]
+kind = "custom"
+base_vars = ["x", "y"]
+rank = 1
+anchor = [["x", "y"]]
+
+[poisson]
+terms = [{"i": 1, "j": 2, "c": "x"}]
+"""
+
+
+def test_verify_draws_the_poisson_probes_on_base_forms(tmp_path, capsys):
+    """Forms drawn on the file's rank-1 algebroid do not live on the
+    bivector's rank-2 tangent algebroid, which used to end the report in a
+    failed ``computation`` check."""
+    path = put(tmp_path, "euler.albv", EULER_LINE_TEXT)
+    assert main(["verify", path, "--seed", "3", "--trials", "4"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "kb-generates-cotangent-bracket: PASS" in lines
+    assert "unimodular-duality: SKIP (modular field (-1) e2)" in lines
+    assert not any(line.startswith("computation") for line in lines)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["cohomology"],
+        ["homology"],
+        ["homology", "--kb"],
+        ["modular"],
+        ["star", "--degree", "1"],
+        ["validate"],
+    ],
+)
+def test_each_command_builds_its_structures_once(tmp_path, capsys, monkeypatch, command):
+    """The structure gate and the handler share one algebroid and one
+    bivector."""
+    from albv.albvfile import Document
+
+    builds = []
+    for name in ("build_algebroid", "build_poisson"):
+        build = getattr(Document, name)
+
+        def counting(self, *args, build=build, name=name, **kwargs):
+            builds.append(name)
+            return build(self, *args, **kwargs)
+
+        monkeypatch.setattr(Document, name, counting)
+    path = put(tmp_path, "plane.albv", PLANE_TEXT)
+    assert main(command + [path]) == (1 if command == ["homology"] else 0)
+    capsys.readouterr()
+    assert sorted(builds) == ["build_algebroid", "build_poisson"]
 
 
 def test_modular_field_is_computed_once_per_modular_check(tmp_path, capsys, monkeypatch):

@@ -696,6 +696,16 @@ def test_unimodular_duality_skips_when_modular_field_survives():
     assert result["modular_field"] == "(1) e1"
 
 
+@pytest.mark.parametrize("c, skipped", [("1", False), ("y", True)])
+def test_unimodular_duality_returns_both_tables_either_way(c, skipped):
+    """A skipped comparison still returns the two tables it would compare."""
+    pi = PoissonStructure(XY, {(0, 1): c})
+    result = unimodular_duality_check(pi, max_weight=2)
+    assert result["skipped"] is skipped
+    assert result["homology"].entries == kb_betti(pi, 2).entries
+    assert result["cohomology"].entries == lichnerowicz_betti(pi, 2).entries
+
+
 def test_anticommutator_defect_is_the_modular_derivative():
     pi = PoissonStructure(XY, {(0, 1): "y"})
     probes = []
