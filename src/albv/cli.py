@@ -1,18 +1,20 @@
 """Command line front end.
 
 Subcommands: ``validate``, ``cohomology``, ``homology``, ``modular``,
-``star`` and ``verify``, each taking an .albv file.  ``main`` builds the
-file's algebroid and bivector once, for the structure gate and the handler.
-The gate is ``verify.structure_gate``; it opens every command but
-``validate``, which prints its report, and ``verify --suite algebroid|all``,
-whose algebroid suite opens with it; ``--no-validate`` skips it.  Exit
-status is 0 when every reported check passes, 1 when any check fails, and 2
-for usage or parse problems (a ``--trials`` above ``MAX_TRIALS`` among them)
-and for a table above ``homology.MAX_BLOCK_SIZE``, ``verify``'s duality
-tables at ``verify.TABLE_WEIGHT`` included.  Every command prints one
-``verify.Report``: with ``--json`` a single JSON object with the keys
-``command``, ``checks``, ``tables`` and ``sign_s``, without it the same
-content as plain lines.  Output is deterministic for a fixed file and seed.
+``star`` and ``verify``, each taking an .albv file.  Usage errors and table
+sizes are decided from the parsed file, before anything is built; ``main``
+then builds the file's algebroid and bivector once, for the structure gate,
+the handler and ``verify``'s suites.  The gate is ``verify.structure_gate``;
+it opens every command but ``validate``, which prints its report, and
+``verify --suite algebroid|all``, whose algebroid suite opens with it;
+``--no-validate`` skips it.  Exit status is 0 when every reported check
+passes, 1 when any check fails, and 2 for usage or parse problems (a
+``--trials`` above ``MAX_TRIALS`` among them) and for a table above
+``homology.MAX_BLOCK_SIZE``, ``verify``'s duality tables at
+``verify.TABLE_WEIGHT`` included.  Every command prints one ``verify.Report``:
+with ``--json`` a single JSON object with the keys ``command``, ``checks``,
+``tables`` and ``sign_s``, without it the same content as plain lines.
+Output is deterministic for a fixed file and seed.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from functools import cache
 from .albvfile import Document, DocumentError
 from .exterior import DUAL_SIDE, GradedElem, basis_tuples, star
 from .homology import (
+    Complex,
     TableTooLarge,
     boundary_betti,
-    check_block_size,
     cohomology_betti,
     kb_betti,
     modular_relation_check,
@@ -141,26 +143,30 @@ class _StarTable:
         return {"operator": "star", "degree": self.degree, "entries": self.entries}
 
 
-def _check_table_size(args, doc):
-    """Refuse a command whose largest table slice is above the block limit,
-    from the file alone: the first check a table makes, made before the
-    structure gate, whose cost grows with the cube of the rank.  ``verify``'s
+def _check_file(args, doc):
+    """Refuse, from the parsed file alone, a command the file cannot serve
+    or whose largest table slice is above the block limit: before the
+    structure gate, whose cost grows with the cube of the rank.  Each table
+    the command prints is counted by building its ``Complex``.  ``verify``'s
     tables are its duality tables at ``TABLE_WEIGHT``, the Poisson one on
-    base forms; it checks them before any suite draws a probe, as the draws
-    grow with the same binomials."""
+    base forms; they are counted before any suite draws a probe, as the
+    draws grow with the same binomials."""
+    kb = getattr(args, "kb", False)
+    if doc.poisson is None and (kb or args.command == "modular"):
+        command = "homology --kb" if kb else "modular"
+        raise _Usage("%s needs a [poisson] section" % command)
+    if args.command == "star" and not 0 <= args.degree <= doc.rank:
+        raise _Usage("--degree must lie between 0 and %d" % doc.rank)
     m = len(doc.base_vars)
+    shapes = []
+    if args.command in ("cohomology", "homology"):
+        shapes.append((m if kb else doc.rank, args.max_weight))
     if args.command == "verify":
-        shapes = [(doc.rank, TABLE_WEIGHT)]
+        shapes.append((doc.rank, TABLE_WEIGHT))
         if doc.poisson is not None:
             shapes.append((m, TABLE_WEIGHT))
-    elif getattr(args, "kb", False):
-        # without a bivector the handler refuses it
-        shapes = [(m, args.max_weight)] if doc.poisson is not None else []
-    else:
-        shapes = [(doc.rank, args.max_weight)]
     for rank, weight in shapes:
-        # a table over no variables has the one weight 0
-        check_block_size(rank, m, (weight if m else 0,))
+        Complex(doc.base_vars, rank, weight)
 
 
 def _cmd_validate(args, doc, report, a, pi):
@@ -173,8 +179,6 @@ def _cmd_cohomology(args, doc, report, a, pi):
 
 def _cmd_homology(args, doc, report, a, pi):
     if args.kb:
-        if pi is None:
-            raise _Usage("homology --kb needs a [poisson] section")
         report.tables.append(kb_betti(pi, args.max_weight))
         return
     conn = doc.build_connection(a)
@@ -185,8 +189,6 @@ def _cmd_homology(args, doc, report, a, pi):
 
 
 def _cmd_modular(args, doc, report, a, pi):
-    if pi is None:
-        raise _Usage("modular needs a [poisson] section")
     outcome = modular_relation_check(pi)
     report.info.append("modular field: %s" % outcome["modular_field"])
     report.record("modular-field-closed", outcome["closed_failures"])
@@ -195,8 +197,6 @@ def _cmd_modular(args, doc, report, a, pi):
 
 
 def _cmd_star(args, doc, report, a, pi):
-    if not 0 <= args.degree <= a.rank:
-        raise _Usage("--degree must lie between 0 and %d" % a.rank)
     vol = doc.build_volume(a)
     records = []
     for idx in basis_tuples(a.rank, args.degree):
@@ -212,7 +212,7 @@ def _cmd_star(args, doc, report, a, pi):
 
 def _cmd_verify(args, doc, report, a, pi):
     checks, report.sign, tables = run_suites(
-        doc, args.suite, args.trials, args.seed, args.max_deg
+        doc, a, pi, args.suite, args.trials, args.seed, args.max_deg
     )
     report.checks.extend(checks)
     report.tables.extend(tables)
@@ -249,18 +249,17 @@ def main(argv=None) -> int:
     except (DocumentError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    kb = getattr(args, "kb", False)
     gated = command in _GATED and not args.no_validate
     # verify's algebroid suite opens with the same gate
     gated = gated and getattr(args, "suite", None) not in ("algebroid", "all")
     try:
-        if command in ("cohomology", "homology", "verify"):
-            _check_table_size(args, doc)
-        # one build of each structure the gate or the handler reads; verify's
-        # suites build their own
+        _check_file(args, doc)
+        # one build of each structure the gate, the handler or the suites read
         a = pi = None
-        if gated or command in ("validate", "cohomology", "homology", "star"):
+        if gated or command != "modular":
             a = doc.build_algebroid(check=False)
-        if gated or command in ("validate", "modular") or getattr(args, "kb", False):
+        if gated or command in ("validate", "modular", "verify") or kb:
             pi = doc.build_poisson(check=False)
         if gated:
             structure_gate(report, a, pi)

@@ -16,19 +16,23 @@ block, each block once.  An operator of one shift s maps weight v into weight
 v + s alone, so its matrix out of any window is block-diagonal over the
 window's weights, and its rank is the sum of the ranks of the weight slices:
 a block is one slice.  A mixed-shift matrix is only block-triangular, so
-there a block is a whole window.  Before a slice or block is built, its
-weights are counted from binomials in the middle exterior degree, the degree
-with the most index tuples, which bounds both sides of the block; above
-``MAX_BLOCK_SIZE`` basis monomials the table raises ``TableTooLarge``.
+there a block is a whole window.
+
+A ``Complex`` is a table's shape, ``(variables, rank, max_weight)``, and
+owns what the shape fixes: the basis of each degree and weight, each block's
+index map (both in bounded caches keyed by shape, shared by every complex of
+that shape), and each block's size.  ``Complex.block_size`` is the one count:
+binomials in the middle exterior degree, the degree with the most index
+tuples, which bounds both sides of a block; above ``MAX_BLOCK_SIZE`` basis
+monomials it raises ``TableTooLarge``.  A complex counts its largest slice
+when built, so the command line refuses a table from the file alone, and
+each block before it is built.  ``betti_table`` is ``Complex(...).table``.
 
 The four tables take their row functions from ``rows``, compiled from
 generator data and kept on the structure that fixes them; the operators
 defined or re-exported here stay as the route the checks use and as the
-oracle of those rows.  What a table's shape fixes is kept per shape: the
-basis of each degree and weight, and each block's map from target monomial
-to column, in bounded caches keyed by rank, variable count, degree and
-weights.  Nothing else outlives a table: every table asks each basis
-monomial's row once and ranks each block once.
+oracle of those rows.  Nothing but the shape's caches outlives a table:
+every table asks each basis monomial's row once and ranks each block once.
 
 Also here: the star-conjugation check of the boundary (defined in ``bv``
 and re-exported here), the Koszul-Brylinski operator on base forms, the
@@ -85,7 +89,7 @@ __all__ = [
     "betti_table",
     "MAX_BLOCK_SIZE",
     "TableTooLarge",
-    "check_block_size",
+    "Complex",
     "cohomology_betti",
     "boundary_betti",
     "kb_betti",
@@ -162,41 +166,10 @@ class TableTooLarge(ValueError):
     """A Betti table would rank a block above ``MAX_BLOCK_SIZE``."""
 
 
-def _monomial_count(m, w):
-    """Number of exponent tuples of m variables and total degree w, by
-    binomials: the length of ``_exponents(m, w)`` without building it."""
-    if w < 0 or (m == 0 and w > 0):
-        return 0
-    return comb(m + w - 1, w) if m else 1
-
-
-def _block_size(rank, m, k, weights):
-    """Basis monomials of exterior degree k and the given weights."""
-    tuples = comb(rank, k) if 0 <= k <= rank else 0
-    return tuples * sum(_monomial_count(m, v) for v in weights)
-
-
-def check_block_size(rank, m, weights):
-    """Raise ``TableTooLarge`` if the blocks of a rank-``rank`` table on m
-    variables over ``weights`` have more than ``MAX_BLOCK_SIZE`` basis
-    monomials in the middle degree, the degree with the most.  The count
-    comes from binomials, so nothing is built; ``betti_table`` checks each
-    block with it, and the command line checks a table's largest slice with
-    it before the structure gate."""
-    k = rank // 2
-    size = _block_size(rank, m, k, weights)
-    if size > MAX_BLOCK_SIZE:
-        raise TableTooLarge(
-            "table too large: a block of degree %d and weight at most %d has "
-            "%d basis monomials, above the limit of %d"
-            % (k, max(weights), size, MAX_BLOCK_SIZE)
-        )
-
-
 # The basis of one shape and the index maps of its blocks are fixed by
-# (rank, m, degree, weights), whatever the operator, so tables share them.
-# Both caches are bounded, and nothing writes to what they hand out; the
-# size checks run before either is asked.
+# (rank, m, degree, weights), whatever the operator, so every ``Complex``
+# of a shape shares them.  Both caches are bounded, and nothing writes to
+# what they hand out; a complex counts a block before either is asked.
 
 
 @lru_cache(maxsize=128)
@@ -265,110 +238,135 @@ class BettiTable:
         }
 
 
+class Complex:
+    """A table's shape: exterior degrees 0 to ``rank`` over ``variables``,
+    weights 0 to ``max_weight``, or 0 alone over no variables.  Building one
+    counts its largest slice, at ``max_weight``, before any row is asked."""
+
+    def __init__(self, variables, rank, max_weight):
+        self.rank = rank
+        self.m = len(variables)
+        self.max_weight = max_weight if self.m else 0
+        # the largest slice the shift scan builds
+        self.block_size((self.max_weight,))
+
+    def block_size(self, weights):
+        """Basis monomials over ``weights`` in the middle exterior degree,
+        the degree with the most index tuples, which bounds both sides of a
+        block.  The count comes from binomials, so nothing is built; above
+        ``MAX_BLOCK_SIZE`` it raises ``TableTooLarge``."""
+        m, k = self.m, self.rank // 2
+        monomials = sum(comb(m + v - 1, v) if m else v == 0 for v in weights if v >= 0)
+        size = comb(self.rank, k) * monomials
+        if size > MAX_BLOCK_SIZE:
+            raise TableTooLarge(
+                "table too large: a block of degree %d and weight at most %d has "
+                "%d basis monomials, above the limit of %d"
+                % (k, max(weights), size, MAX_BLOCK_SIZE)
+            )
+        return size
+
+    def table(self, row, k_step, operator_tag="", force_capped=False) -> BettiTable:
+        """Betti table of one operator of exterior-degree step ``k_step``.
+
+        ``row(idx, expo)`` is the image of the basis monomial x^expo e_idx (or
+        eps_idx) as a sparse row ``{(index tuple, exponent tuple): coefficient}``
+        with no zero coefficients; it is asked once per basis monomial.  Entry
+        (k, w) is the homology at the window of (k, w): ``(w,)`` when the weight
+        shifts of the rows are one shift s, ``range(w + 1)`` when they are mixed
+        or ``force_capped`` is set.  The operator maps the window of (k, w) into
+        that of (k + k_step, w + lift), with lift s, or 0 when capped; the shifts
+        are read off the row keys.  Ranks are exact, one per block: with one
+        shift s the image of weight v lies in weight v + s alone, so the matrix
+        out of a window is block-diagonal and its rank is the sum of the weight
+        slices' ranks, and a capped window reuses the slices of the windows
+        below it; with mixed shifts a block is the whole window.  A negative
+        entry can only come from an operator whose square is nonzero, and raises
+        ValueError.  Each block is counted by ``block_size`` before it is
+        built, as the largest slice was when the complex was.
+        """
+        if k_step not in (1, -1):
+            raise ValueError("k_step must be +1 or -1")
+        rank, m, max_weight = self.rank, self.m, self.max_weight
+
+        @cache
+        def images(k, w):
+            return [row(idx, expo) for idx, expo in _basis(rank, m, k, w)]
+
+        shifts = {
+            sum(expo) - w
+            for k in range(rank + 1)
+            for w in range(max_weight + 1)
+            for image in images(k, w)
+            for _, expo in image
+        }
+        if shifts and max(shifts) > 0:
+            raise ValueError(
+                "operator raises weight by %d; no finite truncation exists" % max(shifts)
+            )
+        homogeneous = len(shifts) <= 1
+        shift = min(shifts, default=0) if homogeneous else None
+        capped = force_capped or not homogeneous
+        lift = 0 if capped else shift
+
+        def window(w):
+            return range(w + 1) if capped else (w,)
+
+        @cache
+        def block_rank(k, weights):
+            """Rank of the operator on the basis of degree k and ``weights``."""
+            # one-shift targets are slices of weight at most max_weight, and
+            # mixed-shift targets have the source's weights
+            self.block_size(weights)
+            targets = tuple(v + shift for v in weights) if homogeneous else weights
+            index_map = _index_map(rank, m, k + k_step, targets)
+            rows = []
+            for v in weights:
+                for image in images(k, v):
+                    dense = [0] * len(index_map)
+                    for key, c in image.items():
+                        pos = index_map.get(key)
+                        if pos is None:
+                            raise ValueError("operator image leaves the expected slice")
+                        dense[pos] = c
+                    rows.append(dense)
+            return matrix_rank(rows) if rows and index_map else 0
+
+        @cache
+        def rank_out(k, w):
+            """Rank of the operator out of the window of (k, w)."""
+            if homogeneous:
+                return sum(block_rank(k, (v,)) for v in window(w))
+            return block_rank(k, tuple(window(w)))
+
+        entries = {}
+        for k in range(rank + 1):
+            for w in range(max_weight + 1):
+                dim = sum(len(_basis(rank, m, k, wp)) for wp in window(w))
+                betti = dim - rank_out(k, w) - rank_out(k - k_step, w - lift)
+                if betti < 0:
+                    raise ValueError(
+                        "operator does not square to zero: entry (%d, %d) would be %d"
+                        % (k, w, betti)
+                    )
+                entries[(k, w)] = betti
+        return BettiTable(
+            entries=entries,
+            rank=rank,
+            max_weight=max_weight,
+            capped=capped,
+            shift=None if capped else shift,
+            operator_tag=operator_tag,
+        )
+
+
 def betti_table(
     variables, rank, row, k_step, max_weight, operator_tag="", force_capped=False
 ) -> BettiTable:
-    """Betti table of one operator of exterior-degree step ``k_step``.
-
-    ``row(idx, expo)`` is the image of the basis monomial x^expo e_idx (or
-    eps_idx) as a sparse row ``{(index tuple, exponent tuple): coefficient}``
-    with no zero coefficients; it is asked once per basis monomial.  Entry
-    (k, w) is the homology at the window of (k, w): ``(w,)`` when the weight
-    shifts of the rows are one shift s, ``range(w + 1)`` when they are mixed
-    or ``force_capped`` is set.  The operator maps the window of (k, w) into
-    that of (k + k_step, w + lift), with lift s, or 0 when capped; the shifts
-    are read off the row keys.  Ranks are exact, one per block: with one
-    shift s the image of weight v lies in weight v + s alone, so the matrix
-    out of a window is block-diagonal and its rank is the sum of the weight
-    slices' ranks, and a capped window reuses the slices of the windows
-    below it; with mixed shifts a block is the whole window.  A negative
-    entry can only come from an operator whose square is nonzero, and raises
-    ValueError.  A table whose largest slice at ``max_weight``, or any block,
-    has more than ``MAX_BLOCK_SIZE`` basis monomials in the middle degree
-    (the degree with the most index tuples) raises ``TableTooLarge``; the
-    sizes come from binomials, before the slice or block is built.
-    """
-    if k_step not in (1, -1):
-        raise ValueError("k_step must be +1 or -1")
-    variables = tuple(variables)
-    m = len(variables)
-    max_weight = 0 if not m else max_weight
-
-    @cache
-    def check(weights):
-        check_block_size(rank, m, weights)
-
-    # the largest slice the shift scan builds
-    check((max_weight,))
-
-    @cache
-    def images(k, w):
-        return [row(idx, expo) for idx, expo in _basis(rank, m, k, w)]
-
-    shifts = {
-        sum(expo) - w
-        for k in range(rank + 1)
-        for w in range(max_weight + 1)
-        for image in images(k, w)
-        for _, expo in image
-    }
-    if shifts and max(shifts) > 0:
-        raise ValueError(
-            "operator raises weight by %d; no finite truncation exists" % max(shifts)
-        )
-    homogeneous = len(shifts) <= 1
-    shift = min(shifts, default=0) if homogeneous else None
-    capped = force_capped or not homogeneous
-    lift = 0 if capped else shift
-
-    def window(w):
-        return range(w + 1) if capped else (w,)
-
-    @cache
-    def block_rank(k, weights):
-        """Rank of the operator on the basis of degree k and ``weights``."""
-        # one-shift targets are slices of weight at most max_weight, and
-        # mixed-shift targets have the source's weights
-        check(weights)
-        targets = tuple(v + shift for v in weights) if homogeneous else weights
-        index_map = _index_map(rank, m, k + k_step, targets)
-        rows = []
-        for v in weights:
-            for image in images(k, v):
-                dense = [0] * len(index_map)
-                for key, c in image.items():
-                    pos = index_map.get(key)
-                    if pos is None:
-                        raise ValueError("operator image leaves the expected slice")
-                    dense[pos] = c
-                rows.append(dense)
-        return matrix_rank(rows) if rows and index_map else 0
-
-    @cache
-    def rank_out(k, w):
-        """Rank of the operator out of the window of (k, w)."""
-        if homogeneous:
-            return sum(block_rank(k, (v,)) for v in window(w))
-        return block_rank(k, tuple(window(w)))
-
-    entries = {}
-    for k in range(rank + 1):
-        for w in range(max_weight + 1):
-            dim = sum(len(_basis(rank, m, k, wp)) for wp in window(w))
-            betti = dim - rank_out(k, w) - rank_out(k - k_step, w - lift)
-            if betti < 0:
-                raise ValueError(
-                    "operator does not square to zero: entry (%d, %d) would be %d"
-                    % (k, w, betti)
-                )
-            entries[(k, w)] = betti
-    return BettiTable(
-        entries=entries,
-        rank=rank,
-        max_weight=max_weight,
-        capped=capped,
-        shift=None if capped else shift,
-        operator_tag=operator_tag,
+    """The table of ``row`` on ``Complex(variables, rank, max_weight)``; see
+    ``Complex.table``.  The four tables below all come through here."""
+    return Complex(variables, rank, max_weight).table(
+        row, k_step, operator_tag, force_capped
     )
 
 

@@ -159,16 +159,16 @@ def structure_gate(report, a, pi):
 
 
 class _Session(Report):
-    def __init__(self, doc: Document, trials, seed, max_deg):
+    def __init__(self, doc: Document, a, pi, trials, seed, max_deg):
         super().__init__("verify")
         self.doc = doc
         self.trials = trials
         self.seed = seed
         self.max_deg = max_deg
-        self.algebroid = doc.build_algebroid(check=False)
-        self.poisson = doc.build_poisson(check=False)
-        self.connection = doc.build_connection(self.algebroid)
-        self.volume = doc.build_volume(self.algebroid)
+        self.algebroid = a
+        self.poisson = pi
+        self.connection = doc.build_connection(a)
+        self.volume = doc.build_volume(a)
 
     def rng(self, label) -> random.Random:
         return random.Random("%s:%s" % (self.seed, label))
@@ -499,8 +499,9 @@ _SUITE_FUNCS = {
 }
 
 
-def run_suites(doc: Document, suite="all", trials=20, seed=0, max_deg=2):
-    """Run one or all suites; returns (checks, sign, tables).
+def run_suites(doc: Document, a, pi, suite="all", trials=20, seed=0, max_deg=2):
+    """Run one or all suites on the algebroid ``a`` and bivector ``pi`` (or
+    None) the command line built from ``doc``; returns (checks, sign, tables).
 
     ``checks`` are ``CheckResult`` objects and ``tables`` are ``BettiTable``
     objects, in report order.  A ValueError inside a suite is recorded as a
@@ -509,7 +510,7 @@ def run_suites(doc: Document, suite="all", trials=20, seed=0, max_deg=2):
     """
     if suite not in SUITES:
         raise ValueError("unknown suite %r" % suite)
-    session = _Session(doc, trials, seed, max_deg)
+    session = _Session(doc, a, pi, trials, seed, max_deg)
     names = [suite] if suite != "all" else ["core", "algebroid", "bv", "homology"]
     for name in names:
         try:

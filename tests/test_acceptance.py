@@ -15,10 +15,12 @@ import json
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from conftest import aff1, heisenberg, sl2
 
+import albv
 from albv.algebroid import (
     PoissonStructure,
     cotangent_algebroid,
@@ -496,7 +498,11 @@ rank = 3
 structure = [{"i": 1, "j": 2, "k": 2, "c": "2"}, {"i": 1, "j": 3, "k": 3, "c": "-2"}, {"i": 2, "j": 3, "k": 1, "c": "1"}]
 """
 
-RUNNER = "import sys\nfrom albv.cli import main\nsys.exit(main(sys.argv[1:]))"
+# the child imports the package this process imports, whatever its
+# environment's path says
+SRC = str(Path(albv.__file__).resolve().parents[1])
+RUNNER = "import sys\nsys.path.insert(0, %r)\nfrom albv.cli import main\n" % SRC
+RUNNER += "sys.exit(main(sys.argv[1:]))"
 
 
 def test_criterion_15_verify_reports_are_byte_identical_for_a_seed(tmp_path):

@@ -12,6 +12,7 @@ import pytest
 
 import albv
 from albv.cli import main
+from albv.verify import SUITES
 
 PLANE_TEXT = """\
 [algebroid]
@@ -306,6 +307,33 @@ def test_modular_needs_a_poisson_section(tmp_path, capsys):
     assert "[poisson]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [SL2_TEXT, BROKEN_TEXT], ids=["sl2", "broken"])
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (["homology", "--kb"], "homology --kb needs a [poisson] section"),
+        (["modular"], "modular needs a [poisson] section"),
+        (["star", "--degree", "5"], "--degree must lie between 0 and 3"),
+    ],
+    ids=["kb", "modular", "star"],
+)
+def test_usage_errors_are_decided_before_the_gate(
+    tmp_path, capsys, monkeypatch, text, command, message
+):
+    """The parsed file already says the section is missing and the rank is
+    3, so no structure is validated before the usage error; a file that
+    would also fail the gate exits 2 for the usage error, not 1."""
+    from albv.algebroid import LieAlgebroid
+
+    from conftest import counting
+
+    path = put(tmp_path, "rank3.albv", text)
+    with counting(monkeypatch, LieAlgebroid, "validate") as calls:
+        assert main(command + [path]) == 2
+    assert calls == []
+    assert capsys.readouterr() == ("", "error: %s\n" % message)
+
+
 BROKEN_PI_TEXT = """\
 [algebroid]
 kind = "tangent"
@@ -398,11 +426,13 @@ def test_verify_draws_the_poisson_probes_on_base_forms(tmp_path, capsys):
         ["modular"],
         ["star", "--degree", "1"],
         ["validate"],
-    ],
+    ]
+    + [["verify", "--suite", suite, "--trials", "2"] for suite in SUITES]
+    + [["verify", "--suite", "core", "--trials", "2", "--no-validate"]],
 )
 def test_each_command_builds_its_structures_once(tmp_path, capsys, monkeypatch, command):
-    """The structure gate and the handler share one algebroid and one
-    bivector."""
+    """The structure gate, the handler and ``verify``'s suites share one
+    algebroid and one bivector."""
     from albv.albvfile import Document
 
     builds = []
@@ -695,6 +725,43 @@ def test_table_size_is_refused_before_the_axiom_gate(
         "error: table too large: a block of degree 16 and weight at most 0 has "
         "%d basis monomials, above the limit of %d\n" % (comb(33, 16), MAX_BLOCK_SIZE)
     )
+
+
+def test_a_table_over_no_variables_is_counted_at_weight_zero(
+    tmp_path, capsys, monkeypatch
+):
+    """sl2 has no base variables, so its table asked at weight 4 has the one
+    weight 0, whose largest slice is C(3, 1) = 3 coframes: the limit 3 lets
+    it through unchanged and the limit 2 refuses it, from the command line
+    and from ``betti_table`` alike."""
+    import albv.homology
+    from albv.homology import TableTooLarge, betti_table, cohomology_betti
+    from albv.rows import differential_rows
+
+    from conftest import sl2
+
+    path = put(tmp_path, "sl2.albv", SL2_TEXT)
+    command = ["cohomology", path, "--max-weight", "4"]
+    assert main(command) == 0
+    expected = capsys.readouterr()
+    a = sl2()
+    table = cohomology_betti(a, 4)
+    assert table.max_weight == 0
+
+    monkeypatch.setattr(albv.homology, "MAX_BLOCK_SIZE", 3)
+    assert main(command) == 0
+    assert capsys.readouterr() == expected
+    assert betti_table((), 3, differential_rows(a), 1, 4, "cohomology") == table
+
+    monkeypatch.setattr(albv.homology, "MAX_BLOCK_SIZE", 2)
+    assert main(command) == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: table too large: a block of degree 1 and weight at most 0 has "
+        "3 basis monomials, above the limit of 2\n",
+    )
+    with pytest.raises(TableTooLarge, match="weight at most 0 has 3 basis monomials"):
+        betti_table((), 3, differential_rows(a), 1, 4, "cohomology")
 
 
 def test_verify_counts_the_base_forms_table_of_its_bivector(

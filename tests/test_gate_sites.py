@@ -3,9 +3,9 @@
 ``verify.structure_gate`` records the checks every later report line rests
 on, so ``LieAlgebroid.validate`` runs there and in the factories' ``check``
 paths only: inside an ``if check:`` block.  The command line builds the
-file's algebroid and bivector once for the gate and the handler, and a
-``verify`` session builds its own, so ``Document.build_algebroid`` and
-``build_poisson`` are called from ``cli.main`` and ``verify._Session`` only.
+file's algebroid and bivector once, for the gate, the handler and
+``verify``'s suites, so ``Document.build_algebroid`` and ``build_poisson``
+are called from ``cli.main`` only.
 This scans the package source for calls of those methods and names the
 enclosing function of each.
 """
@@ -15,7 +15,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "albv"
 BUILDS = ("build_algebroid", "build_poisson")
-BUILD_SITES = {("cli.py", "main"), ("verify.py", "_Session.__init__")}
+BUILD_SITES = {("cli.py", "main")}
 
 
 def method_calls(source, names, filename="<string>"):
@@ -87,7 +87,7 @@ def test_structures_are_validated_by_the_gate_or_a_check_path():
     assert ("verify.py", "structure_gate") in {(c[0], c[3]) for c in calls}
 
 
-def test_structures_are_built_by_the_command_line_and_the_session_only():
+def test_structures_are_built_by_the_command_line_only():
     calls = package_calls(BUILDS)
     assert {(path, scope) for path, _, _, scope, _ in calls} == BUILD_SITES
     for site in BUILD_SITES:

@@ -944,11 +944,14 @@ def test_one_shift_blocks_are_single_weight_slices(monkeypatch):
 
 
 def test_monomial_counts_come_from_binomials():
-    from albv.homology import _exponents, _monomial_count
+    """A rank-0 complex has one index tuple, so its block size is the
+    monomial count of the weight."""
+    from albv.homology import Complex, _exponents
 
     for m in range(5):
+        complex_ = Complex(tuple("abcd")[:m], 0, 0)
         for w in range(-1, 7):
-            assert _monomial_count(m, w) == len(_exponents(m, w)), (m, w)
+            assert complex_.block_size((w,)) == len(_exponents(m, w)), (m, w)
 
 
 @pytest.mark.parametrize(
@@ -987,10 +990,13 @@ def test_the_largest_documented_tables_fit_the_block_limit():
     """The sl3* tables at weight 2 (rank 8, 8 coordinates, shift 0) rank
     slices of at most C(8, 4) C(9, 2) = 2,520 monomials; at weight 3 the
     slices reach 8,400 and the table is refused before anything is built."""
-    from albv.homology import MAX_BLOCK_SIZE, TableTooLarge, _block_size
+    from albv.homology import MAX_BLOCK_SIZE, Complex, TableTooLarge
 
-    assert max(_block_size(8, 8, k, (2,)) for k in range(9)) == 2520 <= MAX_BLOCK_SIZE
-    assert max(_block_size(8, 8, k, (3,)) for k in range(9)) == 8400 > MAX_BLOCK_SIZE
+    sl3 = tuple("abcdefgh")
+    assert Complex(sl3, 8, 2).block_size((2,)) == 2520 <= MAX_BLOCK_SIZE
+    with pytest.raises(TableTooLarge, match="has 8400 basis monomials"):
+        Complex(sl3, 8, 3)
+    assert 8400 > MAX_BLOCK_SIZE
     calls = []
 
     def row(idx, expo):
