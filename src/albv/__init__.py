@@ -10,45 +10,54 @@ from sparse operator rows compiled from generator data, and the
 
 The package namespace holds the names of the README's library example and
 those the command line uses; everything else is imported from its module.
+Each name loads its module on first access (PEP 562), so importing one
+module, such as ``albv.homology``, loads only what that module imports.
+``albv.<name>`` and ``<module>.<name>`` are the same object.  The package
+namespace does not keep the name once looked up: every access reads it from
+its module, so a module attribute that is replaced, as a tracer does, is
+what the package returns too.
 """
 
-from .algebroid import tangent_algebroid
-from .albvfile import Document, DocumentError
-from .bv import TopConnection, curvature, generating_operator
-from .calculus import lichnerowicz, schouten
-from .exterior import DUAL_SIDE, GradedElem, basis_tuples, star
-from .homology import (
-    boundary_betti,
-    cohomology_betti,
-    kb_betti,
-    modular_relation_check,
-    modular_vector_field,
-)
-from .poly import Poly
-from .verify import SUITES, CheckResult, run_suites
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CheckResult",
-    "DUAL_SIDE",
-    "Document",
-    "DocumentError",
-    "GradedElem",
-    "Poly",
-    "SUITES",
-    "TopConnection",
-    "basis_tuples",
-    "boundary_betti",
-    "cohomology_betti",
-    "curvature",
-    "generating_operator",
-    "kb_betti",
-    "lichnerowicz",
-    "modular_relation_check",
-    "modular_vector_field",
-    "run_suites",
-    "schouten",
-    "star",
-    "tangent_algebroid",
-]
+# exported name -> the module that defines it
+_EXPORTS = {
+    "CheckResult": "verify",
+    "DUAL_SIDE": "exterior",
+    "Document": "albvfile",
+    "DocumentError": "albvfile",
+    "GradedElem": "exterior",
+    "Poly": "poly",
+    "SUITES": "verify",
+    "TopConnection": "bv",
+    "basis_tuples": "exterior",
+    "boundary_betti": "homology",
+    "cohomology_betti": "homology",
+    "curvature": "bv",
+    "generating_operator": "bv",
+    "kb_betti": "homology",
+    "lichnerowicz": "calculus",
+    "modular_relation_check": "homology",
+    "modular_vector_field": "homology",
+    "run_suites": "verify",
+    "schouten": "calculus",
+    "star": "exterior",
+    "tangent_algebroid": "algebroid",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    """An exported name, read from its module on every access."""
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name)) from None
+    return getattr(importlib.import_module("." + module, __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

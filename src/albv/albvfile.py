@@ -8,7 +8,9 @@ bracketed, polynomials are double-quoted strings, integers are bare.  Frame
 and coordinate indices in structure and bivector entries are 1-based.
 
 Syntax and shape problems raise DocumentError with the offending line
-number.  Mathematical validity (Jacobi, anchor compatibility, bivector
+number; so do a rank or a number of base variables above ``MAX_RANK``, and a
+JSON boolean where an integer is expected (JSON's ``true`` would read as 1).
+Mathematical validity (Jacobi, anchor compatibility, bivector
 self-commutation) is checked by the build methods, which raise ValueError,
 so a caller can load a broken structure on purpose and inspect it.
 """
@@ -24,7 +26,11 @@ from .bv import TopConnection
 from .exterior import DUAL_SIDE, GradedElem, Volume
 from .poly import PolyParseError, parse_poly
 
-__all__ = ["Document", "DocumentError"]
+__all__ = ["Document", "DocumentError", "MAX_RANK"]
+
+# the largest rank and number of base variables a file may declare: the
+# structure gate checks C(rank, 3) Jacobi triples, 9,880 at rank 40
+MAX_RANK = 40
 
 
 class DocumentError(Exception):
@@ -128,19 +134,27 @@ class Document:
             raise DocumentError("base_vars has a repeated name", bv_line)
         base_vars = tuple(base_vars)
         m = len(base_vars)
+        if m > MAX_RANK:
+            raise DocumentError(
+                "base_vars has %d names, above the limit of %d" % (m, MAX_RANK), bv_line
+            )
 
         rank_val, rank_line = take(alg, "rank")
         if kind == "tangent":
             if not base_vars:
                 raise DocumentError("tangent kind needs base_vars", kind_line)
-            if rank_val is not None and rank_val != m:
+            if rank_val is not None and (not _is_int(rank_val) or rank_val != m):
                 raise DocumentError(
                     "tangent rank is the number of base_vars", rank_line
                 )
             rank = m
         else:
-            if not isinstance(rank_val, int) or rank_val < 1:
+            if not _is_int(rank_val) or rank_val < 1:
                 raise DocumentError("rank must be a positive integer", rank_line)
+            if rank_val > MAX_RANK:
+                raise DocumentError(
+                    "rank %d is above the limit of %d" % (rank_val, MAX_RANK), rank_line
+                )
             rank = rank_val
         if kind == "lie_algebra" and base_vars:
             raise DocumentError("lie_algebra kind has an empty base", bv_line)
@@ -311,6 +325,11 @@ class Document:
 _EXCERPT = 30  # characters quoted on each side of the error in a long entry
 
 
+def _is_int(value):
+    """A JSON integer; ``true`` and ``false`` parse to ``bool``, an ``int``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_poly_string(entry, variables, line):
     if not isinstance(entry, str):
         raise DocumentError("polynomials must be quoted strings", line)
@@ -342,7 +361,7 @@ def _read_indexed(value, line, keys, bound, variables, what):
         idxs = []
         for key in keys[:-1]:
             idx = entry[key]
-            if not isinstance(idx, int) or not 1 <= idx <= bound:
+            if not _is_int(idx) or not 1 <= idx <= bound:
                 raise DocumentError(
                     "%s index %r out of range 1..%d" % (what, idx, bound), line
                 )

@@ -9,7 +9,8 @@ it opens every command but ``validate``, which prints its report, and
 ``verify --suite algebroid|all``, whose algebroid suite opens with it;
 ``--no-validate`` skips it.  Exit status is 0 when every reported check
 passes, 1 when any check fails, and 2 for usage or parse problems (a
-``--trials`` above ``MAX_TRIALS`` among them) and for a table above
+``--trials`` above ``MAX_TRIALS`` and a ``star --degree`` with more than
+``MAX_STAR_IMAGES`` images among them) and for a table above
 ``homology.MAX_BLOCK_SIZE``, ``verify``'s duality tables at
 ``verify.TABLE_WEIGHT`` included.  Every command prints one ``verify.Report``:
 with ``--json`` a single JSON object with the keys ``command``, ``checks``,
@@ -24,6 +25,7 @@ import json
 import sys
 from dataclasses import dataclass
 from functools import cache
+from math import comb
 
 from .albvfile import Document, DocumentError
 from .exterior import DUAL_SIDE, GradedElem, basis_tuples, star
@@ -44,6 +46,8 @@ __all__ = ["main", "build_parser"]
 
 # probes per identity in ``verify``, whose run time grows linearly with them
 MAX_TRIALS = 500
+# images ``star`` prints, C(rank, degree), each one line of output
+MAX_STAR_IMAGES = 10_000
 
 
 def _bounded_int(minimum, maximum=None):
@@ -144,9 +148,10 @@ class _StarTable:
 
 
 def _check_file(args, doc):
-    """Refuse, from the parsed file alone, a command the file cannot serve
-    or whose largest table slice is above the block limit: before the
-    structure gate, whose cost grows with the cube of the rank.  Each table
+    """Refuse, from the parsed file alone, a command the file cannot serve,
+    a ``star`` with more than ``MAX_STAR_IMAGES`` images, or a table whose
+    largest slice is above the block limit: before the structure gate,
+    whose cost grows with the cube of the rank.  Each table
     the command prints is counted by building its ``Complex``.  ``verify``'s
     tables are its duality tables at ``TABLE_WEIGHT``, the Poisson one on
     base forms; they are counted before any suite draws a probe, as the
@@ -155,8 +160,15 @@ def _check_file(args, doc):
     if doc.poisson is None and (kb or args.command == "modular"):
         command = "homology --kb" if kb else "modular"
         raise _Usage("%s needs a [poisson] section" % command)
-    if args.command == "star" and not 0 <= args.degree <= doc.rank:
-        raise _Usage("--degree must lie between 0 and %d" % doc.rank)
+    if args.command == "star":
+        if not 0 <= args.degree <= doc.rank:
+            raise _Usage("--degree must lie between 0 and %d" % doc.rank)
+        images = comb(doc.rank, args.degree)
+        if images > MAX_STAR_IMAGES:
+            raise _Usage(
+                "star --degree %d has %d images, above the limit of %d"
+                % (args.degree, images, MAX_STAR_IMAGES)
+            )
     m = len(doc.base_vars)
     shapes = []
     if args.command in ("cohomology", "homology"):

@@ -172,3 +172,28 @@ def test_build_poisson_checks_jacobi():
     with pytest.raises(ValueError, match="does not self-commute"):
         doc.build_poisson()
     assert doc.build_poisson(check=False) is not None
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('[algebroid]\nkind = "lie_algebra"\nrank = true\n', "line 3: rank must be a positive integer"),
+        (
+            '[algebroid]\nkind = "lie_algebra"\nrank = 2\n'
+            'structure = [{"i": true, "j": 2, "k": 2, "c": "1"}]\n',
+            "line 4: structure index True out of range 1..2",
+        ),
+        (
+            PLANE_TEXT.replace('"i": 1', '"i": true'),
+            "line 7: bivector index True out of range 1..2",
+        ),
+    ],
+    ids=["rank", "structure", "bivector"],
+)
+def test_json_booleans_are_not_integers(text, message):
+    """JSON ``true`` parses to a Python ``bool``, which is an ``int`` equal
+    to 1: unrefused, ``rank = true`` built a rank-1 algebra and an index
+    ``true`` read as index 1."""
+    with pytest.raises(DocumentError) as caught:
+        Document.parse(text)
+    assert str(caught.value) == message

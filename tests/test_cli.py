@@ -463,7 +463,7 @@ def test_modular_field_is_computed_once_per_modular_check(tmp_path, capsys, monk
         return field(*args)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("albv") and hasattr(module, "modular_vector_field"):
+        if name.startswith("albv") and "modular_vector_field" in vars(module):
             monkeypatch.setattr(module, "modular_vector_field", counting)
     path = put(tmp_path, "plane.albv", PLANE_TEXT)
     assert main(["verify", path, "--seed", "3", "--trials", "5"]) == 0
@@ -724,6 +724,80 @@ def test_table_size_is_refused_before_the_axiom_gate(
     assert err == (
         "error: table too large: a block of degree 16 and weight at most 0 has "
         "%d basis monomials, above the limit of %d\n" % (comb(33, 16), MAX_BLOCK_SIZE)
+    )
+
+
+def _names(count):
+    return ", ".join('"x%d"' % i for i in range(1, count + 1))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            SL2_TEXT.replace("rank = 3", "rank = 1000000"),
+            "line 3: rank 1000000 is above the limit of 40",
+        ),
+        (
+            '[algebroid]\nkind = "tangent"\nbase_vars = [%s]\n' % _names(41),
+            "line 3: base_vars has 41 names, above the limit of 40",
+        ),
+    ],
+    ids=["rank", "base_vars"],
+)
+def test_a_rank_above_the_limit_is_a_parse_error(
+    tmp_path, capsys, monkeypatch, text, message
+):
+    """``validate`` checks C(rank, 3) Jacobi triples, so a file that declares
+    rank 1000000 ran without end; the reader refuses a rank or a number of
+    base variables above ``albvfile.MAX_RANK`` with the line it stands on."""
+    from albv.albvfile import MAX_RANK, Document
+    from albv.algebroid import LieAlgebroid
+
+    from conftest import counting
+
+    assert MAX_RANK == 40
+    path = put(tmp_path, "big.albv", text)
+    with counting(monkeypatch, LieAlgebroid, "validate") as calls:
+        assert main(["validate", path]) == 2
+    assert calls == []
+    assert capsys.readouterr() == ("", "error: %s\n" % message)
+    tangent = '[algebroid]\nkind = "tangent"\nbase_vars = [%s]\n' % _names(MAX_RANK)
+    assert Document.parse(tangent).rank == MAX_RANK
+
+
+def test_star_images_are_counted_before_the_gate(tmp_path, capsys, monkeypatch):
+    """``star --degree 10`` on a rank-40 algebra would print C(40, 10), about
+    8.5e8, images; the count is refused from the file, before the structure
+    gate, above ``cli.MAX_STAR_IMAGES``.  sl2 in degree 1 has 3 images: the
+    limit 3 prints them, the limit 2 refuses them."""
+    from math import comb
+
+    from albv import cli
+    from albv.algebroid import LieAlgebroid
+
+    from conftest import counting
+
+    path = put(tmp_path, "r40.albv", SL2_TEXT.replace("rank = 3", "rank = 40"))
+    with counting(monkeypatch, LieAlgebroid, "validate") as calls:
+        assert main(["star", path, "--degree", "10"]) == 2
+    assert calls == []
+    assert capsys.readouterr() == (
+        "",
+        "error: star --degree 10 has %d images, above the limit of %d\n"
+        % (comb(40, 10), cli.MAX_STAR_IMAGES),
+    )
+
+    path = put(tmp_path, "sl2.albv", SL2_TEXT)
+    assert main(["star", path, "--degree", "1"]) == 0
+    expected = capsys.readouterr()
+    monkeypatch.setattr(cli, "MAX_STAR_IMAGES", 3)
+    assert main(["star", path, "--degree", "1"]) == 0
+    assert capsys.readouterr() == expected
+    monkeypatch.setattr(cli, "MAX_STAR_IMAGES", 2)
+    assert main(["star", path, "--degree", "1", "--json"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: star --degree 1 has 3 images, above the limit of 2\n"
     )
 
 
