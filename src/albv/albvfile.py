@@ -7,19 +7,27 @@ Every other line is ``key = value`` with the value in JSON syntax: lists are
 bracketed, polynomials are double-quoted strings, integers are bare.  Frame
 and coordinate indices in structure and bivector entries are 1-based.
 
+Each literal is read once, by ``poly.parse_poly``, into the value a
+``Document`` keeps: a ``Poly``, or for the volume coefficient the exact
+number, a constant over no variables.  So every number in a file is spelled
+in the one literal grammar: ``p/q`` rationals, no decimals or exponents.
+``emit`` writes ``str(poly)``, which the grammar reads back.
+
 Syntax and shape problems raise DocumentError with the offending line
-number; so do a rank or a number of base variables above ``MAX_RANK``, and a
-JSON boolean where an integer is expected (JSON's ``true`` would read as 1).
-Mathematical validity (Jacobi, anchor compatibility, bivector
-self-commutation) is checked by the build methods, which raise ValueError,
-so a caller can load a broken structure on purpose and inspect it.
+number; so do a rank or a number of base variables above ``MAX_RANK``, a
+JSON boolean where an integer is expected (JSON's ``true`` would read as 1),
+and a JSON value the reader cannot read (an integer above the interpreter's
+digit limit, nesting deeper than its recursion limit); ``load`` raises it,
+with no line, for a file that is not UTF-8 text.  Mathematical
+validity (Jacobi, anchor compatibility, bivector self-commutation) is
+checked by the build methods, which raise ValueError, so a caller can load a
+broken structure on purpose and inspect it.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebroid import LieAlgebroid, PoissonStructure, custom_algebroid, tangent_algebroid
 from .bv import TopConnection
@@ -55,7 +63,11 @@ _KINDS = ("tangent", "lie_algebra", "custom")
 
 @dataclass
 class Document:
-    """Parsed .albv content, kept close to the file so emit round-trips."""
+    """Parsed .albv content: the values the file's literals denote, each
+    read once.  ``anchor`` is ``rank`` rows of Polys, ``structure`` holds
+    1-based ``(i, j, k, Poly)`` entries and ``poisson`` ``(i, j, Poly)``
+    ones, ``alpha`` is ``rank`` Polys, and ``volume`` the exact coefficient,
+    an int or a Fraction."""
 
     kind: str
     base_vars: tuple = ()
@@ -64,7 +76,7 @@ class Document:
     structure: tuple = ()
     poisson: tuple | None = None
     alpha: tuple | None = None
-    volume: str | None = None
+    volume: object = None
 
     # -- reading -----------------------------------------------------------
 
@@ -99,7 +111,9 @@ class Document:
                 raise DocumentError("duplicate key %r" % key, lineno)
             try:
                 parsed = json.loads(value.strip())
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
+                # a JSONDecodeError, an integer above the interpreter's digit
+                # limit, or nesting deeper than its recursion limit
                 raise DocumentError(
                     "bad value for %r: %s" % (key, exc), lineno
                 ) from exc
@@ -109,7 +123,11 @@ class Document:
     @classmethod
     def load(cls, path) -> "Document":
         with open(path, "r", encoding="utf-8") as handle:
-            return cls.parse(handle.read())
+            try:
+                text = handle.read()
+            except UnicodeDecodeError as exc:
+                raise DocumentError("not UTF-8 text: %s" % exc) from exc
+        return cls.parse(text)
 
     @classmethod
     def _from_sections(cls, sections) -> "Document":
@@ -175,10 +193,10 @@ class Document:
                     % (rank, m),
                     anchor_line,
                 )
-            for row in anchor_val:
-                for entry in row:
-                    _check_poly_string(entry, base_vars, anchor_line)
-            anchor = tuple(tuple(row) for row in anchor_val)
+            anchor = tuple(
+                tuple(_check_poly_string(entry, base_vars, anchor_line) for entry in row)
+                for row in anchor_val
+            )
         elif anchor_val is not None:
             raise DocumentError(
                 "%s kind derives its anchor; drop the anchor key" % kind, anchor_line
@@ -192,12 +210,7 @@ class Document:
                 "tangent kind has no structure entries", structure_line
             )
         structure = _read_indexed(
-            structure_val,
-            structure_line,
-            ("i", "j", "k", "c"),
-            rank,
-            base_vars if kind != "lie_algebra" else (),
-            "structure",
+            structure_val, structure_line, ("i", "j", "k", "c"), rank, base_vars, "structure"
         )
 
         poisson = None
@@ -218,28 +231,27 @@ class Document:
                 raise DocumentError(
                     "alpha must list %d polynomial strings" % rank, alpha_line
                 )
-            for entry in alpha_val:
-                _check_poly_string(entry, base_vars, alpha_line)
-            alpha = tuple(alpha_val)
+            alpha = tuple(
+                _check_poly_string(entry, base_vars, alpha_line) for entry in alpha_val
+            )
 
         volume = None
         if "volume" in sections:
             coeff_val, coeff_line = take(sections["volume"], "coeff")
-            if isinstance(coeff_val, int):
+            if _is_int(coeff_val):
                 coeff_val = str(coeff_val)
             if not isinstance(coeff_val, str):
                 raise DocumentError(
                     "coeff must be a rational in a string", coeff_line
                 )
             try:
-                value = Fraction(coeff_val)
-            except (ValueError, ZeroDivisionError) as exc:
+                volume = parse_poly(coeff_val, ()).constant_value()
+            except PolyParseError as exc:
                 raise DocumentError(
                     "coeff is not a rational: %s" % exc, coeff_line
                 ) from exc
-            if value == 0:
+            if volume == 0:
                 raise DocumentError("volume coefficient must be nonzero", coeff_line)
-            volume = coeff_val
 
         return cls(
             kind=kind,
@@ -261,25 +273,26 @@ class Document:
         if self.kind != "tangent":
             lines.append("rank = %d" % self.rank)
         if self.anchor is not None:
-            lines.append("anchor = %s" % json.dumps([list(r) for r in self.anchor]))
+            rows = [[str(c) for c in row] for row in self.anchor]
+            lines.append("anchor = %s" % json.dumps(rows))
         if self.structure:
             records = [
-                {"i": i, "j": j, "k": k, "c": c} for i, j, k, c in self.structure
+                {"i": i, "j": j, "k": k, "c": str(c)} for i, j, k, c in self.structure
             ]
             lines.append("structure = %s" % json.dumps(records))
         if self.poisson is not None:
             lines.append("")
             lines.append("[poisson]")
-            records = [{"i": i, "j": j, "c": c} for i, j, c in self.poisson]
+            records = [{"i": i, "j": j, "c": str(c)} for i, j, c in self.poisson]
             lines.append("terms = %s" % json.dumps(records))
         if self.alpha is not None:
             lines.append("")
             lines.append("[connection]")
-            lines.append("alpha = %s" % json.dumps(list(self.alpha)))
+            lines.append("alpha = %s" % json.dumps([str(c) for c in self.alpha]))
         if self.volume is not None:
             lines.append("")
             lines.append("[volume]")
-            lines.append("coeff = %s" % json.dumps(self.volume))
+            lines.append("coeff = %s" % json.dumps(str(self.volume)))
         return "\n".join(lines) + "\n"
 
     # -- building ----------------------------------------------------------
@@ -302,24 +315,18 @@ class Document:
     def build_poisson(self, check=True) -> PoissonStructure | None:
         if self.poisson is None:
             return None
-        comps = {}
-        for i, j, c in self.poisson:
-            comps[(i - 1, j - 1)] = parse_poly(c, self.base_vars)
+        comps = {(i - 1, j - 1): c for i, j, c in self.poisson}
         return PoissonStructure(self.base_vars, comps, check=check)
 
     def build_connection(self, a: LieAlgebroid) -> TopConnection:
         if self.alpha is None:
             return TopConnection(a)
-        comps = {
-            (pos,): parse_poly(text, self.base_vars) for pos, text in enumerate(self.alpha)
-        }
+        comps = {(pos,): c for pos, c in enumerate(self.alpha)}
         form = GradedElem(DUAL_SIDE, 1, a.rank, a.variables, comps)
         return TopConnection(a, form)
 
     def build_volume(self, a: LieAlgebroid) -> Volume:
-        if self.volume is None:
-            return a.volume(1)
-        return a.volume(Fraction(self.volume))
+        return a.volume(1 if self.volume is None else self.volume)
 
 
 _EXCERPT = 30  # characters quoted on each side of the error in a long entry
@@ -331,10 +338,11 @@ def _is_int(value):
 
 
 def _check_poly_string(entry, variables, line):
+    """The Poly that the JSON string ``entry`` denotes over ``variables``."""
     if not isinstance(entry, str):
         raise DocumentError("polynomials must be quoted strings", line)
     try:
-        parse_poly(entry, variables)
+        return parse_poly(entry, variables)
     except PolyParseError as exc:
         shown = repr(entry)
         if len(entry) > 2 * _EXCERPT:
@@ -368,10 +376,10 @@ def _read_indexed(value, line, keys, bound, variables, what):
             idxs.append(idx)
         if idxs[1] <= idxs[0]:
             raise DocumentError("indices must satisfy i<j", line)
-        _check_poly_string(entry[keys[-1]], variables, line)
+        c = _check_poly_string(entry[keys[-1]], variables, line)
         ident = tuple(idxs)
         if ident in seen:
             raise DocumentError("duplicate %s entry for %s" % (what, ident), line)
         seen.add(ident)
-        out.append(tuple(idxs) + (entry[keys[-1]],))
+        out.append(ident + (c,))
     return tuple(out)

@@ -24,7 +24,8 @@ index map (both in bounded caches keyed by shape, shared by every complex of
 that shape), and each block's size.  ``Complex.block_size`` is the one count:
 binomials in the middle exterior degree, the degree with the most index
 tuples, which bounds both sides of a block; above ``MAX_BLOCK_SIZE`` basis
-monomials it raises ``TableTooLarge``.  A complex counts its largest slice
+monomials it raises ``TableTooLarge``, as a complex does whose weights over
+a nonempty base run above ``MAX_WEIGHT``.  A complex counts its largest slice
 when built, so the command line refuses a table from the file alone, and
 each block before it is built.  ``betti_table`` is ``Complex(...).table``.
 
@@ -88,6 +89,7 @@ __all__ = [
     "BettiTable",
     "betti_table",
     "MAX_BLOCK_SIZE",
+    "MAX_WEIGHT",
     "TableTooLarge",
     "Complex",
     "cohomology_betti",
@@ -161,9 +163,15 @@ def monomial_basis_elems(variables, rank, side, degree, weight):
 # matrices and is refused.
 MAX_BLOCK_SIZE = 4096
 
+# Most weights a table over a nonempty base may span.  The block count does
+# not bound them: over one base variable every slice has the same size, and
+# the line's cohomology at weight 100,000 printed 2.1 MB in 6 s.
+MAX_WEIGHT = 100
+
 
 class TableTooLarge(ValueError):
-    """A Betti table would rank a block above ``MAX_BLOCK_SIZE``."""
+    """A Betti table would rank a block above ``MAX_BLOCK_SIZE``, or span
+    weights above ``MAX_WEIGHT``."""
 
 
 # The basis of one shape and the index maps of its blocks are fixed by
@@ -241,11 +249,17 @@ class BettiTable:
 class Complex:
     """A table's shape: exterior degrees 0 to ``rank`` over ``variables``,
     weights 0 to ``max_weight``, or 0 alone over no variables.  Building one
+    refuses a ``max_weight`` above ``MAX_WEIGHT`` over a nonempty base and
     counts its largest slice, at ``max_weight``, before any row is asked."""
 
     def __init__(self, variables, rank, max_weight):
         self.rank = rank
         self.m = len(variables)
+        if self.m and max_weight > MAX_WEIGHT:
+            raise TableTooLarge(
+                "table too large: weight %d is above the limit of %d"
+                % (max_weight, MAX_WEIGHT)
+            )
         self.max_weight = max_weight if self.m else 0
         # the largest slice the shift scan builds
         self.block_size((self.max_weight,))

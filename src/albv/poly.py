@@ -28,6 +28,12 @@ keyword ``_checked=True`` instead: Poly arithmetic, ``partial`` and
 ``LieAlgebroid``.  That path still drops zero coefficients and stores
 integral Fractions as ints, so both paths build the same Poly from the same
 terms.
+
+``parse_poly`` reads the one literal grammar of the package; the .albv
+reader reads every number in a file with it, the volume coefficient as a
+constant over no variables.  Its bounds, ``MAX_NESTING``, ``MAX_DIGITS``,
+``MAX_POWER_DEGREE`` and ``MAX_POWER_TERMS``, refuse a literal with a
+``PolyParseError`` at its position before anything large is built.
 """
 
 from __future__ import annotations
@@ -293,10 +299,17 @@ def _tokenize(text):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        # ASCII digits only: int() refuses others, such as superscripts
+        if "0" <= ch <= "9":
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
+            if j - i > MAX_DIGITS:
+                raise PolyParseError(
+                    "integer literal of %d digits exceeds the digit bound %d"
+                    % (j - i, MAX_DIGITS),
+                    i,
+                )
             tokens.append(("int", int(text[i:j]), i))
             i = j
             continue
@@ -320,13 +333,24 @@ def _tokenize(text):
 # error instead of exhausting the interpreter stack
 MAX_NESTING = 100
 
+# an integer literal with more digits than this is refused before int() reads
+# it: below 640, the least digit limit an interpreter accepts for int(), so
+# the same literals are refused whatever that limit is set to.  So is a step
+# whose result has a coefficient with a longer numerator or denominator:
+# (((9^100)^100)^100)^100 ran for over 20 s, and a value str() cannot print
+# could not be written back to a file
+MAX_DIGITS = 500
+_DIGIT_CAP = 10**MAX_DIGITS
+
 # a power b^N with N * max(deg b, 1) above this is refused before it is
 # computed, since its cost grows with N even when b is a constant
 MAX_POWER_DEGREE = 100
 
-# a power b^N that could have more terms than this is refused before it is
-# computed, since the degree bound alone lets many variables through:
-# (x+y+z)^43 has 990 terms, while (x+y+z+w)^50 has 23,426 and took 2 s
+# a power b^N or a product a*b that could have more terms than this is
+# refused before it is computed, since the degree bound alone lets many
+# variables through: (x+y+z)^43 has 990 terms, while (x+y+z+w)^50 has 23,426
+# and took 2 s, and a product of six factors (x+y+z+w)^15 of 816 terms ran
+# for over a minute
 MAX_POWER_TERMS = 1000
 
 
@@ -342,16 +366,28 @@ def _power_term_bound(base, exponent):
     return min(comb(exponent + t - 1, t - 1), comb(exponent * base.degree() + m, m))
 
 
+def _product_term_bound(a, b):
+    """The most terms ``a * b`` can have: one per pair of terms, and with m
+    variables at most C(deg a + deg b + m, m) monomials."""
+    if not a.terms or not b.terms:
+        return 0
+    m = len(a.variables)
+    return min(len(a.terms) * len(b.terms), comb(a.degree() + b.degree() + m, m))
+
+
 class _Parser:
     """Recursive-descent parser for the polynomial literal grammar.
 
-    Grammar: integer and rational (p/q) literals, declared variable names,
-    the operators + - * / ^ (with / restricted to division by a nonzero
-    constant), and parentheses nested at most ``MAX_NESTING`` deep, unary
-    signs included.  A power b^N is refused when N * max(deg b, 1) exceeds
-    ``MAX_POWER_DEGREE``, or when it could have more than ``MAX_POWER_TERMS``
-    terms.  Whitespace is insignificant; there is no implicit
-    multiplication.
+    Grammar: integer literals of ASCII digits, at most ``MAX_DIGITS`` of
+    them, and rationals p/q built from them (no decimals or exponents),
+    declared variable names, the operators + - * / ^ (with / restricted to
+    division by a nonzero constant), and parentheses nested at most
+    ``MAX_NESTING`` deep, unary signs included.  A power b^N is refused when
+    N * max(deg b, 1) exceeds ``MAX_POWER_DEGREE``; a power or a product is
+    refused when it could have more than ``MAX_POWER_TERMS`` terms, and any
+    step whose result has a coefficient of more than ``MAX_DIGITS`` digits,
+    in numerator or denominator.
+    Whitespace is insignificant; there is no implicit multiplication.
     """
 
     def __init__(self, tokens, variables):
@@ -377,12 +413,25 @@ class _Parser:
             raise PolyParseError("trailing input %r" % tok[1], tok[2])
         return value
 
+    def bounded(self, value, where):
+        """``value``, unless a coefficient's numerator or denominator has
+        more than ``MAX_DIGITS`` digits: every step then works on bounded
+        numbers, and ``str(value)`` is a literal the grammar reads back."""
+        for c in value.terms.values():
+            if max(abs(c.numerator), c.denominator) >= _DIGIT_CAP:
+                raise PolyParseError(
+                    "a coefficient has more than %d digits, above the digit bound"
+                    % MAX_DIGITS,
+                    where,
+                )
+        return value
+
     def expr(self):
         value = self.term()
         while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
+            op, _, where = self.take()
             right = self.term()
-            value = value + right if op == "+" else value - right
+            value = self.bounded(value + right if op == "+" else value - right, where)
         return value
 
     def term(self):
@@ -391,13 +440,21 @@ class _Parser:
             op, _, where = self.take()
             right = self.factor()
             if op == "*":
-                value = value * right
+                bound = _product_term_bound(value, right)
+                if bound > MAX_POWER_TERMS:
+                    raise PolyParseError(
+                        "product of %d and %d terms could give %d terms, "
+                        "above the term bound %d"
+                        % (len(value.terms), len(right.terms), bound, MAX_POWER_TERMS),
+                        where,
+                    )
+                value = self.bounded(value * right, where)
             else:
                 if not right.is_constant() or right.is_zero:
                     raise PolyParseError(
                         "division is only allowed by a nonzero constant", where
                     )
-                value = value / right.constant_value()
+                value = self.bounded(value / right.constant_value(), where)
         return value
 
     def factor(self):
@@ -434,7 +491,7 @@ class _Parser:
                     % (exponent, len(base.terms), bound, MAX_POWER_TERMS),
                     where,
                 )
-            return base ** exponent
+            return self.bounded(base ** exponent, where)
         return base
 
     def atom(self):

@@ -1,12 +1,16 @@
 """Reading, writing, and building from the .albv document format."""
 
+import ast
+import inspect
 from fractions import Fraction
 
 import pytest
 
+from albv import albvfile, poly
 from albv.albvfile import Document, DocumentError
 from albv.algebroid import tangent_algebroid
-from conftest import sl2
+from albv.poly import Poly
+from conftest import counting, sl2
 
 PLANE_TEXT = """\
 # plane with a linear bivector
@@ -37,13 +41,32 @@ def test_parse_full_document():
     assert doc.kind == "tangent"
     assert doc.base_vars == ("x", "y")
     assert doc.rank == 2
-    assert doc.poisson == ((1, 2, "y"),)
-    assert doc.alpha == ("0", "x")
-    assert doc.volume == "3/2"
+    x, y = (Poly.variable(name, doc.base_vars) for name in ("x", "y"))
+    assert doc.poisson == ((1, 2, y),)
+    assert doc.alpha == (Poly.zero(doc.base_vars), x)
+    assert doc.volume == Fraction(3, 2)
+
+
+# a custom algebroid over the plane, e1 = x d/dx and e2 = x d/dy with
+# [e1, e2] = e2, a flat connection and an integer volume coefficient
+CUSTOM_TEXT = """\
+[algebroid]
+kind = "custom"
+base_vars = ["x", "y"]
+rank = 2
+anchor = [["x", "0"], ["0", "x"]]
+structure = [{"i": 1, "j": 2, "k": 2, "c": "1"}]
+
+[connection]
+alpha = ["-1/2", "0"]
+
+[volume]
+coeff = 3
+"""
 
 
 def test_emit_round_trips():
-    for text in (PLANE_TEXT, SL2_TEXT):
+    for text in (PLANE_TEXT, SL2_TEXT, CUSTOM_TEXT):
         doc = Document.parse(text)
         again = Document.parse(doc.emit())
         assert again == doc
@@ -197,3 +220,115 @@ def test_json_booleans_are_not_integers(text, message):
     with pytest.raises(DocumentError) as caught:
         Document.parse(text)
     assert str(caught.value) == message
+
+
+def test_each_literal_is_parsed_once(tmp_path, monkeypatch):
+    """The plane file has four literals, the bivector's "y", the
+    connection's "0" and "x" and the volume's "3/2": loading it and building
+    from it parses each once, and the volume coefficient is read by the
+    same grammar, so ``albvfile`` reads no ``Fraction`` from a string."""
+    path = tmp_path / "plane.albv"
+    path.write_text(PLANE_TEXT)
+    with counting(monkeypatch, poly._Parser) as parses:
+        doc = Document.load(path)
+        a = doc.build_algebroid()
+        doc.build_poisson()
+        doc.build_connection(a)
+        doc.build_volume(a)
+    assert len(parses) == 4
+    imports = {
+        alias.name if isinstance(node, ast.Import) else node.module
+        for node in ast.walk(ast.parse(inspect.getsource(albvfile)))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert "fractions" not in imports
+
+
+_SL2_HEAD = '[algebroid]\nkind = "lie_algebra"\nrank = 3\n'
+_LONG_ENTRY = "x + " * 20 + "y ? " + "x + " * 20 + "y"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            '[algebroid]\nkind = "lie_algebra"\nkind = "tangent"\n',
+            "line 3: duplicate key 'kind'",
+        ),
+        (
+            '[algebroid]\nkind = "tangent"\nbase_vars = "x"\n',
+            "line 3: base_vars must be a list of names",
+        ),
+        (
+            '[algebroid]\nkind = "tangent"\nbase_vars = ["x", "x"]\n',
+            "line 3: base_vars has a repeated name",
+        ),
+        (
+            '[algebroid]\nkind = "tangent"\nbase_vars = ["x"]\nanchor = [["1"]]\n',
+            "line 4: tangent kind derives its anchor; drop the anchor key",
+        ),
+        (
+            _SL2_HEAD + "anchor = [[], [], []]\n",
+            "line 4: lie_algebra kind derives its anchor; drop the anchor key",
+        ),
+        (
+            PLANE_TEXT.replace('["0", "x"]', '["0"]'),
+            "line 10: alpha must list 2 polynomial strings",
+        ),
+        (PLANE_TEXT.replace('"3/2"', "1.5"), "line 13: coeff must be a rational in a string"),
+        (PLANE_TEXT.replace('"3/2"', "true"), "line 13: coeff must be a rational in a string"),
+        (
+            PLANE_TEXT.replace('"3/2"', '"1.5"'),
+            "line 13: coeff is not a rational: unexpected character '.' (at position 1)",
+        ),
+        (
+            PLANE_TEXT.replace('"3/2"', '"1e3"'),
+            "line 13: coeff is not a rational: trailing input 'e3' (at position 1)",
+        ),
+        (
+            _SL2_HEAD + 'structure = {"i": 1, "j": 2, "k": 2, "c": "2"}\n',
+            "line 4: structure entries must form a list",
+        ),
+        (
+            _SL2_HEAD + 'structure = [{"i": 1, "j": 2, "k": 2, "c": "2"}, '
+            '{"i": 1, "j": 2, "k": 2, "c": "1"}]\n',
+            "line 4: duplicate structure entry for (1, 2, 2)",
+        ),
+        (
+            PLANE_TEXT.replace('"c": "y"', '"c": "%s"' % _LONG_ENTRY),
+            "line 7: bad polynomial ...'x + x + x + x + x + x + x + y ? x + x + x + x "
+            "+ x + x + x + '...: unexpected character '?' (at position 82)",
+        ),
+    ],
+    ids=[
+        "duplicate-key",
+        "base-vars-not-a-list",
+        "repeated-base-var",
+        "anchor-on-tangent",
+        "anchor-on-lie-algebra",
+        "alpha-length",
+        "coeff-float",
+        "coeff-boolean",
+        "coeff-decimal",
+        "coeff-exponent",
+        "structure-not-a-list",
+        "duplicate-structure-entry",
+        "long-entry-excerpt",
+    ],
+)
+def test_reader_refusals_name_their_line(text, message):
+    with pytest.raises(DocumentError) as caught:
+        Document.parse(text)
+    assert str(caught.value) == message
+
+
+def test_a_file_that_is_not_utf8_is_a_document_error(tmp_path):
+    path = tmp_path / "binary.albv"
+    path.write_bytes(b"\xff[algebroid]\n")
+    with pytest.raises(DocumentError) as caught:
+        Document.load(path)
+    assert str(caught.value) == (
+        "not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte"
+    )

@@ -69,12 +69,17 @@ def put(tmp_path, name, text):
 
 
 def run_module(*args):
-    """Run ``python -m albv.cli`` in a fresh interpreter on this checkout."""
+    """Run ``python -m albv.cli`` in a fresh interpreter on this checkout;
+    a run that hangs fails the test after a minute."""
     src = str(Path(albv.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "albv.cli", *args], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "albv.cli", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
     )
 
 
@@ -692,6 +697,113 @@ def test_rank_33_mutant_exits_2_at_once(tmp_path):
         "error: table too large: a block of degree 16 and weight at most 0 has "
         "%d basis monomials, above the limit of %d\n" % (comb(33, 16), MAX_BLOCK_SIZE)
     )
+
+
+_PRODUCT = "*".join(["(x+y+z+w)^15"] * 6)
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            SO3_TEXT.replace('"y", "z"]', '"y", "z", "w"]').replace(
+                '"c": "z"', '"c": "%s"' % _PRODUCT
+            ),
+            "line 6: bad polynomial '(x+y+z+w)^15*(x+y+z+w)^15*(x+y+z+w)^15*(x+'...: "
+            "product of 816 and 816 terms could give 46376 terms, above the term "
+            "bound 1000 (at position 12)",
+        ),
+        (
+            PLANE_TEXT.replace('"x"]', '"%s"]' % ("7" * 5000)),
+            "line 9: bad polynomial '777777777777777777777777777777'...: integer "
+            "literal of 5000 digits exceeds the digit bound 500 (at position 0)",
+        ),
+        (
+            PLANE_TEXT.replace('"x"]', '"(((9^100)^100)^100)^100"]'),
+            "line 9: bad polynomial '(((9^100)^100)^100)^100': a coefficient has more "
+            "than 500 digits, above the digit bound (at position 10)",
+        ),
+        (
+            PLANE_TEXT.replace('"0"', '"2\u00b2"'),
+            "line 9: bad polynomial '2\u00b2': unexpected character '\u00b2' "
+            "(at position 1)",
+        ),
+        (
+            PLANE_TEXT + '\n[volume]\ncoeff = "1e100000000"\n',
+            "line 12: coeff is not a rational: trailing input 'e100000000' "
+            "(at position 1)",
+        ),
+    ],
+    ids=["product", "digits", "constant-power", "superscript", "coeff-exponent"],
+)
+def test_input_the_reader_cannot_read_exits_2(tmp_path, text, message):
+    """Each of these once ended in a traceback or ran for over a minute: six
+    factors of 816 terms multiplied with no bound, ``int()`` refused a
+    5,000-digit literal with a ValueError the reader did not catch, nested
+    powers computed 9^(10^8), a superscript digit passed ``str.isdigit``
+    and failed ``int()``, and ``Fraction`` read ``1e100000000`` as a
+    100,000,001-digit integer.  Each now exits 2 with its line, from a
+    fresh interpreter that must end within a minute."""
+    path = put(tmp_path, "bad.albv", text)
+    proc = run_module("validate", path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: %s\n" % message)
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        (SL2_TEXT.replace("rank = 3", "rank = %s" % ("9" * 5000)), 3),
+        (SL2_TEXT.replace("structure = [", "structure = [%s, " % _DEEP), 4),
+    ],
+    ids=["rank-digits", "deep-array"],
+)
+def test_a_json_value_the_reader_cannot_read_exits_2(tmp_path, text, line):
+    """``json.loads`` refuses an integer above the interpreter's digit limit
+    with a plain ValueError and an array nested past its recursion limit
+    with a RecursionError, and both used to end in a traceback.  The reason
+    printed is the interpreter's, whose wording differs between versions."""
+    key, _, value = text.splitlines()[line - 1].partition("=")
+    with pytest.raises((ValueError, RecursionError)) as caught:
+        json.loads(value.strip())
+    expected = "error: line %d: bad value for %r: %s\n" % (line, key.strip(), caught.value)
+    path = put(tmp_path, "bad.albv", text)
+    proc = run_module("validate", path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", expected)
+
+
+def test_a_weight_above_the_limit_is_refused_before_the_gate(
+    tmp_path, capsys, monkeypatch
+):
+    """Over one base variable every slice has C(rank, k) monomials at any
+    weight, so the block count let ``--max-weight 100000`` on the line run
+    for 6 s and print 2.1 MB; ``Complex`` refuses a weight above ``MAX_WEIGHT`` over a
+    nonempty base, from the file, before the gate.  Over no variables a
+    table is weight 0 alone, so sl2 prints it at any weight."""
+    from albv.algebroid import LieAlgebroid
+    from albv.homology import MAX_WEIGHT
+
+    from conftest import counting
+
+    line = put(tmp_path, "line.albv", LINE_TEXT)
+    refusal = "error: table too large: weight %d is above the limit of %d\n"
+    with counting(monkeypatch, LieAlgebroid, "validate") as calls:
+        for command in (["cohomology"], ["homology"]):
+            assert main(command + [line, "--max-weight", str(MAX_WEIGHT + 1)]) == 2
+            assert capsys.readouterr() == ("", refusal % (MAX_WEIGHT + 1, MAX_WEIGHT))
+    assert calls == []
+    assert main(["cohomology", line, "--max-weight", str(MAX_WEIGHT)]) == 0
+    assert "w=%d" % MAX_WEIGHT in capsys.readouterr().out
+    proc = run_module("cohomology", line, "--max-weight", "1000000")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", refusal % (1000000, MAX_WEIGHT)
+    )
+
+    sl2 = put(tmp_path, "sl2.albv", SL2_TEXT)
+    assert main(["cohomology", sl2, "--max-weight", "4"]) == 0
+    expected = capsys.readouterr()
+    assert main(["cohomology", sl2, "--max-weight", "1000000"]) == 0
+    assert capsys.readouterr() == expected
 
 
 @pytest.mark.parametrize("command", [["cohomology"], ["homology"], ["verify"]])
