@@ -17,12 +17,15 @@ every derived structure (the cotangent algebroid of a bivector, the dual of a
 triangular structure, a frame change) states its differential on coordinates
 and coframe sections, and ``algebroid_from_differential`` reads the anchor and
 structure functions off those images.
+
+``LieAlgebroid``, ``PoissonStructure`` and ``bv.TopConnection`` keep what
+they fix in one memo, ``Memo.kept``: frame elements, volumes, the cotangent
+algebroid, the table rows of ``rows`` and the modular field of ``homology``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from operator import index
@@ -40,7 +43,7 @@ from .exterior import (
     scalar_elem,
     top_elem,
 )
-from .poly import Poly, merge_terms, parse_poly
+from .poly import Poly, _coerce, merge_terms, parse_poly
 
 __all__ = [
     "LieAlgebroid",
@@ -106,10 +109,26 @@ class ValidationReport:
             raise ValueError(heading + ":\n" + "\n".join(self.lines()))
 
 
-class LieAlgebroid:
+class Memo:
+    """A structure's memo of what it fixes; it goes when the structure goes."""
+
+    def __init__(self):
+        self._fixed = {}
+
+    def kept(self, key, build):
+        """The value stored under ``key``, from ``build()`` on the first
+        request; kept values are immutable, so every caller shares it."""
+        out = self._fixed.get(key)
+        if out is None:
+            out = self._fixed[key] = build()
+        return out
+
+
+class LieAlgebroid(Memo):
     """Frame presentation of a Lie algebroid over a polynomial base."""
 
     def __init__(self, variables, rank, anchor, structure):
+        super().__init__()
         self.variables = tuple(variables)
         self.rank = int(rank)
         self._zero = Poly.zero(self.variables)  # shared by every structure_coeff miss
@@ -150,11 +169,6 @@ class LieAlgebroid:
             if any(not c.is_zero for c in comps):
                 clean[(i, j)] = comps
         self.structure = dict(sorted(clean.items()))
-        # fixed by the structure, so built on the first request and shared:
-        # frame, coframe and top elements and volumes, and the table rows of
-        # the differential, which ``rows.differential_rows`` compiles
-        self._fixed = {}
-        self._rows = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -168,23 +182,15 @@ class LieAlgebroid:
     def zero_poly(self) -> Poly:
         return Poly.zero(self.variables)
 
-    def _kept(self, key, build):
-        """The fixed element stored under ``key``, from ``build()`` on the
-        first request; elements are immutable, so every caller shares it."""
-        out = self._fixed.get(key)
-        if out is None:
-            out = self._fixed[key] = build()
-        return out
-
     def frame(self, i) -> GradedElem:
         i = index(i)
-        return self._kept(
+        return self.kept(
             ("frame", i), lambda: frame_elem(i, self.rank, self.variables)
         )
 
     def coframe(self, i) -> GradedElem:
         i = index(i)
-        return self._kept(
+        return self.kept(
             ("coframe", i), lambda: coframe_elem(i, self.rank, self.variables)
         )
 
@@ -194,17 +200,13 @@ class LieAlgebroid:
     def zero_elem(self, side, degree) -> GradedElem:
         return GradedElem.zero(side, degree, self.rank, self.variables)
 
-    def top(self, side=A_SIDE, coeff=1) -> GradedElem:
-        # the type is in the key, so a coefficient that ``top_elem`` refuses
-        # (a float) is not served the element of an equal int
-        return self._kept(
-            ("top", side, type(coeff), coeff),
-            lambda: top_elem(self.rank, self.variables, side, coeff),
-        )
+    def top(self) -> GradedElem:
+        """The reference top section e_1 ^ ... ^ e_n."""
+        return self.kept("top", lambda: top_elem(self.rank, self.variables))
 
     def volume(self, coeff=1) -> Volume:
-        coeff = Fraction(coeff)
-        return self._kept(
+        coeff = _coerce(coeff)
+        return self.kept(
             ("volume", coeff), lambda: Volume(coeff, self.rank, self.variables)
         )
 
@@ -399,7 +401,7 @@ def lie_algebra(rank, brackets) -> LieAlgebroid:
     return custom_algebroid((), rank, [()] * rank, brackets, check=False)
 
 
-class PoissonStructure:
+class PoissonStructure(Memo):
     """A bivector field with vanishing self-bracket, in coordinate components.
 
     ``components`` maps pairs ``(mu, nu)`` with ``mu < nu`` to the coefficient
@@ -407,6 +409,7 @@ class PoissonStructure:
     """
 
     def __init__(self, variables, components, check=True):
+        super().__init__()
         self.variables = tuple(variables)
         m = len(self.variables)
         clean = {}
@@ -418,8 +421,6 @@ class PoissonStructure:
                 clean[(mu, nu)] = coeff
         self.components = dict(sorted(clean.items()))
         self._elem = GradedElem(A_SIDE, 2, m, self.variables, self.components)
-        self._cotangent = None  # built unchecked on the first request
-        self._kb_rows = None  # compiled by ``rows.kb_rows`` on the first request
         if check:
             bad = self.jacobiator()
             if not bad.is_zero:
@@ -441,9 +442,9 @@ class PoissonStructure:
     def cotangent(self) -> LieAlgebroid:
         """The cotangent algebroid of the bivector, built once and unchecked;
         ``cotangent_algebroid`` adds the structure checks."""
-        if self._cotangent is None:
-            self._cotangent = _bivector_dual(self.tangent(), self._elem)
-        return self._cotangent
+        return self.kept(
+            "cotangent", lambda: _bivector_dual(self.tangent(), self._elem)
+        )
 
     def jacobiator(self) -> GradedElem:
         from .calculus import schouten

@@ -17,7 +17,7 @@ frame-wise contraction formula, and its trace induces a ``TopConnection``.
 
 from __future__ import annotations
 
-from .algebroid import LieAlgebroid, _coerce_poly
+from .algebroid import LieAlgebroid, Memo, _coerce_poly
 from .calculus import differential
 from .exterior import (
     A_SIDE,
@@ -46,10 +46,11 @@ __all__ = [
 ]
 
 
-class TopConnection:
+class TopConnection(Memo):
     """Connection on the top exterior power, as a degree-1 connection form."""
 
     def __init__(self, algebroid: LieAlgebroid, alpha: GradedElem | None = None):
+        super().__init__()
         self.algebroid = algebroid
         if alpha is None:
             alpha = algebroid.zero_elem(DUAL_SIDE, 1)
@@ -58,7 +59,6 @@ class TopConnection:
         if alpha.rank != algebroid.rank or alpha.variables != algebroid.variables:
             raise ValueError("connection form does not live on this structure")
         self.alpha = alpha
-        self._rows = None  # compiled by ``rows.boundary_rows`` on the first request
 
     def operator(self):
         return lambda u: generating_operator(self, u)

@@ -29,19 +29,14 @@ from math import comb
 
 from .albvfile import Document, DocumentError
 from .exterior import DUAL_SIDE, GradedElem, basis_tuples, star
-from .homology import (
-    Complex,
-    TableTooLarge,
-    boundary_betti,
-    cohomology_betti,
-    kb_betti,
-    modular_relation_check,
-)
+from .homology import Complex, TableTooLarge, boundary_betti, cohomology_betti, kb_betti
 from .bv import curvature
 from .poly import Poly
-from .verify import SUITES, TABLE_WEIGHT, Report, run_suites, structure_gate
+from .verify import (
+    SUITES, TABLE_WEIGHT, Report, record_modular, run_suites, structure_gate
+)
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main"]
 
 
 # probes per identity in ``verify``, whose run time grows linearly with them
@@ -71,7 +66,9 @@ def _bounded_int(minimum, maximum=None):
     return parse
 
 
-def build_parser() -> argparse.ArgumentParser:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("file", help="path to an .albv file")
     # SUPPRESS keeps a flag given before the subcommand from being reset to
@@ -201,11 +198,8 @@ def _cmd_homology(args, doc, report, a, pi):
 
 
 def _cmd_modular(args, doc, report, a, pi):
-    outcome = modular_relation_check(pi)
+    outcome = record_modular(report, pi)
     report.info.append("modular field: %s" % outcome["modular_field"])
-    report.record("modular-field-closed", outcome["closed_failures"])
-    report.record("modular-relation", outcome["failures"])
-    report.sign = outcome["sign"]
 
 
 def _cmd_star(args, doc, report, a, pi):
@@ -244,12 +238,6 @@ _GATED = ("cohomology", "homology", "modular", "star", "verify")
 
 class _Usage(Exception):
     pass
-
-
-@cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: parsing leaves it unchanged."""
-    return build_parser()
 
 
 def main(argv=None) -> int:

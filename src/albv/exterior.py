@@ -52,7 +52,7 @@ from functools import cache
 from itertools import combinations
 from operator import index, lt
 
-from .poly import Poly, merge_terms
+from .poly import Poly, _coerce, merge_terms
 
 __all__ = [
     "A_SIDE",
@@ -292,7 +292,7 @@ class Volume:
     variables: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coeff", Fraction(self.coeff))
+        object.__setattr__(self, "coeff", Fraction(_coerce(self.coeff)))
         object.__setattr__(self, "variables", tuple(self.variables))
         if self.coeff == 0:
             raise ValueError("volume coefficient must be nonzero")
@@ -500,9 +500,10 @@ class FrameAction:
     times itself, so the side A* action is the star conjugate of the side A
     action divided by ``det g``: the star into the unit volume, then the
     inverse star into ``det g`` times it.  A zero side A* element, whose
-    degree may lie outside ``0..rank``, comes back unchanged.  The matrix
-    is read into Fractions once, and each minor is expanded once for all
-    the elements the action moves.  ``matrix`` is ``g`` as given.
+    degree may lie outside ``0..rank``, comes back unchanged.  ``matrix``
+    is ``g`` as given, its entries ints, Fractions or literal strings; they
+    are read once, and each minor is expanded once for all the elements the
+    action moves.
     """
 
     def __init__(self, g, n):
@@ -510,7 +511,7 @@ class FrameAction:
             raise ValueError("frame matrix must be %d x %d" % (n, n))
         self.matrix = g
         self.rank = n
-        mat = [[Fraction(x) for x in row] for row in g]
+        mat = [[_coerce(x) for x in row] for row in g]
 
         @cache
         def minor(rows, cols):

@@ -30,9 +30,9 @@ when built, so the command line refuses a table from the file alone, and
 each block before it is built.  ``betti_table`` is ``Complex(...).table``.
 
 The four tables take their row functions from ``rows``, compiled from
-generator data and kept on the structure that fixes them; the operators
-defined or re-exported here stay as the route the checks use and as the
-oracle of those rows.  Nothing but the shape's caches outlives a table:
+generator data and kept in the memo of the structure that fixes them; the
+operators defined or re-exported here stay as the route the checks use and
+as the oracle of those rows.  Nothing but the shape's caches outlives a table:
 every table asks each basis monomial's row once and ranks each block once.
 
 Also here: the star-conjugation check of the boundary (defined in ``bv``
@@ -42,8 +42,8 @@ the homology-versus-cohomology duality checks, the anticommutator defect
 experiment, and the connection-homotopy comparison.  The modular relation and
 the anticommutator defect both read one global sign off their probes, and
 both read it through ``_uniform_sign``.  The modular field is computed here
-only: ``modular_relation_check`` also reports whether the field is closed, so
-a report needs one call for both modular checks.
+only and kept on the bivector, so every check reads one computation;
+``modular_relation_check`` also reports whether the field is closed.
 """
 
 from __future__ import annotations
@@ -513,8 +513,12 @@ def modular_vector_field(pi: PoissonStructure) -> GradedElem:
     The coefficient on the mu-th coordinate field is the top-form ratio of
     the derivative of the unit volume along the Hamiltonian field of the
     mu-th coordinate.  A constant rescaling of the volume cancels from that
-    ratio, so the unit volume is the only one needed.
+    ratio, so the unit volume is the only one needed.  It is kept on ``pi``.
     """
+    return pi.kept("modular field", lambda: _modular_field(pi))
+
+
+def _modular_field(pi: PoissonStructure) -> GradedElem:
     m = pi.base_dim
     t = tangent_algebroid(pi.variables)
     omega = top_elem(m, pi.variables, DUAL_SIDE)

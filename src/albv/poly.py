@@ -46,11 +46,12 @@ __all__ = ["Poly", "parse_poly", "PolyParseError", "merge_terms"]
 
 
 def _coerce(value):
-    """The exact value as an int when integral, as a Fraction otherwise."""
+    """The exact value as an int when integral, as a Fraction otherwise; a
+    string is read by ``parse_poly`` as a constant, and a float is refused."""
     if type(value) is int:
         return value
     if isinstance(value, str):
-        value = Fraction(value)
+        return parse_poly(value, ()).constant_value()
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):

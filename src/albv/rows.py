@@ -32,14 +32,14 @@ so the row of every monomial x^b e_I follows from the rows of e_I and of
 x_mu e_I.  ``_first_order`` compiles those once per index tuple, and the
 Leibniz code below is only asked at weights 0 and 1.
 
-A row function, with the rows it has compiled, is kept on the structure
-that fixes it, built on the first request like ``PoissonStructure.cotangent``:
-the differential's on its ``LieAlgebroid``, the boundary's on its
-``TopConnection`` and the Koszul-Brylinski operator's on its
-``PoissonStructure``.  Every table on one structure shares them, and they go
-when the structure goes.  A nonzero twist alpha is not fixed by the algebroid,
-so ``differential_rows(a, alpha)`` builds fresh rows; the boundary reaches a
-twist only through its own connection, which keeps them.
+A row function, with the rows it has compiled, is kept under this module's
+keys in the memo of the structure that fixes it, ``kept``, like
+``PoissonStructure.cotangent``: the differential's on its ``LieAlgebroid``,
+the boundary's on its ``TopConnection`` and the Koszul-Brylinski operator's
+on its ``PoissonStructure``.  Every table on one structure shares them, and
+they go when the structure goes.  A nonzero twist alpha is not fixed by the
+algebroid, so ``differential_rows(a, alpha)`` builds fresh rows; the
+boundary reaches a twist only through its own connection, which keeps them.
 """
 
 from __future__ import annotations
@@ -141,9 +141,7 @@ def differential_rows(a: LieAlgebroid, alpha: GradedElem | None = None):
     """
     if alpha:
         return _leibniz_rows(a, alpha)
-    if a._rows is None:
-        a._rows = _leibniz_rows(a, None)
-    return a._rows
+    return a.kept("differential rows", lambda: _leibniz_rows(a, None))
 
 
 def _leibniz_rows(a: LieAlgebroid, alpha):
@@ -210,9 +208,7 @@ def boundary_rows(conn: TopConnection):
     linear over functions, so the conjugate is first order like d + alpha^
     and is asked only at weights 0 and 1.
     """
-    if conn._rows is None:
-        conn._rows = _boundary_rows(conn)
-    return conn._rows
+    return conn.kept("boundary rows", lambda: _boundary_rows(conn))
 
 
 def _boundary_rows(conn: TopConnection):
@@ -241,9 +237,7 @@ def kb_rows(pi: PoissonStructure):
     The composite is asked only at weights 0 and 1; its d factor is itself
     extended from weights 0 and 1 of the tangent differential.
     """
-    if pi._kb_rows is None:
-        pi._kb_rows = _kb_rows(pi)
-    return pi._kb_rows
+    return pi.kept("kb rows", lambda: _kb_rows(pi))
 
 
 def _kb_rows(pi: PoissonStructure):

@@ -10,8 +10,9 @@ A ``Report`` holds what a command prints: ``CheckResult`` lines, tables, the
 modular sign and plain info lines.  ``structure_gate`` records the checks
 every later line rests on, ``axioms`` and, with a bivector,
 ``bivector-self-commutes``; the command line gates its commands with it, and
-the ``algebroid`` suite opens with it.  A suite session is a ``Report``, so
-the suites record straight into it.
+the ``algebroid`` suite opens with it; ``record_modular`` records the two
+modular checks for the ``modular`` command and the ``homology`` suite.  A
+suite session is a ``Report``, so the suites record straight into it.
 
 Most identities are laws: a local function draws one probe and returns the
 identity's residual on it; ``_Session.law`` calls it once per probe and lists
@@ -26,7 +27,6 @@ import random
 from dataclasses import dataclass
 
 from .albvfile import Document
-from .algebroid import cotangent_algebroid
 from .bv import (
     TopConnection,
     connection_from_operator,
@@ -64,7 +64,8 @@ from .randgen import (
 )
 
 __all__ = [
-    "CheckResult", "Report", "SUITES", "TABLE_WEIGHT", "run_suites", "structure_gate"
+    "CheckResult", "Report", "SUITES", "TABLE_WEIGHT", "record_modular", "run_suites",
+    "structure_gate",
 ]
 
 SUITES = ("core", "algebroid", "bv", "homology", "all")
@@ -156,6 +157,18 @@ def structure_gate(report, a, pi):
             "bivector-self-commutes", [] if bad.is_zero else ["self-bracket is %s" % bad]
         )
     return vreport
+
+
+def record_modular(report, pi, probes=None):
+    """Record ``modular-field-closed`` and ``modular-relation`` from one
+    ``modular_relation_check`` of ``pi`` on ``probes``, and its sign when the
+    probes fix one; returns the check's outcome."""
+    outcome = modular_relation_check(pi, probes)
+    report.record("modular-field-closed", outcome["closed_failures"])
+    report.record("modular-relation", outcome["failures"])
+    if outcome["sign"] is not None:
+        report.sign = outcome["sign"]
+    return outcome
 
 
 class _Session(Report):
@@ -308,7 +321,7 @@ def _suite_algebroid(s: _Session):
     s.law("differential-squares-to-zero", "square", square)
 
     if s.poisson is not None and s.doc.kind == "tangent":
-        dual = cotangent_algebroid(s.poisson, check=False)
+        dual = s.poisson.cotangent()
         pairs = [
             (random_section(rng, a, s.max_deg), random_section(rng, a, s.max_deg))
             for _ in range(s.trials)
@@ -455,13 +468,9 @@ def _suite_homology(s: _Session):
         len(form_probes),
     )
 
-    outcome = modular_relation_check(pi, form_probes)
-    s.record("modular-field-closed", outcome["closed_failures"])
-    s.record("modular-relation", outcome["failures"])
-    if outcome["sign"] is not None:
-        s.sign = outcome["sign"]
+    record_modular(s, pi, form_probes)
 
-    cot = cotangent_algebroid(pi, check=False)
+    cot = pi.cotangent()
 
     def kb_generating():
         w1 = form()

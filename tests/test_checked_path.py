@@ -28,6 +28,7 @@ from albv.exterior import (
     pairing,
     star,
     star_inv,
+    top_elem,
     wedge,
 )
 from albv.homology import monomial_basis_elems
@@ -96,7 +97,8 @@ def structure_outputs(rng, a):
     yield from (Poly.constant(c, XYZ) for c in values)
     yield from (a.frame(i) for i in range(a.rank))
     yield from (a.coframe(i) for i in range(a.rank))
-    yield from (a.top(), a.top(DUAL_SIDE), a.top(coeff=Fraction(2, 3)))
+    yield from (a.top(), top_elem(a.rank, XYZ, DUAL_SIDE))
+    yield top_elem(a.rank, XYZ, coeff=Fraction(2, 3))
     yield from (a.anchor_frame(i, p) for i in range(a.rank))
     yield from (a.anchor_apply(x, p), pairing(theta, u))
 
@@ -130,10 +132,10 @@ def test_fixed_elements_are_built_once_per_structure():
     a = cotangent_algebroid(PoissonStructure(XYZ, SO3))
     assert a.frame(0) is a.frame(0)
     assert a.coframe(2) is a.coframe(2)
-    assert a.top(DUAL_SIDE) is a.top(DUAL_SIDE)
+    assert a.top() is a.top()
     assert a.volume(-1) is a.volume(Fraction(-1))
     assert a.frame(0) is not a.frame(1)
-    assert a.top() is not a.top(DUAL_SIDE)
+    assert a.top() == top_elem(a.rank, XYZ)
     assert a.volume(1) == Volume(1, a.rank, XYZ)
     # what the builders refuse is refused again, not served from the store
     for bad in (-1, a.rank):
@@ -142,4 +144,4 @@ def test_fixed_elements_are_built_once_per_structure():
     with pytest.raises(TypeError):
         a.frame(1.0)
     with pytest.raises(TypeError):
-        a.top(coeff=1.0)
+        top_elem(a.rank, XYZ, coeff=1.0)

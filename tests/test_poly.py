@@ -1,8 +1,11 @@
+import time
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+from albv.algebroid import tangent_algebroid
+from albv.exterior import Volume, frame_action
 from albv.poly import (
     MAX_NESTING,
     MAX_POWER_DEGREE,
@@ -206,3 +209,35 @@ def test_merge_terms_adds_scaled_products_and_leaves_zeros_to_the_constructor():
     assert terms == {(2, 0): 0, (1, 0): 0, (0, 0): -2}
     assert Poly(XY, terms) == Poly.constant(-2, XY)
     assert Poly(XY, terms).terms == {(0, 0): -2}
+
+
+# library entry points that take a number, each with an input it refuses:
+# decimals and exponents are not literals of the grammar, and no entry point
+# takes a float
+REFUSED_NUMBERS = [
+    (lambda: Poly.constant("1.5", ()), PolyParseError),
+    (lambda: Poly(("x",), {(1,): "2.5"}), PolyParseError),
+    (lambda: Poly.constant("1e10000000", ()), PolyParseError),
+    (lambda: Poly.constant("1e1000000", ()), PolyParseError),
+    (lambda: Poly.constant(0.5, ()), TypeError),
+    (lambda: Volume(0.1, 1, ("x",)), TypeError),
+    (lambda: tangent_algebroid(("x",)).volume(0.25), TypeError),
+    (lambda: frame_action([[0.5]], 1), TypeError),
+]
+
+
+@pytest.mark.parametrize("build, error", REFUSED_NUMBERS)
+def test_library_numbers_go_through_the_literal_grammar(build, error):
+    start = time.perf_counter()
+    with pytest.raises(error):
+        build()
+    assert time.perf_counter() - start < 1
+
+
+def test_library_number_strings_keep_their_values():
+    assert Poly.constant("2/5", XY).constant_value() == Fraction(2, 5)
+    assert Poly(("x",), {(1,): "-3/4"}) == parse_poly("-3/4*x", ("x",))
+    assert Volume("-3/4", 1, ("x",)).coeff == Fraction(-3, 4)
+    a = tangent_algebroid(("x",))
+    assert a.volume("-3/4") is a.volume(Fraction(-3, 4))
+    assert frame_action([["1/2"]], 1)(a.frame(0)) == a.frame(0) * Fraction(1, 2)
