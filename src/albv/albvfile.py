@@ -1,4 +1,4 @@
-"""Reader and writer for the .albv problem file format.
+"""Reader for the .albv problem file format.
 
 A file is line oriented.  Blank lines and lines whose first nonblank
 character is ``#`` are skipped.  A line ``[name]`` opens a section; the
@@ -11,7 +11,6 @@ Each literal is read once, by ``poly.parse_poly``, into the value a
 ``Document`` keeps: a ``Poly``, or for the volume coefficient the exact
 number, a constant over no variables.  So every number in a file is spelled
 in the one literal grammar: ``p/q`` rationals, no decimals or exponents.
-``emit`` writes ``str(poly)``, which the grammar reads back.
 
 Syntax and shape problems raise DocumentError with the offending line
 number; so do a rank or a number of base variables above ``MAX_RANK``, a
@@ -263,37 +262,6 @@ class Document:
             alpha=alpha,
             volume=volume,
         )
-
-    # -- writing -----------------------------------------------------------
-
-    def emit(self) -> str:
-        lines = ["[algebroid]", "kind = %s" % json.dumps(self.kind)]
-        if self.base_vars:
-            lines.append("base_vars = %s" % json.dumps(list(self.base_vars)))
-        if self.kind != "tangent":
-            lines.append("rank = %d" % self.rank)
-        if self.anchor is not None:
-            rows = [[str(c) for c in row] for row in self.anchor]
-            lines.append("anchor = %s" % json.dumps(rows))
-        if self.structure:
-            records = [
-                {"i": i, "j": j, "k": k, "c": str(c)} for i, j, k, c in self.structure
-            ]
-            lines.append("structure = %s" % json.dumps(records))
-        if self.poisson is not None:
-            lines.append("")
-            lines.append("[poisson]")
-            records = [{"i": i, "j": j, "c": str(c)} for i, j, c in self.poisson]
-            lines.append("terms = %s" % json.dumps(records))
-        if self.alpha is not None:
-            lines.append("")
-            lines.append("[connection]")
-            lines.append("alpha = %s" % json.dumps([str(c) for c in self.alpha]))
-        if self.volume is not None:
-            lines.append("")
-            lines.append("[volume]")
-            lines.append("coeff = %s" % json.dumps(str(self.volume)))
-        return "\n".join(lines) + "\n"
 
     # -- building ----------------------------------------------------------
 

@@ -11,11 +11,11 @@ it opens every command but ``validate``, which prints its report, and
 passes, 1 when any check fails, and 2 for usage or parse problems (a
 ``--trials`` above ``MAX_TRIALS`` and a ``star --degree`` with more than
 ``MAX_STAR_IMAGES`` images among them) and for a table above
-``homology.MAX_BLOCK_SIZE``, ``verify``'s duality tables at
-``verify.TABLE_WEIGHT`` included.  Every command prints one ``verify.Report``:
-with ``--json`` a single JSON object with the keys ``command``, ``checks``,
-``tables`` and ``sign_s``, without it the same content as plain lines.
-Output is deterministic for a fixed file and seed.
+``homology.MAX_BLOCK_SIZE``, ``verify``'s duality tables and ``modular``'s
+basis walk at ``homology.WALK_WEIGHT`` included.  Every command prints one
+``verify.Report``: with ``--json`` a single JSON object with the keys
+``command``, ``checks``, ``tables`` and ``sign_s``, without it the same
+content as plain lines.  Output is deterministic for a fixed file and seed.
 """
 
 from __future__ import annotations
@@ -28,13 +28,13 @@ from functools import cache
 from math import comb
 
 from .albvfile import Document, DocumentError
-from .exterior import DUAL_SIDE, GradedElem, basis_tuples, star
-from .homology import Complex, TableTooLarge, boundary_betti, cohomology_betti, kb_betti
-from .bv import curvature
-from .poly import Poly
-from .verify import (
-    SUITES, TABLE_WEIGHT, Report, record_modular, run_suites, structure_gate
+from .exterior import DUAL_SIDE, star
+from .homology import (
+    WALK_WEIGHT, Complex, TableTooLarge, boundary_betti, cohomology_betti, kb_betti,
+    monomial_basis_elems,
 )
+from .bv import curvature
+from .verify import SUITES, Report, record_modular, run_suites, structure_gate
 
 __all__ = ["main"]
 
@@ -148,11 +148,12 @@ def _check_file(args, doc):
     """Refuse, from the parsed file alone, a command the file cannot serve,
     a ``star`` with more than ``MAX_STAR_IMAGES`` images, or a table whose
     largest slice is above the block limit: before the structure gate,
-    whose cost grows with the cube of the rank.  Each table
-    the command prints is counted by building its ``Complex``.  ``verify``'s
-    tables are its duality tables at ``TABLE_WEIGHT``, the Poisson one on
-    base forms; they are counted before any suite draws a probe, as the
-    draws grow with the same binomials."""
+    whose cost grows with the cube of the rank.  Each table the command
+    prints and each basis walk it takes is counted by building its
+    ``Complex``.  ``verify``'s tables are its duality tables at
+    ``WALK_WEIGHT``, the Poisson one on base forms, whose shape ``modular``
+    walks; they are counted before any suite draws a probe, as the draws
+    grow with the same binomials."""
     kb = getattr(args, "kb", False)
     if doc.poisson is None and (kb or args.command == "modular"):
         command = "homology --kb" if kb else "modular"
@@ -171,9 +172,9 @@ def _check_file(args, doc):
     if args.command in ("cohomology", "homology"):
         shapes.append((m if kb else doc.rank, args.max_weight))
     if args.command == "verify":
-        shapes.append((doc.rank, TABLE_WEIGHT))
-        if doc.poisson is not None:
-            shapes.append((m, TABLE_WEIGHT))
+        shapes.append((doc.rank, WALK_WEIGHT))
+    if args.command in ("verify", "modular") and doc.poisson is not None:
+        shapes.append((m, WALK_WEIGHT))
     for rank, weight in shapes:
         Complex(doc.base_vars, rank, weight)
 
@@ -205,11 +206,8 @@ def _cmd_modular(args, doc, report, a, pi):
 def _cmd_star(args, doc, report, a, pi):
     vol = doc.build_volume(a)
     records = []
-    for idx in basis_tuples(a.rank, args.degree):
-        eps = GradedElem(
-            DUAL_SIDE, args.degree, a.rank, a.variables,
-            {idx: Poly.constant(1, a.variables)},
-        )
+    for eps in monomial_basis_elems(a.variables, a.rank, DUAL_SIDE, args.degree, 0):
+        (idx,) = eps.components
         image = star(eps, vol)
         label = "^".join("eps%d" % (i + 1) for i in idx) or "1"
         records.append({"input": "*(%s)" % label, "output": str(image)})

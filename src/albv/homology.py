@@ -28,6 +28,9 @@ monomials it raises ``TableTooLarge``, as a complex does whose weights over
 a nonempty base run above ``MAX_WEIGHT``.  A complex counts its largest slice
 when built, so the command line refuses a table from the file alone, and
 each block before it is built.  ``betti_table`` is ``Complex(...).table``.
+``Complex.basis_elems`` walks every basis monomial of the shape, the default
+probes of two checks below at ``WALK_WEIGHT``, which is also the weight of
+``verify``'s duality tables: the command line counts walks and tables alike.
 
 The four tables take their row functions from ``rows``, compiled from
 generator data and kept in the memo of the structure that fixes them; the
@@ -90,6 +93,7 @@ __all__ = [
     "betti_table",
     "MAX_BLOCK_SIZE",
     "MAX_WEIGHT",
+    "WALK_WEIGHT",
     "TableTooLarge",
     "Complex",
     "cohomology_betti",
@@ -121,10 +125,8 @@ def lie_algebra_boundary(a: LieAlgebroid, u: GradedElem) -> GradedElem:
         raise ValueError("chain boundary acts on side A elements")
     deg = u.degree - 1
     comps = {}
-    for target in basis_tuples(a.rank, deg):
-        eps = GradedElem(
-            DUAL_SIDE, deg, a.rank, a.variables, {target: Poly.constant(1, a.variables)}
-        )
+    for eps in monomial_basis_elems(a.variables, a.rank, DUAL_SIDE, deg, 0):
+        (target,) = eps.components
         comps[target] = pairing(differential(a, eps), u)
     return GradedElem(A_SIDE, deg, a.rank, a.variables, comps)
 
@@ -167,6 +169,10 @@ MAX_BLOCK_SIZE = 4096
 # not bound them: over one base variable every slice has the same size, and
 # the line's cohomology at weight 100,000 printed 2.1 MB in 6 s.
 MAX_WEIGHT = 100
+
+# Weight of the basis walks of ``star_conjugation_check`` and
+# ``modular_relation_check`` and of ``verify``'s duality tables.
+WALK_WEIGHT = 2
 
 
 class TableTooLarge(ValueError):
@@ -253,8 +259,9 @@ class Complex:
     counts its largest slice, at ``max_weight``, before any row is asked."""
 
     def __init__(self, variables, rank, max_weight):
+        self.variables = tuple(variables)
         self.rank = rank
-        self.m = len(variables)
+        self.m = len(self.variables)
         if self.m and max_weight > MAX_WEIGHT:
             raise TableTooLarge(
                 "table too large: weight %d is above the limit of %d"
@@ -279,6 +286,16 @@ class Complex:
                 % (k, max(weights), size, MAX_BLOCK_SIZE)
             )
         return size
+
+    def basis_elems(self, side):
+        """Every basis monomial of the complex on ``side``, degree by degree
+        and weight by weight within a degree, each slice in table order."""
+        return [
+            elem
+            for k in range(self.rank + 1)
+            for w in range(self.max_weight + 1)
+            for elem in monomial_basis_elems(self.variables, self.rank, side, k, w)
+        ]
 
     def table(self, row, k_step, operator_tag="", force_capped=False) -> BettiTable:
         """Betti table of one operator of exterior-degree step ``k_step``.
@@ -451,7 +468,9 @@ def duality_check(a: LieAlgebroid, max_weight=4):
 # -- star conjugation ------------------------------------------------------
 
 
-def star_conjugation_check(a: LieAlgebroid, vol: Volume, probes=None, max_weight=2):
+def star_conjugation_check(
+    a: LieAlgebroid, vol: Volume, probes=None, max_weight=WALK_WEIGHT
+):
     """Check the boundary of the trivial connection against star conjugation.
 
     The claim: on every element, the boundary equals minus the star of the
@@ -461,7 +480,7 @@ def star_conjugation_check(a: LieAlgebroid, vol: Volume, probes=None, max_weight
     adding the contraction by its trace form moves that operator to the
     trivial top connection, and the sign of the complementary degree turns
     it into the boundary.  Runs on the supplied probes plus the full monomial
-    basis up to the given weight in every degree.
+    basis of ``Complex(a.variables, a.rank, max_weight)``.
     """
     n = a.rank
     half = [
@@ -470,11 +489,7 @@ def star_conjugation_check(a: LieAlgebroid, vol: Volume, probes=None, max_weight
     ]
     nabla = AConnectionOnA(a, half)
     tau = nabla.induced_top_connection().alpha
-    todo = list(probes or [])
-    top_w = 0 if a.base_dim == 0 else max_weight
-    for k in range(n + 1):
-        for w in range(top_w + 1):
-            todo.extend(monomial_basis_elems(a.variables, n, A_SIDE, k, w))
+    todo = list(probes or []) + Complex(a.variables, n, max_weight).basis_elems(A_SIDE)
     failures = []
     for pos, u in enumerate(todo):
         lhs = torsion_free_generator(nabla, u) + contract_or_zero(tau, u)
@@ -531,16 +546,6 @@ def _modular_field(pi: PoissonStructure) -> GradedElem:
     return GradedElem(A_SIDE, 1, m, pi.variables, comps)
 
 
-def _default_form_probes(pi: PoissonStructure, max_weight=2):
-    out = []
-    for k in range(pi.base_dim + 1):
-        for w in range(max_weight + 1):
-            out.extend(
-                monomial_basis_elems(pi.variables, pi.base_dim, DUAL_SIDE, k, w)
-            )
-    return out
-
-
 def _uniform_sign(pairs):
     """The one sign s with residual == s * target on every probe.
 
@@ -573,15 +578,18 @@ def modular_relation_check(pi: PoissonStructure, probes=None):
     The difference should be contraction by the modular vector field up to a
     single global sign, read off the probes by ``_uniform_sign``.  A zero
     modular field leaves the sign undetermined and requires the difference
-    to vanish identically.  The modular field is computed once, and the
-    report also witnesses that it is closed: ``closed_failures`` is empty
-    when its bracket with the bivector vanishes.
+    to vanish identically.  Without ``probes`` the check walks the basis of
+    ``Complex(pi.variables, pi.base_dim, WALK_WEIGHT)``.  The modular field
+    is computed once, and the report also witnesses that it is closed:
+    ``closed_failures`` is empty when its bracket with the bivector vanishes.
     """
     cot = cotangent_algebroid(pi)
     conn0 = TopConnection(cot)
     nu = modular_vector_field(pi)
     closed = lichnerowicz(pi, nu)
-    todo = list(probes) if probes is not None else _default_form_probes(pi)
+    if probes is None:
+        probes = Complex(pi.variables, pi.base_dim, WALK_WEIGHT).basis_elems(DUAL_SIDE)
+    todo = list(probes)
     sign, failures = _uniform_sign(
         (
             koszul_brylinski(pi, omega)

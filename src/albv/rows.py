@@ -11,7 +11,9 @@ coordinates and coframe sections, the data ``algebroid_from_differential``
 reads; it serves the cohomology table, and the Lichnerowicz table as the
 differential of the cotangent algebroid.  ``boundary_rows`` conjugates it,
 twisted by a connection form, with the star, a signed relabelling of
-monomials; ``kb_rows`` composes it with the contraction by the bivector.
+monomials whose complements and signs it reads from the star's own
+``exterior._complement``; ``kb_rows`` composes it with the contraction by the
+bivector.
 The operators of ``calculus``, ``bv`` and ``homology`` (``differential``,
 ``lichnerowicz``, ``boundary``, ``koszul_brylinski``) are the oracle of
 these rows in the tests.
@@ -50,7 +52,7 @@ from operator import add, sub
 
 from .algebroid import LieAlgebroid, PoissonStructure, tangent_algebroid
 from .bv import TopConnection
-from .exterior import GradedElem, shuffle_sign, sort_with_sign
+from .exterior import GradedElem, _complement, shuffle_sign, sort_with_sign
 
 __all__ = ["differential_rows", "boundary_rows", "kb_rows"]
 
@@ -215,16 +217,12 @@ def _boundary_rows(conn: TopConnection):
     n = conn.algebroid.rank
     d = differential_rows(conn.algebroid, conn.alpha)
 
-    def complement(idx):
-        return tuple(i for i in range(n) if i not in idx)
-
     def row(idx, expo):
-        pre = complement(idx)
-        outer = -shuffle_sign(pre, idx)
+        pre, sign = _complement(n, idx, True)
         out = {}
         for (target, e), c in d(pre, expo).items():
-            rest = complement(target)
-            out[(rest, e)] = outer * shuffle_sign(target, rest) * c
+            rest, inner = _complement(n, target, False)
+            out[(rest, e)] = -sign * inner * c
         return out
 
     return _first_order(row, conn.algebroid.base_dim)

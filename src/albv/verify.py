@@ -49,6 +49,7 @@ from .exterior import (
     wedge,
 )
 from .homology import (
+    WALK_WEIGHT,
     boundary,
     duality_check,
     koszul_brylinski,
@@ -64,14 +65,10 @@ from .randgen import (
 )
 
 __all__ = [
-    "CheckResult", "Report", "SUITES", "TABLE_WEIGHT", "record_modular", "run_suites",
-    "structure_gate",
+    "CheckResult", "Report", "SUITES", "record_modular", "run_suites", "structure_gate"
 ]
 
 SUITES = ("core", "algebroid", "bv", "homology", "all")
-
-# weight of the duality tables the homology suite builds and reports
-TABLE_WEIGHT = 2
 
 
 @dataclass
@@ -436,7 +433,7 @@ def _suite_homology(s: _Session):
     s.record("star-conjugation", outcome["failures"])
 
     try:
-        dual = duality_check(a, max_weight=TABLE_WEIGHT)
+        dual = duality_check(a, max_weight=WALK_WEIGHT)
     except ValueError as exc:
         s.record("homology-cohomology-duality", [str(exc)])
     else:
@@ -488,7 +485,7 @@ def _suite_homology(s: _Session):
 
     s.law("kb-generates-cotangent-bracket", "kb-generating", kb_generating)
 
-    outcome = unimodular_duality_check(pi, max_weight=TABLE_WEIGHT)
+    outcome = unimodular_duality_check(pi, max_weight=WALK_WEIGHT)
     if outcome["skipped"]:
         reason = "modular field %s" % outcome["modular_field"]
         s.checks.append(CheckResult.skip("unimodular-duality", reason))

@@ -1,5 +1,6 @@
 """Structure checks, brackets, and the bivector-induced constructions."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from albv.algebroid import (
     triangular_dual_algebroid,
 )
 from albv.exterior import A_SIDE, DUAL_SIDE, frame_action, wedge
+from albv.randgen import random_poly
 from conftest import aff1, heisenberg, sl2
 
 
@@ -141,6 +143,31 @@ def test_cotangent_check_flags_bad_bivector():
     pi = PoissonStructure(("x", "y", "z"), {(0, 1): "1", (1, 2): "y"}, check=False)
     with pytest.raises(ValueError, match="cotangent structure checks failed"):
         cotangent_algebroid(pi)
+
+
+def test_cotangent_checks_pass_exactly_when_the_bivector_self_commutes():
+    """The property behind checking the cotangent structure only on a
+    nonzero kept self-bracket.  In three variables f d/dx ^ d/dy always
+    self-commutes, and a bivector with three random components mostly does
+    not, so both outcomes are drawn."""
+    xyz = ("x", "y", "z")
+    rng = random.Random("cotangent-checks")
+    outcomes = []
+    for trial in range(24):
+        keys = [(0, 1)] if trial % 3 == 0 else [(0, 1), (0, 2), (1, 2)]
+        comps = {key: random_poly(rng, xyz, 2) for key in keys}
+        pi = PoissonStructure(xyz, comps, check=False)
+        commutes = pi.jacobiator().is_zero
+        assert pi.jacobiator() is pi.jacobiator()
+        assert pi.cotangent().validate().ok == commutes
+        if commutes:
+            assert cotangent_algebroid(pi) is pi.cotangent()
+        else:
+            with pytest.raises(ValueError, match="cotangent structure checks failed"):
+                cotangent_algebroid(pi)
+        outcomes.append(commutes)
+    assert all(outcomes[::3])
+    assert outcomes.count(False) > len(outcomes) // 2
 
 
 def test_triangular_dual_matches_cotangent_construction():

@@ -116,7 +116,41 @@ def test_verify_builds_the_cotangent_algebroid_once(
     tmp_path, capsys, monkeypatch, name, flags
 ):
     """Three checks and one table read the cotangent algebroid of the
-    bivector: one build serves them all, and it is validated once."""
+    bivector: one build serves them all.  The gate has already found the
+    self-bracket zero, so the structure checks, which fail exactly when it
+    is nonzero, are not run on it."""
+    builds, validated = count_cotangent_builds(monkeypatch)
+    path = put(tmp_path, name + ".albv", BENCH_FILES[name])
+    assert main(["verify", path, "--seed", "3", "--trials", "6"] + flags) == 0
+    capsys.readouterr()
+    assert len(builds) == 1
+    assert sum(a is builds[0] for a in validated) == 0
+
+
+def test_verify_validates_the_cotangent_algebroid_of_a_broken_bivector_once(
+    tmp_path, capsys, monkeypatch
+):
+    """A nonzero self-bracket is the one case the cotangent structure checks
+    run for, and their failure is the report's last check, as before."""
+    builds, validated = count_cotangent_builds(monkeypatch)
+    path = put(tmp_path, "broken_pi.albv", BROKEN_PI_TEXT)
+    assert main(["verify", path, "--seed", "3", "--trials", "6", "--no-validate"]) == 1
+    out = capsys.readouterr().out
+    assert len(builds) == 1
+    assert sum(a is builds[0] for a in validated) == 1
+    assert (
+        "computation: FAIL (cotangent structure checks failed:\n"
+        "anchor compatibility: FAILED\n"
+        "  sections (1, 2), base variable z: residual 1\n"
+        "  sections (1, 3), base variable y: residual -1\n"
+        "  sections (2, 3), base variable x: residual 1\n"
+        "jacobi identity: ok)\n"
+    ) in out
+
+
+def count_cotangent_builds(monkeypatch):
+    """Lists that fill with each cotangent algebroid built and each
+    structure validated while the test runs."""
     import albv.algebroid
     from albv.algebroid import LieAlgebroid
 
@@ -136,11 +170,7 @@ def test_verify_builds_the_cotangent_algebroid_once(
 
     monkeypatch.setattr(albv.algebroid, "_bivector_dual", counting_build)
     monkeypatch.setattr(LieAlgebroid, "validate", counting_validate)
-    path = put(tmp_path, name + ".albv", BENCH_FILES[name])
-    assert main(["verify", path, "--seed", "3", "--trials", "6"] + flags) == 0
-    capsys.readouterr()
-    assert len(builds) == 1
-    assert sum(a is builds[0] for a in validated) == 1
+    return builds, validated
 
 
 def test_validate_reports_broken_structure(tmp_path, capsys):
@@ -487,6 +517,35 @@ def test_star_command_lists_basis_images(tmp_path, capsys):
     assert "*(eps1) = (1) e2^e3" in out
     assert main(["star", path, "--degree", "5"]) == 2
     assert "--degree" in capsys.readouterr().err
+
+
+def test_star_json_lists_the_same_images(tmp_path, capsys):
+    """Over a base, with a volume of coefficient -2/3: the JSON table holds
+    one ``input``/``output`` record per coframe monomial, as the text does."""
+    path = put(
+        tmp_path,
+        "volume.albv",
+        '[algebroid]\nkind = "custom"\nbase_vars = ["x"]\nrank = 2\n'
+        'anchor = [["x"], ["0"]]\n'
+        'structure = [{"i": 1, "j": 2, "k": 2, "c": "1"}]\n\n'
+        '[volume]\ncoeff = "-2/3"\n',
+    )
+    assert main(["star", path, "--degree", "1", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["tables"] == [
+        {
+            "operator": "star",
+            "degree": 1,
+            "entries": [
+                {"input": "*(eps1)", "output": "(-2/3) e2"},
+                {"input": "*(eps2)", "output": "(2/3) e1"},
+            ],
+        }
+    ]
+    assert main(["star", path, "--degree", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "star, degree 1", "*(eps1) = (-2/3) e2", "*(eps2) = (2/3) e1"
+    ]
 
 
 def test_verify_runs_and_is_deterministic(tmp_path, capsys):
@@ -837,6 +896,30 @@ def test_table_size_is_refused_before_the_axiom_gate(
         "error: table too large: a block of degree 16 and weight at most 0 has "
         "%d basis monomials, above the limit of %d\n" % (comb(33, 16), MAX_BLOCK_SIZE)
     )
+
+
+def test_modular_walk_is_counted_before_the_gate(tmp_path, capsys, monkeypatch):
+    """``modular`` walks every base form up to ``WALK_WEIGHT``, the shape of
+    verify's Poisson table.  Over ten base variables that walk has a block
+    of C(10, 5) C(11, 2) = 13,860 monomials; it used to run for more than a
+    minute after the gate, and is now refused from the file, in text and in
+    JSON, with no structure checked."""
+    from albv.algebroid import LieAlgebroid
+    from albv.homology import MAX_BLOCK_SIZE
+
+    from conftest import counting
+
+    text = '[algebroid]\nkind = "tangent"\nbase_vars = [%s]\n\n[poisson]\n' % _names(10)
+    path = put(tmp_path, "t10.albv", text + 'terms = [{"i": 1, "j": 2, "c": "1"}]\n')
+    with counting(monkeypatch, LieAlgebroid, "validate") as calls:
+        for flags in ([], ["--json"], ["--no-validate"]):
+            assert main(["modular", path] + flags) == 2
+            assert capsys.readouterr() == (
+                "",
+                "error: table too large: a block of degree 5 and weight at most 2 "
+                "has 13860 basis monomials, above the limit of %d\n" % MAX_BLOCK_SIZE,
+            )
+    assert calls == []
 
 
 def _names(count):

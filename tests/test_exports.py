@@ -48,6 +48,14 @@ def test_each_package_name_is_the_object_its_module_defines(monkeypatch):
     assert albv.tangent_algebroid is replacement
 
 
+def test_dir_lists_the_exported_names_without_loading_them():
+    names = dir(albv)
+    assert names == sorted(names)
+    assert set(albv.__all__) <= set(names)
+    assert "__version__" in names
+    assert not set(albv.__all__) & set(vars(albv))
+
+
 def test_the_table_path_loads_neither_the_file_reader_nor_the_suites():
     src = str(Path(albv.__file__).resolve().parents[1])
     env = dict(os.environ)
