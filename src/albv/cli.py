@@ -153,7 +153,15 @@ def _check_file(args, doc):
     ``Complex``.  ``verify``'s tables are its duality tables at
     ``WALK_WEIGHT``, the Poisson one on base forms, whose shape ``modular``
     walks; they are counted before any suite draws a probe, as the draws
-    grow with the same binomials."""
+    grow with the same binomials.  A table whose operator can lower weight
+    by one, a shift -1 table, also ranks the slice at ``max_weight + 1``,
+    and that slice is counted too, with ``Complex.block_size`` rather than
+    a complex of that weight, which ``MAX_WEIGHT`` could refuse.  d and the
+    boundary can lower weight when an anchor entry has a constant term
+    (always, for a ``tangent`` file), the Poisson operators when a bivector
+    coefficient does.  An operator with shifts -1 and 0 makes a capped
+    table, which never asks that slice: there the count errs on the side of
+    refusing."""
     kb = getattr(args, "kb", False)
     if doc.poisson is None and (kb or args.command == "modular"):
         command = "homology --kb" if kb else "modular"
@@ -168,15 +176,28 @@ def _check_file(args, doc):
                 % (args.degree, images, MAX_STAR_IMAGES)
             )
     m = len(doc.base_vars)
-    shapes = []
+    constant = (0,) * m
+    anchor_lowers = doc.kind == "tangent" or any(
+        constant in c.terms for row in doc.anchor or () for c in row
+    )
+    poisson_lowers = doc.poisson is not None and any(
+        constant in c.terms for _, _, c in doc.poisson
+    )
+    shapes = []  # (rank, weight, whether the operator may lower weight)
     if args.command in ("cohomology", "homology"):
-        shapes.append((m if kb else doc.rank, args.max_weight))
+        if kb:
+            shapes.append((m, args.max_weight, poisson_lowers))
+        else:
+            shapes.append((doc.rank, args.max_weight, anchor_lowers))
     if args.command == "verify":
-        shapes.append((doc.rank, WALK_WEIGHT))
+        shapes.append((doc.rank, WALK_WEIGHT, anchor_lowers))
     if args.command in ("verify", "modular") and doc.poisson is not None:
-        shapes.append((m, WALK_WEIGHT))
-    for rank, weight in shapes:
-        Complex(doc.base_vars, rank, weight)
+        shapes.append((m, WALK_WEIGHT, args.command == "verify" and poisson_lowers))
+    for rank, weight, lowers in shapes:
+        shape = Complex(doc.base_vars, rank, weight)
+        if lowers and shape.max_weight:
+            # a shift -1 table also ranks the slice at max_weight + 1
+            shape.block_size((shape.max_weight + 1,))
 
 
 def _cmd_validate(args, doc, report, a, pi):

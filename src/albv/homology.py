@@ -16,7 +16,9 @@ block, each block once.  An operator of one shift s maps weight v into weight
 v + s alone, so its matrix out of any window is block-diagonal over the
 window's weights, and its rank is the sum of the ranks of the weight slices:
 a block is one slice.  A mixed-shift matrix is only block-triangular, so
-there a block is a whole window.
+there a block is a whole window.  A block hands ``linalg.rank`` one dense row
+per nonzero image; zero images add no rank and are not handed over, and a
+block of zero images alone takes no rank.
 
 A ``Complex`` is a table's shape, ``(variables, rank, max_weight)``, and
 owns what the shape fixes: the basis of each degree and weight, each block's
@@ -311,10 +313,12 @@ class Complex:
         shift s the image of weight v lies in weight v + s alone, so the matrix
         out of a window is block-diagonal and its rank is the sum of the weight
         slices' ranks, and a capped window reuses the slices of the windows
-        below it; with mixed shifts a block is the whole window.  A negative
-        entry can only come from an operator whose square is nonzero, and raises
-        ValueError.  Each block is counted by ``block_size`` before it is
-        built, as the largest slice was when the complex was.
+        below it; with mixed shifts a block is the whole window.  Only the
+        nonzero images of a block are ranked, and an image with a key outside
+        the block's target raises ValueError.  A negative entry can only come
+        from an operator whose square is nonzero, and raises ValueError.  Each
+        block is counted by ``block_size`` before it is built, as the largest
+        slice was when the complex was.
         """
         if k_step not in (1, -1):
             raise ValueError("k_step must be +1 or -1")
@@ -351,17 +355,18 @@ class Complex:
             self.block_size(weights)
             targets = tuple(v + shift for v in weights) if homogeneous else weights
             index_map = _index_map(rank, m, k + k_step, targets)
-            rows = []
-            for v in weights:
-                for image in images(k, v):
-                    dense = [0] * len(index_map)
+            # a zero image adds no rank and is not handed over
+            nonzero = [image for v in weights for image in images(k, v) if image]
+            if not nonzero:
+                return 0
+            rows = [[0] * len(index_map) for _ in nonzero]
+            try:
+                for dense, image in zip(rows, nonzero):
                     for key, c in image.items():
-                        pos = index_map.get(key)
-                        if pos is None:
-                            raise ValueError("operator image leaves the expected slice")
-                        dense[pos] = c
-                    rows.append(dense)
-            return matrix_rank(rows) if rows and index_map else 0
+                        dense[index_map[key]] = c
+            except KeyError:
+                raise ValueError("operator image leaves the expected slice") from None
+            return matrix_rank(rows)
 
         @cache
         def rank_out(k, w):

@@ -1,20 +1,24 @@
 """Exact linear algebra over the rationals.
 
 ``rank`` is fraction-free Gaussian elimination over the nonzero entries
-only.  Each row becomes a map from column to integer.  A row whose nonzero
-entries are all of type ``int`` is taken as it is; any other row (Fractions,
-or bools) has its denominators cleared by their least common multiple, which
-turns every entry, an integral Fraction too, into an ``int``.  It is then
-reduced against the pivot rows found so far, keyed by their leading column:
-with a and b the leading entries of the row and of the pivot, divided by
-their gcd, the row becomes ``b * row - a * pivot`` (just ``row - a * pivot``
-when b is 1), which cancels the leading entry in integers.  Before each step
-the row is divided by the gcd of its entries (its content), so it and every
-pivot stay primitive and entries grow with the minors of the matrix rather
-than with the number of steps.  A row whose leading column has no pivot yet
-becomes one; a row that cancels to nothing adds no rank.  The rank is the
-number of pivots.  There is no tolerance anywhere; an entry is zero or it is
-not.
+only.  Each row's support is read once, with ``compress``, into a map from
+column to entry; its first column is the row's leading column.  A row with
+one nonzero entry whose column has no pivot yet becomes the pivot
+``{column: 1}`` at once, with no gcd and no reduction.  Any other row whose
+nonzero entries are all of type ``int`` is taken as it is; the rest
+(Fractions, or bools) have their denominators cleared by their least common
+multiple, which turns every entry, an integral Fraction too, into an
+``int``.  The row is then reduced against the pivot rows found so far,
+keyed by their leading column: with a and b the leading entries of the row
+and of the pivot, divided by their gcd, the row becomes ``b * row - a *
+pivot`` (just ``row - a * pivot`` when b is 1), which cancels the leading
+entry in integers.  After each step, and before a row is stored as a pivot,
+the row is divided by the gcd of its entries (its content), a division
+skipped when that gcd is 1; so every pivot is primitive, and entries grow
+with the minors of the matrix rather than with the number of steps.  A row
+whose leading column has no pivot yet becomes one; a row that cancels to
+nothing, or has no nonzero entry, adds no rank.  The rank is the number of
+pivots.  There is no tolerance anywhere; an entry is zero or it is not.
 """
 
 from __future__ import annotations
@@ -26,28 +30,33 @@ from math import gcd, lcm
 __all__ = ["rank", "identity"]
 
 
+def _primitive(vec):
+    """``vec`` divided by its content."""
+    content = gcd(*vec.values())
+    if content == 1:
+        return vec
+    return {col: x // content for col, x in vec.items()}
+
+
 def rank(rows) -> int:
     """Rank of a matrix given as an iterable of equal-length sequences of ints
     and Fractions."""
     pivots = {}  # leading column -> primitive integer row {column: entry}
     for row in rows:
-        values = list(compress(row, row))
-        if all(type(x) is int for x in values):
-            vec = dict(zip(compress(count(), row), values))
-        else:
-            scale = lcm(*(x.denominator for x in values))
-            vec = {
-                col: x.numerator * (scale // x.denominator)
-                for col, x in zip(compress(count(), row), values)
-            }
-        while vec:
-            content = gcd(*vec.values())
-            if content > 1:
-                vec = {col: x // content for col, x in vec.items()}
-            lead = min(vec)
+        vec = {col: row[col] for col in compress(count(), row)}
+        if not vec:
+            continue
+        lead = next(iter(vec))
+        if len(vec) == 1 and lead not in pivots:
+            pivots[lead] = {lead: 1}
+            continue
+        if not all(type(x) is int for x in vec.values()):
+            scale = lcm(*(x.denominator for x in vec.values()))
+            vec = {col: x.numerator * (scale // x.denominator) for col, x in vec.items()}
+        while True:
             pivot = pivots.get(lead)
             if pivot is None:
-                pivots[lead] = vec
+                pivots[lead] = _primitive(vec)
                 break
             a, b = vec[lead], pivot[lead]
             g = gcd(a, b)
@@ -60,6 +69,10 @@ def rank(rows) -> int:
                     vec[col] = x
                 else:
                     del vec[col]
+            if not vec:
+                break
+            vec = _primitive(vec)
+            lead = min(vec)
     return len(pivots)
 
 

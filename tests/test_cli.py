@@ -922,6 +922,75 @@ def test_modular_walk_is_counted_before_the_gate(tmp_path, capsys, monkeypatch):
     assert calls == []
 
 
+TANGENT3_TEXT = '[algebroid]\nkind = "tangent"\nbase_vars = ["x", "y", "z"]\n'
+
+
+def test_shift_minus_one_slice_is_counted_before_the_gate(tmp_path, capsys, monkeypatch):
+    """d and the boundary of tangent 3-space lower weight by one, so a table
+    at ``--max-weight 3`` also ranks the slice at weight 4, C(3, 1) C(6, 4) =
+    45 monomials in degree 1.  With the limit at 30 both commands refuse it
+    from the file, with no structure checked; they used to validate first.
+    The slice at weight 3 has 30 monomials, so ``cohomology --max-weight 2``
+    and ``verify`` (whose tables stop at ``WALK_WEIGHT`` = 2) still run, as
+    does so(3)*'s shift-0 Koszul-Brylinski table at weight 3."""
+    import albv.homology
+    from albv.algebroid import LieAlgebroid
+
+    from conftest import counting
+
+    monkeypatch.setattr(albv.homology, "MAX_BLOCK_SIZE", 30)
+    tangent3 = put(tmp_path, "t3.albv", TANGENT3_TEXT)
+    so3 = put(tmp_path, "so3.albv", SO3_TEXT)
+    with counting(monkeypatch, LieAlgebroid, "validate") as calls:
+        for command in (["homology"], ["cohomology"]):
+            for flags in ([], ["--json"]):
+                assert main(command + [tangent3, "--max-weight", "3"] + flags) == 2
+                assert capsys.readouterr() == (
+                    "",
+                    "error: table too large: a block of degree 1 and weight at most 4 "
+                    "has 45 basis monomials, above the limit of 30\n",
+                )
+    assert calls == []
+    assert main(["cohomology", tangent3, "--max-weight", "2"]) == 0
+    assert main(["homology", "--kb", so3, "--max-weight", "3"]) == 0
+    for path in (tangent3, so3):
+        assert main(["verify", path]) == 0
+    capsys.readouterr()
+
+
+def test_a_constant_bivector_counts_its_poisson_slice_before_the_gate(
+    tmp_path, capsys, monkeypatch
+):
+    """The Poisson operators of {x, y} = 1 lower weight by one, so
+    ``homology --kb --max-weight 3`` on the plane also ranks the slice at
+    weight 4, C(2, 1) C(5, 4) = 10 monomials; at the limit of 9 it is
+    refused from the file.  ``verify`` counts its tables at ``WALK_WEIGHT``
+    and, for d of the tangent plane, at weight 3 (8 monomials): at the
+    limit of 7 it exits 2 with no structure checked, where it used to
+    record the refusal as a failed duality check."""
+    import albv.homology
+    from albv.algebroid import LieAlgebroid
+
+    from conftest import counting
+
+    path = put(tmp_path, "symplectic.albv", SYMPLECTIC_TEXT)
+    refused = (
+        "error: table too large: a block of degree 1 and weight at most %d "
+        "has %d basis monomials, above the limit of %d\n"
+    )
+    with counting(monkeypatch, LieAlgebroid, "validate") as calls:
+        monkeypatch.setattr(albv.homology, "MAX_BLOCK_SIZE", 9)
+        assert main(["homology", "--kb", path, "--max-weight", "3"]) == 2
+        assert capsys.readouterr() == ("", refused % (4, 10, 9))
+        monkeypatch.setattr(albv.homology, "MAX_BLOCK_SIZE", 7)
+        assert main(["verify", path]) == 2
+        assert capsys.readouterr() == ("", refused % (3, 8, 7))
+    assert calls == []
+    monkeypatch.setattr(albv.homology, "MAX_BLOCK_SIZE", 10)
+    assert main(["homology", "--kb", path, "--max-weight", "3"]) == 0
+    capsys.readouterr()
+
+
 def _names(count):
     return ", ".join('"x%d"' % i for i in range(1, count + 1))
 

@@ -159,6 +159,59 @@ def test_each_weight_window_is_ranked_once(monkeypatch):
         assert 0 < len(calls) <= len(table.entries)
 
 
+def test_every_rank_input_of_a_table_matches_the_oracle(monkeypatch):
+    """Every matrix that the so(3)* Koszul-Brylinski table and the capped
+    boundary table of tangent 3-space hand to ``matrix_rank`` at weight 3
+    ranks as the textbook Gauss-Jordan oracle does.  No zero image is handed
+    over: every row has a nonzero entry."""
+    import albv.homology
+
+    from test_linalg import oracle_rank
+
+    seen = []
+    rank = albv.homology.matrix_rank
+
+    def capture(rows):
+        seen.append(rows)
+        return rank(rows)
+
+    monkeypatch.setattr(albv.homology, "matrix_rank", capture)
+    so3 = PoissonStructure(("x", "y", "z"), {(0, 1): "z", (1, 2): "x", (0, 2): "-y"})
+    t3 = TopConnection(tangent_algebroid(("x", "y", "z")))
+    kb_betti(so3, max_weight=3)
+    boundary_betti(t3, max_weight=3, force_capped=True)
+    assert len(seen) > 10
+    for rows in seen:
+        assert rows and all(any(row) for row in rows)
+        assert rank(rows) == oracle_rank(rows), rows
+
+
+def test_an_image_outside_the_expected_slice_is_refused():
+    """A row function of k_step +1 on the plane whose image of y has an
+    index tuple of degree 2, not 1, in a block whose other image, that of
+    x, is zero."""
+
+    def row(idx, expo):
+        return {((0, 1), expo): 1} if (idx, expo) == ((), (0, 1)) else {}
+
+    with pytest.raises(ValueError, match="^operator image leaves the expected slice$"):
+        betti_table(XY, 2, row, 1, 1)
+
+
+def test_a_zero_operator_hands_nothing_to_rank(monkeypatch):
+    """Every block of the zero operator holds zero images only, so no rank
+    is taken and every entry is the dimension of its slice."""
+    import albv.homology
+
+    monkeypatch.setattr(
+        albv.homology, "matrix_rank", lambda rows: pytest.fail("rank asked")
+    )
+    table = betti_table(XY, 2, lambda idx, expo: {}, 1, 2)
+    assert table.entries == {
+        (k, w): comb(2, k) * (w + 1) for k in range(3) for w in range(3)
+    }
+
+
 def test_each_basis_monomial_builds_one_poly(monkeypatch):
     """18 monomials of degree 1 and weight 2 on 3-space cost 18 Polys."""
     built = []

@@ -90,6 +90,12 @@ def test_known_answers():
     assert rank([[10**30, 1], [10**30 + 1, 1]]) == 2
     hilbert = [[Fraction(1, i + j + 1) for j in range(7)] for i in range(7)]
     assert rank(hilbert) == 7
+    # a one-entry row in a column that already has a pivot is reduced, not
+    # placed, and adds rank only if something of it is left
+    assert rank([[2, 3], [5, 0]]) == 2
+    assert rank([[2, 1, 3], [0, 0, 4], [5, 0, 0]]) == 3
+    assert rank([[-3, 0], [2, 0], [True, 0]]) == 1
+    assert rank([[Fraction(1, 3), 0], [0, Fraction(-2, 5)], [Fraction(4), 0]]) == 2
 
 
 def test_bools_and_integral_fractions_match_the_oracle():
@@ -112,3 +118,37 @@ def test_bools_and_integral_fractions_match_the_oracle():
         cases.append([[rng.choice(pool) for _ in range(ncols)] for _ in range(rng.randint(1, 6))])
     for rows in cases:
         assert rank(rows) == oracle_rank(rows), rows
+
+
+def sparse_row(rng, ncols, nonzeros):
+    """A row of ``nonzeros`` entries in -3..3 other than 0, the rest zero."""
+    row = [0] * ncols
+    for col in rng.sample(range(ncols), nonzeros):
+        row[col] = rng.choice((-3, -2, -1, 1, 2, 3))
+    return row
+
+
+def test_table_shaped_sparse_matrices_match_the_oracle():
+    """The slice matrices of a Betti table are very sparse, with 1 to 3 small
+    entries in most rows and many rows of one entry.  A row of one entry
+    whose column has no pivot is placed without elimination; one whose
+    column has a pivot is reduced like any other.  Random matrices of that
+    shape, with repeated and zero rows, some made only of one-entry rows,
+    and some passed as a generator, rank as the oracle does."""
+    rng = random.Random(2027)
+    for trial in range(400):
+        nrows, ncols = rng.randint(1, 14), rng.randint(1, 10)
+        all_unit = trial % 5 == 0
+        rows = []
+        for _ in range(nrows):
+            nonzeros = 1 if all_unit or rng.random() < 0.4 else rng.randint(1, min(3, ncols))
+            rows.append(sparse_row(rng, ncols, nonzeros))
+        if trial % 3 == 0:
+            rows.append(list(rng.choice(rows)))  # a repeated row
+        if trial % 4 == 0:
+            rows.insert(rng.randrange(len(rows) + 1), [0] * ncols)
+        rng.shuffle(rows)
+        expected = oracle_rank(rows)
+        got = rank(list(row) for row in rows) if trial % 2 else rank(rows)
+        assert got == expected, rows
+        assert rank(rows[::-1]) == expected, rows
