@@ -146,22 +146,17 @@ class _StarTable:
 
 def _check_file(args, doc):
     """Refuse, from the parsed file alone, a command the file cannot serve,
-    a ``star`` with more than ``MAX_STAR_IMAGES`` images, or a table whose
-    largest slice is above the block limit: before the structure gate,
-    whose cost grows with the cube of the rank.  Each table the command
-    prints and each basis walk it takes is counted by building its
-    ``Complex``.  ``verify``'s tables are its duality tables at
-    ``WALK_WEIGHT``, the Poisson one on base forms, whose shape ``modular``
-    walks; they are counted before any suite draws a probe, as the draws
-    grow with the same binomials.  A table whose operator can lower weight
-    by one, a shift -1 table, also ranks the slice at ``max_weight + 1``,
-    and that slice is counted too, with ``Complex.block_size`` rather than
-    a complex of that weight, which ``MAX_WEIGHT`` could refuse.  d and the
-    boundary can lower weight when an anchor entry has a constant term
-    (always, for a ``tangent`` file), the Poisson operators when a bivector
-    coefficient does.  An operator with shifts -1 and 0 makes a capped
-    table, which never asks that slice: there the count errs on the side of
-    refusing."""
+    a ``star`` with more than ``MAX_STAR_IMAGES`` images, or a table with a
+    block above the block limit: before the structure gate, whose cost grows
+    with the cube of the rank.  Each table and basis walk builds its
+    ``Complex``, and each table counts its blocks with ``Complex.count`` from
+    the shifts of the file's terms: one of degree e shifts weight by e - 1 in
+    an anchor entry (a ``tangent`` anchor is the identity) or a bivector
+    coefficient, by e in a structure function or a connection form.  Rows
+    can only cancel a shift, so the count errs on the side of refusing.
+    ``verify``'s tables are its duality tables at ``WALK_WEIGHT``, the
+    Poisson one on base forms, whose shape ``modular`` walks; they are
+    counted before any suite draws a probe, whose draws grow alike."""
     kb = getattr(args, "kb", False)
     if doc.poisson is None and (kb or args.command == "modular"):
         command = "homology --kb" if kb else "modular"
@@ -175,29 +170,23 @@ def _check_file(args, doc):
                 "star --degree %d has %d images, above the limit of %d"
                 % (args.degree, images, MAX_STAR_IMAGES)
             )
-    m = len(doc.base_vars)
-    constant = (0,) * m
-    anchor_lowers = doc.kind == "tangent" or any(
-        constant in c.terms for row in doc.anchor or () for c in row
-    )
-    poisson_lowers = doc.poisson is not None and any(
-        constant in c.terms for _, _, c in doc.poisson
-    )
-    shapes = []  # (rank, weight, whether the operator may lower weight)
-    if args.command in ("cohomology", "homology"):
-        if kb:
-            shapes.append((m, args.max_weight, poisson_lowers))
-        else:
-            shapes.append((doc.rank, args.max_weight, anchor_lowers))
-    if args.command == "verify":
-        shapes.append((doc.rank, WALK_WEIGHT, anchor_lowers))
-    if args.command in ("verify", "modular") and doc.poisson is not None:
-        shapes.append((m, WALK_WEIGHT, args.command == "verify" and poisson_lowers))
-    for rank, weight, lowers in shapes:
-        shape = Complex(doc.base_vars, rank, weight)
-        if lowers and shape.max_weight:
-            # a shift -1 table also ranks the slice at max_weight + 1
-            shape.block_size((shape.max_weight + 1,))
+
+    def shifts(polys, by=0):
+        return {sum(expo) + by for c in polys for expo in c.terms}
+
+    m, weight = len(doc.base_vars), getattr(args, "max_weight", WALK_WEIGHT)
+    anchor = shifts((c for row in doc.anchor or () for c in row), -1)
+    structure = shifts(c for *_, c in doc.structure)
+    d = structure | ({-1} if doc.kind == "tangent" else anchor)
+    poisson = shifts((c for *_, c in doc.poisson or ()), -1)
+    tables = {  # (rank, weight shifts) of each table; modular walks a shape
+        "cohomology": [(doc.rank, d)],
+        "homology": [(m, poisson) if kb else (doc.rank, d | shifts(doc.alpha or ()))],
+        "verify": [(doc.rank, d)] + [(m, poisson)] * (doc.poisson is not None),
+        "modular": [(m, ())],
+    }
+    for rank, table_shifts in tables.get(args.command, ()):
+        Complex(doc.base_vars, rank, weight).count(table_shifts)
 
 
 def _cmd_validate(args, doc, report, a, pi):

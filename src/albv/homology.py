@@ -28,8 +28,10 @@ binomials in the middle exterior degree, the degree with the most index
 tuples, which bounds both sides of a block; above ``MAX_BLOCK_SIZE`` basis
 monomials it raises ``TableTooLarge``, as a complex does whose weights over
 a nonempty base run above ``MAX_WEIGHT``.  A complex counts its largest slice
-when built, so the command line refuses a table from the file alone, and
-each block before it is built.  ``betti_table`` is ``Complex(...).table``.
+when built and ``Complex.count`` every other block a table of given weight
+shifts ranks: the table counts from the shifts of its rows, the command line
+from those of the file's terms, so it refuses a table from the file alone.
+``betti_table`` is ``Complex(...).table``.
 ``Complex.basis_elems`` walks every basis monomial of the shape, the default
 probes of two checks below at ``WALK_WEIGHT``, which is also the weight of
 ``verify``'s duality tables: the command line counts walks and tables alike.
@@ -37,8 +39,7 @@ probes of two checks below at ``WALK_WEIGHT``, which is also the weight of
 The four tables take their row functions from ``rows``, compiled from
 generator data and kept in the memo of the structure that fixes them; the
 operators defined or re-exported here stay as the route the checks use and
-as the oracle of those rows.  Nothing but the shape's caches outlives a table:
-every table asks each basis monomial's row once and ranks each block once.
+as the oracle of those rows.  Nothing but the shape's caches outlives a table.
 
 Also here: the star-conjugation check of the boundary (defined in ``bv``
 and re-exported here), the Koszul-Brylinski operator on base forms, the
@@ -257,13 +258,16 @@ class BettiTable:
 class Complex:
     """A table's shape: exterior degrees 0 to ``rank`` over ``variables``,
     weights 0 to ``max_weight``, or 0 alone over no variables.  Building one
-    refuses a ``max_weight`` above ``MAX_WEIGHT`` over a nonempty base and
-    counts its largest slice, at ``max_weight``, before any row is asked."""
+    refuses a negative ``max_weight`` and one above ``MAX_WEIGHT`` over a
+    nonempty base, and counts its largest slice, at ``max_weight``, before
+    any row is asked."""
 
     def __init__(self, variables, rank, max_weight):
         self.variables = tuple(variables)
         self.rank = rank
         self.m = len(self.variables)
+        if max_weight < 0:
+            raise ValueError("max_weight must be nonnegative, got %d" % max_weight)
         if self.m and max_weight > MAX_WEIGHT:
             raise TableTooLarge(
                 "table too large: weight %d is above the limit of %d"
@@ -288,6 +292,20 @@ class Complex:
                 % (k, max(weights), size, MAX_BLOCK_SIZE)
             )
         return size
+
+    def count(self, shifts, capped=False):
+        """Count with ``block_size``, in the order a table of weight shifts
+        ``shifts`` ranks them, its blocks past the slice at ``max_weight``:
+        every window of mixed shifts, or the slices up to ``max_weight - s``
+        of one shift s < 0 unless ``capped``; none if a shift raises weight."""
+        if not shifts or max(shifts) > 0:
+            return
+        if len(shifts) > 1:
+            for w in range(self.max_weight + 1):
+                self.block_size(range(w + 1))
+        elif not capped:
+            for v in range(self.max_weight + 1, self.max_weight - min(shifts) + 1):
+                self.block_size((v,))
 
     def basis_elems(self, side):
         """Every basis monomial of the complex on ``side``, degree by degree
@@ -316,9 +334,8 @@ class Complex:
         below it; with mixed shifts a block is the whole window.  Only the
         nonzero images of a block are ranked, and an image with a key outside
         the block's target raises ValueError.  A negative entry can only come
-        from an operator whose square is nonzero, and raises ValueError.  Each
-        block is counted by ``block_size`` before it is built, as the largest
-        slice was when the complex was.
+        from an operator whose square is nonzero, and raises ValueError.  The
+        blocks past the complex's own slice go through ``count`` first.
         """
         if k_step not in (1, -1):
             raise ValueError("k_step must be +1 or -1")
@@ -335,6 +352,7 @@ class Complex:
             for image in images(k, w)
             for _, expo in image
         }
+        self.count(shifts, force_capped)
         if shifts and max(shifts) > 0:
             raise ValueError(
                 "operator raises weight by %d; no finite truncation exists" % max(shifts)
@@ -352,7 +370,6 @@ class Complex:
             """Rank of the operator on the basis of degree k and ``weights``."""
             # one-shift targets are slices of weight at most max_weight, and
             # mixed-shift targets have the source's weights
-            self.block_size(weights)
             targets = tuple(v + shift for v in weights) if homogeneous else weights
             index_map = _index_map(rank, m, k + k_step, targets)
             # a zero image adds no rank and is not handed over

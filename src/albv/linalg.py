@@ -23,11 +23,10 @@ pivots.  There is no tolerance anywhere; an entry is zero or it is not.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import compress, count
 from math import gcd, lcm
 
-__all__ = ["rank", "identity"]
+__all__ = ["rank"]
 
 
 def _primitive(vec):
@@ -74,7 +73,3 @@ def rank(rows) -> int:
             vec = _primitive(vec)
             lead = min(vec)
     return len(pivots)
-
-
-def identity(n):
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]

@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from .calculus import differential
 from .exterior import A_SIDE, DUAL_SIDE, GradedElem, basis_tuples
-from .linalg import identity
 from .poly import Poly
 
 __all__ = [
@@ -81,7 +80,7 @@ def random_section(rng: random.Random, a, max_deg=2) -> GradedElem:
 
 def random_frame_matrix(rng: random.Random, n):
     """Invertible rational matrix built from elementary row operations."""
-    g = identity(n)
+    g = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     scales = [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3)]
     for _ in range(2 * n + 2):
         kind = rng.randrange(3)

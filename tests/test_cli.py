@@ -991,6 +991,87 @@ def test_a_constant_bivector_counts_its_poisson_slice_before_the_gate(
     capsys.readouterr()
 
 
+def test_a_mixed_shift_window_is_counted_before_the_gate(tmp_path, capsys, monkeypatch):
+    """d + eps1^ on the plane has weight shifts -1 and 0, so its table is
+    capped and ranks whole windows: at ``--max-weight 3`` the window of
+    weights 0 to 3 has C(2, 1) (1 + 2 + 3 + 4) = 20 monomials in degree 1,
+    while the slice at weight 3 has 8.  With the limit at 15 the window is
+    refused from the file, with no structure checked."""
+    import albv.homology
+    from albv.algebroid import LieAlgebroid
+
+    from conftest import counting
+
+    monkeypatch.setattr(albv.homology, "MAX_BLOCK_SIZE", 15)
+    path = put(tmp_path, "mixed.albv", MIXED_PLANE_TEXT)
+    with counting(monkeypatch, LieAlgebroid, "validate") as calls:
+        assert main(["homology", path, "--max-weight", "3"]) == 2
+        assert capsys.readouterr() == (
+            "",
+            "error: table too large: a block of degree 1 and weight at most 3 "
+            "has 20 basis monomials, above the limit of 15\n",
+        )
+    assert calls == []
+    assert main(["homology", path, "--max-weight", "2"]) == 0
+    capsys.readouterr()
+
+
+# the table fixtures, the mixed-shift plane, and a bivector of shifts -1 and 0
+SHIFT_FILES = dict(
+    BENCH_FILES,
+    symplectic=SYMPLECTIC_TEXT,
+    mixed=MIXED_PLANE_TEXT,
+    affine=SYMPLECTIC_TEXT.replace('"c": "1"', '"c": "1+x"'),
+)
+
+
+@pytest.mark.parametrize("name", sorted(SHIFT_FILES))
+def test_the_command_line_reads_the_shifts_the_table_reads(
+    tmp_path, capsys, monkeypatch, name
+):
+    """``Complex.count`` sees the same weight shifts from the file's terms,
+    before the gate, as from the rows of each table the command prints:
+    every table command at weight 3, ``verify``'s four duality tables, and
+    the boundary of the cotangent algebroid of the file's bivector, which
+    the benchmark ranks."""
+    from albv.albvfile import Document
+    from albv.algebroid import cotangent_algebroid
+    from albv.bv import TopConnection
+    from albv.homology import Complex, boundary_betti
+
+    seen = []
+    count = Complex.count
+
+    def spy(self, shifts, capped=False):
+        seen.append(set(shifts))
+        return count(self, shifts, capped)
+
+    monkeypatch.setattr(Complex, "count", spy)
+    path = put(tmp_path, name + ".albv", SHIFT_FILES[name])
+    tables = 0
+    for command in TABLE_COMMANDS:
+        seen.clear()
+        main(command + [path, "--max-weight", "3"])
+        out = capsys.readouterr().out
+        printed = out.count("(homogeneous") + out.count("(capped")
+        assert seen[1:] == seen[:1] * printed, command
+        tables += printed
+    assert tables >= 2
+
+    doc = Document.load(path)
+    read = 1 + (doc.poisson is not None)
+    seen.clear()
+    assert main(["verify", path, "--suite", "homology", "--trials", "1"]) == 0
+    capsys.readouterr()
+    assert len(seen) == 3 * read
+    assert seen[read:] == [seen[0]] * 2 + seen[1:read] * 2
+    if doc.poisson is not None:
+        poisson = seen[1]
+        seen.clear()
+        boundary_betti(TopConnection(cotangent_algebroid(doc.build_poisson())), 3)
+        assert seen == [poisson]
+
+
 def _names(count):
     return ", ".join('"x%d"' % i for i in range(1, count + 1))
 

@@ -1059,3 +1059,67 @@ def test_the_largest_documented_tables_fit_the_block_limit():
     with pytest.raises(TableTooLarge):
         betti_table(tuple("abcdefgh"), 8, row, 1, 3)
     assert calls == []
+
+
+def test_count_names_the_blocks_a_table_ranks(monkeypatch):
+    """Beyond the slice at ``max_weight``: the slices up to ``max_weight - s``
+    for one shift s < 0, every window for mixed shifts, and nothing for a
+    capped one-shift table, a shift 0 or a shift that raises weight."""
+    from albv.homology import Complex
+
+    shape = Complex(XY, 2, 3)
+    counted = []
+    monkeypatch.setattr(shape, "block_size", lambda ws: counted.append(tuple(ws)))
+    windows = [tuple(range(w + 1)) for w in range(4)]
+    for shifts, capped, blocks in [
+        ({-1}, False, [(4,)]),
+        ({-2}, False, [(4,), (5,)]),
+        ({-1}, True, []),
+        ({0}, False, []),
+        (set(), False, []),
+        ({-1, 0}, False, windows),
+        ({-1, 0}, True, windows),
+        ({-1, 1}, False, []),
+    ]:
+        counted.clear()
+        shape.count(shifts, capped)
+        assert counted == blocks, (shifts, capped)
+
+
+def test_a_mixed_shift_table_is_refused_before_any_block_is_ranked(monkeypatch):
+    """d + eps1^ on the plane ranks whole windows; at the limit of 15 the
+    first window above it, weights 0 to 3 with C(2, 1) (1 + 2 + 3 + 4) = 20
+    monomials, is refused with the message of the table that counted each
+    block as it ranked it, now before any block is ranked."""
+    import albv.homology
+    from albv.homology import TableTooLarge
+
+    (conn,) = [conn for name, conn, _ in capped_boundaries() if name == "mixed plane"]
+    ranked = []
+    monkeypatch.setattr(albv.homology, "matrix_rank", ranked.append)
+    monkeypatch.setattr(albv.homology, "MAX_BLOCK_SIZE", 15)
+    with pytest.raises(TableTooLarge) as exc:
+        boundary_betti(conn, 5)
+    assert str(exc.value) == (
+        "table too large: a block of degree 1 and weight at most 3 has 20 basis "
+        "monomials, above the limit of 15"
+    )
+    assert ranked == []
+
+
+def test_a_negative_weight_is_refused():
+    """A table at weight -1 came back empty, with shift 0 although d lowers
+    weight by one, and a walk at weight -3 walked nothing; a negative weight
+    is now a ValueError, not a size refusal."""
+    from albv.homology import Complex, TableTooLarge
+
+    plane = tangent_algebroid(XY)
+    calls = [
+        lambda: cohomology_betti(plane, -1),
+        lambda: star_conjugation_check(plane, plane.volume(1), max_weight=-1),
+        lambda: Complex(("x",), 1, -3),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="max_weight must be nonnegative") as exc:
+            call()
+        assert not isinstance(exc.value, TableTooLarge)

@@ -1,7 +1,9 @@
 """Exact rank against an independent Gauss-Jordan oracle and known answers."""
 
 import random
+import sys
 from fractions import Fraction
+from math import gcd
 
 from albv.linalg import rank
 
@@ -152,3 +154,49 @@ def test_table_shaped_sparse_matrices_match_the_oracle():
         got = rank(list(row) for row in rows) if trial % 2 else rank(rows)
         assert got == expected, rows
         assert rank(rows[::-1]) == expected, rows
+
+
+def test_primitive_divides_out_the_content():
+    from albv.linalg import _primitive
+
+    assert _primitive({0: 6, 2: -9, 5: 15}) == {0: 2, 2: -3, 5: 5}
+    assert _primitive({0: -4, 3: 6}) == {0: -2, 3: 3}
+    assert _primitive({1: 4}) == {1: 1}
+    vec = {0: 2, 1: 3}
+    assert _primitive(vec) is vec
+
+
+def stored_pivots(rows):
+    """The rank of ``rows`` and the pivot rows ``rank`` stored, read off its
+    frame as it returns."""
+    stored = []
+
+    def local(frame, event, arg):
+        if event == "return":
+            stored.extend(frame.f_locals["pivots"].values())
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code is rank.__code__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        result = rank(rows)
+    finally:
+        sys.settrace(previous)
+    return result, stored
+
+
+def test_every_stored_pivot_is_primitive():
+    """Each fraction-free step scales a row by a leading entry, so the
+    reduced rows of a Vandermonde matrix share the factors x_i - x_j and
+    those of a Hilbert matrix share cleared denominators; ``rank`` divides
+    that content out, and every pivot it stores has entries of gcd 1."""
+    points = (2, 5, 9, 14, 20, 27)
+    vandermonde = [[x**j for j in range(6)] for x in points]
+    hilbert = [[Fraction(1, i + j + 1) for j in range(6)] for i in range(6)]
+    for rows in (vandermonde, hilbert):
+        result, pivots = stored_pivots(rows)
+        assert result == len(pivots) == 6
+        assert all(gcd(*pivot.values()) == 1 for pivot in pivots), pivots
