@@ -18,7 +18,20 @@ window's weights, and its rank is the sum of the ranks of the weight slices:
 a block is one slice.  A mixed-shift matrix is only block-triangular, so
 there a block is a whole window.  A block hands ``linalg.rank`` one dense row
 per nonzero image; zero images add no rank and are not handed over, and a
-block of zero images alone takes no rank.
+block of zero images alone takes no rank.  The shifts are read off the rows
+through weight ``max(max_weight, 1)`` over a nonempty base: every table
+operator is first order, so each of its shifts shows by weight 1, while at
+weight 0 alone d of a constant is 0 and a shift -1 does not show.
+
+A structure that is a product of structures on disjoint frames and base
+variables (Mackenzie, *General theory of Lie groupoids and Lie algebroids*,
+2005) has the tensor product of the factor complexes as its complex; the
+four tables below read that split off the structure (``rows``) and, when
+the table is homogeneous and every factor squares to zero where it is
+ranked, convolve the factor tables by Kunneth over Q, slice by slice:
+b(k, w) = sum of b1(k1, w1) b2(k2, w2) over k1 + k2 = k and w1 + w2 = w.
+Tangent n-space is the product of n lines.  Every other table, capped or
+of mixed shifts or with a factor whose square is nonzero, is ranked whole.
 
 A ``Complex`` is a table's shape, ``(variables, rank, max_weight)``, and
 owns what the shape fixes: the basis of each degree and weight, each block's
@@ -27,10 +40,13 @@ that shape), and each block's size.  ``Complex.block_size`` is the one count:
 binomials in the middle exterior degree, the degree with the most index
 tuples, which bounds both sides of a block; above ``MAX_BLOCK_SIZE`` basis
 monomials it raises ``TableTooLarge``, as a complex does whose weights over
-a nonempty base run above ``MAX_WEIGHT``.  A complex counts its largest slice
-when built and ``Complex.count`` every other block a table of given weight
-shifts ranks: the table counts from the shifts of its rows, the command line
-from those of the file's terms, so it refuses a table from the file alone.
+a nonempty base run above ``MAX_WEIGHT``.  A complex counts the largest slice
+its shift scan builds when built, and ``Complex.count`` every other block a
+table of given weight shifts ranks: the table counts from the shifts of its
+rows (the union of its factors' shifts, on the product's shape, when it
+splits), the command line from those of the file's terms, so it refuses a
+table from the file alone.  The blocks of a split table's factors are never
+larger than the product's, and are not counted on their own.
 ``betti_table`` is ``Complex(...).table``.
 ``Complex.basis_elems`` walks every basis monomial of the shape, the default
 probes of two checks below at ``WALK_WEIGHT``, which is also the weight of
@@ -39,7 +55,8 @@ probes of two checks below at ``WALK_WEIGHT``, which is also the weight of
 The four tables take their row functions from ``rows``, compiled from
 generator data and kept in the memo of the structure that fixes them; the
 operators defined or re-exported here stay as the route the checks use and
-as the oracle of those rows.  Nothing but the shape's caches outlives a table.
+as the oracle of those rows.  Nothing but the shape's caches, and the rows
+and split kept on the structure, outlives a table.
 
 Also here: the star-conjugation check of the boundary (defined in ``bv``
 and re-exported here), the Koszul-Brylinski operator on base forms, the
@@ -88,7 +105,15 @@ from .exterior import (
 )
 from .linalg import rank as matrix_rank
 from .poly import Poly
-from .rows import boundary_rows, differential_rows, kb_rows
+from .rows import (
+    boundary_rows,
+    boundary_split,
+    differential_rows,
+    differential_split,
+    factor_rows,
+    kb_rows,
+    kb_split,
+)
 
 __all__ = [
     "boundary",
@@ -259,8 +284,9 @@ class Complex:
     """A table's shape: exterior degrees 0 to ``rank`` over ``variables``,
     weights 0 to ``max_weight``, or 0 alone over no variables.  Building one
     refuses a negative ``max_weight`` and one above ``MAX_WEIGHT`` over a
-    nonempty base, and counts its largest slice, at ``max_weight``, before
-    any row is asked."""
+    nonempty base, and counts the largest slice of the shift scan, at
+    ``scan_weight`` = max(``max_weight``, 1) over a nonempty base, before any
+    row is asked."""
 
     def __init__(self, variables, rank, max_weight):
         self.variables = tuple(variables)
@@ -274,8 +300,11 @@ class Complex:
                 % (max_weight, MAX_WEIGHT)
             )
         self.max_weight = max_weight if self.m else 0
+        # every shift of a first-order operator shows by weight 1, so the
+        # shift scan reads the rows through weight 1 at least
+        self.scan_weight = max(self.max_weight, 1) if self.m else 0
         # the largest slice the shift scan builds
-        self.block_size((self.max_weight,))
+        self.block_size((self.scan_weight,))
 
     def block_size(self, weights):
         """Basis monomials over ``weights`` in the middle exterior degree,
@@ -317,7 +346,9 @@ class Complex:
             for elem in monomial_basis_elems(self.variables, self.rank, side, k, w)
         ]
 
-    def table(self, row, k_step, operator_tag="", force_capped=False) -> BettiTable:
+    def table(
+        self, row, k_step, operator_tag="", force_capped=False, *, _split=()
+    ) -> BettiTable:
         """Betti table of one operator of exterior-degree step ``k_step``.
 
         ``row(idx, expo)`` is the image of the basis monomial x^expo e_idx (or
@@ -327,31 +358,51 @@ class Complex:
         shifts of the rows are one shift s, ``range(w + 1)`` when they are mixed
         or ``force_capped`` is set.  The operator maps the window of (k, w) into
         that of (k + k_step, w + lift), with lift s, or 0 when capped; the shifts
-        are read off the row keys.  Ranks are exact, one per block: with one
-        shift s the image of weight v lies in weight v + s alone, so the matrix
-        out of a window is block-diagonal and its rank is the sum of the weight
-        slices' ranks, and a capped window reuses the slices of the windows
-        below it; with mixed shifts a block is the whole window.  Only the
-        nonzero images of a block are ranked, and an image with a key outside
-        the block's target raises ValueError.  A negative entry can only come
-        from an operator whose square is nonzero, and raises ValueError.  The
-        blocks past the complex's own slice go through ``count`` first.
+        are read off the row keys through weight ``scan_weight``, where every
+        shift of a first-order operator shows.  Ranks are exact, one per block:
+        with one shift s the image of weight v lies in weight v + s alone, so
+        the matrix out of a window is block-diagonal and its rank is the sum of
+        the weight slices' ranks, and a capped window reuses the slices of the
+        windows below it; with mixed shifts a block is the whole window.  Only
+        the nonzero images of a block are ranked, and an image with a key
+        outside the block's target raises ValueError.  A negative entry can
+        only come from an operator whose square is nonzero, and raises
+        ValueError.  The blocks past the complex's own slice go through
+        ``count`` once, after the shift scan and before any rank.
+
+        ``_split`` is the split of the structure the rows come from, as
+        ``rows`` reads it: its factors, each ``(frames, variables)`` by
+        position in the product.  ``cohomology_betti``, ``boundary_betti``,
+        ``kb_betti`` and ``lichnerowicz_betti`` pass it; with more
+        than one factor, an uncapped table scans each factor's rows (the
+        product's rows asked on the factor's monomials, ``rows.factor_rows``)
+        and counts the product's blocks with the union of their shifts.  If
+        that union is one shift s, or none, and each factor squares to zero
+        on every slice it ranks, the table is the convolution of the factor
+        tables (Kunneth over Q, slice by slice):
+        b(k, w) = sum of b1(k1, w1) b2(k2, w2) over k1 + k2 = k, w1 + w2 = w.
+        Otherwise the product's rows are ranked whole, as without a split.
         """
         if k_step not in (1, -1):
             raise ValueError("k_step must be +1 or -1")
-        rank, m, max_weight = self.rank, self.m, self.max_weight
-
-        @cache
-        def images(k, w):
-            return [row(idx, expo) for idx, expo in _basis(rank, m, k, w)]
-
-        shifts = {
-            sum(expo) - w
-            for k in range(rank + 1)
-            for w in range(max_weight + 1)
-            for image in images(k, w)
-            for _, expo in image
-        }
+        factors = whole = None
+        if len(_split) > 1 and not force_capped:
+            factors = [
+                _Operator(
+                    Complex(
+                        [self.variables[mu] for mu in variables],
+                        len(frames),
+                        self.max_weight,
+                    ),
+                    factor_rows(row, frames, variables, self.m),
+                    k_step,
+                )
+                for frames, variables in _split
+            ]
+            shifts = set().union(*(factor.shifts() for factor in factors))
+        else:
+            whole = _Operator(self, row, k_step)
+            shifts = whole.shifts()
         self.count(shifts, force_capped)
         if shifts and max(shifts) > 0:
             raise ValueError(
@@ -360,6 +411,92 @@ class Complex:
         homogeneous = len(shifts) <= 1
         shift = min(shifts, default=0) if homogeneous else None
         capped = force_capped or not homogeneous
+        if factors and homogeneous and all(f.squares_to_zero(shift) for f in factors):
+            entries = self._convolve(f.entries(shift, False) for f in factors)
+        else:
+            entries = (whole or _Operator(self, row, k_step)).entries(shift, capped)
+        return BettiTable(
+            entries=entries,
+            rank=self.rank,
+            max_weight=self.max_weight,
+            capped=capped,
+            shift=None if capped else shift,
+            operator_tag=operator_tag,
+        )
+
+    def _convolve(self, factor_entries):
+        """Entries of the tensor product of complexes with the given tables,
+        at every (k, w) of this shape, in table order."""
+        product = {(0, 0): 1}
+        for entries in factor_entries:
+            out = {}
+            for (k1, w1), b1 in product.items():
+                for (k2, w2), b2 in entries.items():
+                    if b2 and w1 + w2 <= self.max_weight:
+                        key = (k1 + k2, w1 + w2)
+                        out[key] = out.get(key, 0) + b1 * b2
+            product = out
+        return {
+            (k, w): product.get((k, w), 0)
+            for k in range(self.rank + 1)
+            for w in range(self.max_weight + 1)
+        }
+
+
+class _Operator:
+    """One row function on one shape: the images of each slice, asked once,
+    the weight shifts they show, and the ranks of its blocks."""
+
+    def __init__(self, shape, row, k_step):
+        self.shape = shape
+        self.k_step = k_step
+        rank, m = shape.rank, shape.m
+
+        @cache
+        def images(k, w):
+            return [row(idx, expo) for idx, expo in _basis(rank, m, k, w)]
+
+        self.images = images
+
+    def shifts(self):
+        """The weight shifts of the rows through the shape's ``scan_weight``."""
+        return {
+            sum(expo) - w
+            for k in range(self.shape.rank + 1)
+            for w in range(self.shape.scan_weight + 1)
+            for image in self.images(k, w)
+            for _, expo in image
+        }
+
+    def squares_to_zero(self, shift):
+        """Whether the operator of one shift squares to zero, exactly, on every
+        slice ``entries`` ranks, weights 0 to ``max_weight - shift``."""
+        rank, m, images = self.shape.rank, self.shape.m, self.images
+        k_step = self.k_step
+        for k in range(rank + 1):
+            for v in range(self.shape.max_weight - shift + 1):
+                sources = [image for image in images(k, v) if image]
+                if not sources:
+                    continue
+                k1, v1 = k + k_step, v + shift
+                target = dict(zip(_basis(rank, m, k1, v1), images(k1, v1)))
+                for image in sources:
+                    square = {}
+                    for key, c in image.items():
+                        if key not in target:
+                            return False  # ranked whole, the image is refused
+                        for key2, c2 in target[key].items():
+                            square[key2] = square.get(key2, 0) + c * c2
+                    if any(square.values()):
+                        return False
+        return True
+
+    def entries(self, shift, capped):
+        """Betti numbers at every (k, w) of the shape, for rows of weight shift
+        ``shift`` (None when mixed), over windows capped or not."""
+        rank, m, max_weight = self.shape.rank, self.shape.m, self.shape.max_weight
+        k_step, images = self.k_step, self.images
+        homogeneous = shift is not None
         lift = 0 if capped else shift
 
         def window(w):
@@ -388,6 +525,8 @@ class Complex:
         @cache
         def rank_out(k, w):
             """Rank of the operator out of the window of (k, w)."""
+            if not 0 <= k <= rank:
+                return 0
             if homogeneous:
                 return sum(block_rank(k, (v,)) for v in window(w))
             return block_rank(k, tuple(window(w)))
@@ -403,33 +542,31 @@ class Complex:
                         % (k, w, betti)
                     )
                 entries[(k, w)] = betti
-        return BettiTable(
-            entries=entries,
-            rank=rank,
-            max_weight=max_weight,
-            capped=capped,
-            shift=None if capped else shift,
-            operator_tag=operator_tag,
-        )
+        return entries
 
 
 def betti_table(
-    variables, rank, row, k_step, max_weight, operator_tag="", force_capped=False
+    variables, rank, row, k_step, max_weight, operator_tag="", force_capped=False,
+    *, _split=(),
 ) -> BettiTable:
     """The table of ``row`` on ``Complex(variables, rank, max_weight)``; see
-    ``Complex.table``.  The four tables below all come through here."""
+    ``Complex.table``.  The four tables below all come through here, each with
+    the split of its structure, kept in the structure's memo next to its rows;
+    ``betti_table`` called without one ranks the rows whole."""
     return Complex(variables, rank, max_weight).table(
-        row, k_step, operator_tag, force_capped
+        row, k_step, operator_tag, force_capped, _split=_split
     )
 
 
 def cohomology_betti(a: LieAlgebroid, max_weight=4) -> BettiTable:
     return betti_table(
-        a.variables, a.rank, differential_rows(a), 1, max_weight, "cohomology"
+        a.variables, a.rank, differential_rows(a), 1, max_weight, "cohomology",
+        _split=differential_split(a),
     )
 
 
 def boundary_betti(conn: TopConnection, max_weight=4, force_capped=False) -> BettiTable:
+    """A capped table is never split, so it does not read the split."""
     a = conn.algebroid
     return betti_table(
         a.variables,
@@ -439,25 +576,29 @@ def boundary_betti(conn: TopConnection, max_weight=4, force_capped=False) -> Bet
         max_weight,
         "homology",
         force_capped,
+        _split=() if force_capped else boundary_split(conn),
     )
 
 
 def kb_betti(pi: PoissonStructure, max_weight=4) -> BettiTable:
     return betti_table(
-        pi.variables, pi.base_dim, kb_rows(pi), -1, max_weight, "kb-homology"
+        pi.variables, pi.base_dim, kb_rows(pi), -1, max_weight, "kb-homology",
+        _split=kb_split(pi),
     )
 
 
 def lichnerowicz_betti(pi: PoissonStructure, max_weight=4) -> BettiTable:
     """The bracket with the bivector is the differential of the cotangent
-    algebroid, row for row."""
+    algebroid, row for row, and splits with it."""
+    cot = pi.cotangent()
     return betti_table(
         pi.variables,
         pi.base_dim,
-        differential_rows(pi.cotangent()),
+        differential_rows(cot),
         1,
         max_weight,
         "poisson-cohomology",
+        _split=differential_split(cot),
     )
 
 

@@ -42,6 +42,15 @@ on its ``PoissonStructure``.  Every table on one structure shares them, and
 they go when the structure goes.  A nonzero twist alpha is not fixed by the
 algebroid, so ``differential_rows(a, alpha)`` builds fresh rows; the
 boundary reaches a twist only through its own connection, which keeps them.
+
+The split of a structure into factors on disjoint frames and base variables
+is kept next to its rows, under the key "split": ``differential_split``,
+``boundary_split`` and ``kb_split`` each run one union-find over the frames
+and the variables, joining what each generator image, connection term or
+bivector component connects, with the variables of its coefficient.  Each
+operator sends the unit of the other factors to zero, so a factor's rows
+are the product's rows asked on the factor's monomials and relabelled,
+``factor_rows``; ``homology`` convolves the factor tables.
 """
 
 from __future__ import annotations
@@ -54,7 +63,15 @@ from .algebroid import LieAlgebroid, PoissonStructure, tangent_algebroid
 from .bv import TopConnection
 from .exterior import GradedElem, _complement, shuffle_sign, sort_with_sign
 
-__all__ = ["differential_rows", "boundary_rows", "kb_rows"]
+__all__ = [
+    "differential_rows",
+    "boundary_rows",
+    "kb_rows",
+    "differential_split",
+    "boundary_split",
+    "kb_split",
+    "factor_rows",
+]
 
 
 def _collect(terms):
@@ -248,3 +265,115 @@ def _kb_rows(pi: PoissonStructure):
         )
 
     return _first_order(row, pi.base_dim)
+
+
+# -- the split of a product structure ----------------------------------------
+
+
+def _components(n, m, links):
+    """The factors of a structure with frames 0..n-1 and variables 0..m-1.
+
+    One union-find over the frames (nodes 0..n-1) and the variables (nodes
+    n..n+m-1) joins the nodes of each set in ``links``.  Each factor is
+    ``(frames, variables)``, both sorted, and the factors come in the order
+    of their first node, so the split depends on positions alone.
+    """
+    parent = list(range(n + m))
+
+    def find(node):
+        while parent[node] != node:
+            parent[node] = parent[parent[node]]
+            node = parent[node]
+        return node
+
+    for first, *rest in links:
+        for node in rest:
+            parent[find(node)] = find(first)
+    groups = {}
+    for node in range(n + m):
+        groups.setdefault(find(node), []).append(node)
+    return tuple(
+        (tuple(v for v in nodes if v < n), tuple(v - n for v in nodes if v >= n))
+        for nodes in groups.values()
+    )
+
+
+def _variable_nodes(poly, n):
+    """The nodes of the variables a coefficient depends on."""
+    return {n + mu for expo in poly.terms for mu, e in enumerate(expo) if e}
+
+
+def _algebroid_links(a: LieAlgebroid):
+    """What the image of each generator under d joins: d x_mu joins x_mu with
+    every frame i whose anchor entry a_i^mu is nonzero, and d eps_k joins k
+    with i and j for each nonzero c_ij^k, each with the variables of its
+    coefficient."""
+    n = a.rank
+    for i, row in enumerate(a.anchor):
+        for mu, c in enumerate(row):
+            if c:
+                yield [i, n + mu, *_variable_nodes(c, n)]
+    for (i, j), row in a.structure.items():
+        for k, c in enumerate(row):
+            if c:
+                yield [i, j, k, *_variable_nodes(c, n)]
+
+
+def differential_split(a: LieAlgebroid):
+    """The factors of ``a``, kept on ``a``.  The differential of a product
+    is d1 + d2, a derivation whose generator images stay in their factor, so
+    it sends the unit of the other factors to zero."""
+    return a.kept("split", lambda: _components(a.rank, a.base_dim, _algebroid_links(a)))
+
+
+def boundary_split(conn: TopConnection):
+    """The factors of ``conn``'s algebroid that its connection form also
+    splits along, kept on ``conn``: each term alpha_i eps_i joins frame i
+    with the variables of alpha_i.  The star is a signed relabelling that
+    splits with the frames, and the boundary of a degree-0 element is 0."""
+    a = conn.algebroid
+
+    def links():
+        yield from _algebroid_links(a)
+        for (i,), c in conn.alpha.components.items():
+            yield [i, *_variable_nodes(c, a.rank)]
+
+    return conn.kept("split", lambda: _components(a.rank, a.base_dim, links()))
+
+
+def kb_split(pi: PoissonStructure):
+    """The factors of ``pi`` on base forms, kept on ``pi``: frame mu is dx_mu,
+    joined with x_mu, and a component pi^(mu nu) joins mu and nu with the
+    variables of its coefficient.  On forms in disjoint variables the
+    operator of pi1 + pi2 is the sum of the two, each zero on the other's
+    forms and on constants."""
+    m = pi.base_dim
+
+    def links():
+        for mu in range(m):
+            yield [mu, m + mu]
+        for (mu, nu), c in pi.components.items():
+            yield [mu, nu, *_variable_nodes(c, m)]
+
+    return pi.kept("split", lambda: _components(m, m, links()))
+
+
+def factor_rows(row, frames, variables, m):
+    """``row`` asked on the monomials of one factor and relabelled: frame
+    ``frames[i]`` becomes i and variable ``variables[j]`` becomes j.  An
+    operator that sends the unit of the other factors to zero maps these
+    monomials into the factor's own."""
+    position = {f: i for i, f in enumerate(frames)}
+    zero = (0,) * m
+
+    def restricted(idx, expo):
+        full = list(zero)
+        for mu, e in zip(variables, expo):
+            full[mu] = e
+        image = row(tuple(frames[i] for i in idx), tuple(full))
+        return {
+            (tuple(position[i] for i in target), tuple(e[mu] for mu in variables)): c
+            for (target, e), c in image.items()
+        }
+
+    return restricted

@@ -68,14 +68,14 @@ def put(tmp_path, name, text):
     return str(path)
 
 
-def run_module(*args):
-    """Run ``python -m albv.cli`` in a fresh interpreter on this checkout;
-    a run that hangs fails the test after a minute."""
+def run_module(*args, module="albv.cli"):
+    """Run ``python -m albv.cli`` (or ``module``) in a fresh interpreter on
+    this checkout; a run that hangs fails the test after a minute."""
     src = str(Path(albv.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "albv.cli", *args],
+        [sys.executable, "-m", module, *args],
         capture_output=True,
         text=True,
         env=env,
@@ -646,6 +646,81 @@ def test_tables_match_the_golden_text(tmp_path, capsys, name):
     path = put(tmp_path, name + ".albv", BENCH_FILES[name])
     golden = GOLDEN / ("tables_%s.txt" % name)
     assert table_transcript(path, capsys) == golden.read_text()
+
+
+# so(3)* on x, y, z times {u,v} = v: the tables of a product structure
+PRODUCT_TEXT = """\
+[algebroid]
+kind = "tangent"
+base_vars = ["x", "y", "z", "u", "v"]
+
+[poisson]
+terms = [{"i": 1, "j": 2, "c": "z"}, {"i": 2, "j": 3, "c": "x"}, {"i": 1, "j": 3, "c": "-y"}, {"i": 4, "j": 5, "c": "v"}]
+"""
+
+
+def test_product_tables_match_the_golden_text(tmp_path, capsys):
+    """``cohomology``, ``homology`` and ``homology --kb`` at weight 5 on a
+    product: tangent 5-space for the first two, so(3)* times {u,v} = v for
+    the third, each computed as the convolution of its factors' tables.
+
+    The golden file was written by commit 974bcb2, which ranked every table
+    of a product whole, before tables split into factors.
+    """
+    path = put(tmp_path, "product.albv", PRODUCT_TEXT)
+    golden = GOLDEN / "tables_product.txt"
+    assert table_transcript(path, capsys) == golden.read_text()
+
+
+def test_a_broken_factor_under_no_validate_reports_the_whole_witness(
+    tmp_path, capsys
+):
+    """sl2 with an extra e1 in [e1, e2] times aff1, unchecked: the first
+    factor's square is nonzero, so the table is ranked whole and the report
+    names the witness of the whole table, as the split never ran."""
+    from albv.albvfile import Document
+    from albv.homology import betti_table
+    from albv.rows import differential_rows
+
+    text = (
+        '[algebroid]\nkind = "lie_algebra"\nrank = 5\nstructure = ['
+        '{"i": 1, "j": 2, "k": 1, "c": "1"}, {"i": 1, "j": 2, "k": 2, "c": "2"}, '
+        '{"i": 1, "j": 3, "k": 3, "c": "-2"}, {"i": 2, "j": 3, "k": 1, "c": "1"}, '
+        '{"i": 4, "j": 5, "k": 5, "c": "1"}]\n'
+    )
+    path = put(tmp_path, "broken_product.albv", text)
+    a = Document.load(path).build_algebroid(check=False)
+    with pytest.raises(ValueError) as exc:
+        betti_table((), 5, differential_rows(a), 1, 0)
+    assert main(["cohomology", path, "--no-validate"]) == 1
+    assert capsys.readouterr().out == "computation: FAIL (%s)\n" % exc.value
+
+
+def test_the_poincare_lemma_from_the_command_line(tmp_path, capsys):
+    """The tangent plane at ``--max-weight 0``: only the constants are
+    closed and not exact, and only the constant top multivectors survive
+    the trivial boundary, so cohomology has (0, 0) = 1 and homology
+    (2, 0) = 1, nothing else, shift -1.  The table read shift 0 off the
+    rows of weight 0 alone and printed k=1: 2, k=2: 1."""
+    path = put(tmp_path, "plane.albv", TANGENT_PLANE_TEXT)
+    expected = {
+        "cohomology": "axioms: PASS\ncohomology (homogeneous, shift -1)\n"
+        "      w=0    \nk=0   1      \nk=1   0      \nk=2   0      \n",
+        "homology": "axioms: PASS\nflat-connection: PASS\n"
+        "homology (homogeneous, shift -1)\n"
+        "      w=0    \nk=0   0      \nk=1   0      \nk=2   1      \n",
+    }
+    for command, text in expected.items():
+        assert main([command, path, "--max-weight", "0"]) == 0
+        assert capsys.readouterr().out == text
+        assert main([command, path, "--max-weight", "0", "--json"]) == 0
+        (table,) = json.loads(capsys.readouterr().out)["tables"]
+        assert table["shift"] == -1
+        top = 0 if command == "cohomology" else 2
+        assert [r["dim"] for r in table["records"]] == [int(k == top) for k in range(3)]
+
+
+TANGENT_PLANE_TEXT = '[algebroid]\nkind = "tangent"\nbase_vars = ["x", "y"]\n'
 
 
 # d + eps1^ on the plane has weight shifts -1 and 0, so its table is capped
@@ -1285,3 +1360,17 @@ def test_module_entry_point_runs_the_cli(tmp_path):
     proc = run_module("validate", path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("axioms: PASS\n")
+
+
+def test_python_dash_m_albv_runs_the_cli(tmp_path):
+    """``python -m albv`` is the command line, with its exit status: 0 for
+    a passing report, 1 for a failed check, 2 for a file it cannot read."""
+    good = put(tmp_path, "sl2.albv", SL2_TEXT)
+    broken = put(tmp_path, "broken.albv", BROKEN_TEXT)
+    proc = run_module("cohomology", good, module="albv")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("axioms: PASS\ncohomology (homogeneous, shift 0)\n")
+    assert run_module("validate", broken, module="albv").returncode == 1
+    missing = run_module("validate", str(tmp_path / "missing.albv"), module="albv")
+    assert missing.returncode == 2
+    assert missing.stderr.startswith("error: ")

@@ -1123,3 +1123,357 @@ def test_a_negative_weight_is_refused():
         with pytest.raises(ValueError, match="max_weight must be nonnegative") as exc:
             call()
         assert not isinstance(exc.value, TableTooLarge)
+
+
+# -- product structures split into factors -------------------------------------
+
+
+def test_the_poincare_lemma_holds_at_every_weight_cap():
+    """On tangent n-space d x^b eps_I = sum_mu b_mu x^(b - 1_mu) eps_mu ^ eps_I,
+    so only the constants are closed and not exact (the Poincare lemma), and
+    the trivial boundary, its star conjugate, keeps only the constant top
+    multivectors: cohomology (0, 0) = 1 and homology (n, 0) = 1, nothing
+    else, shift -1, at every cap.  At cap 0 no row of weight 0 is nonzero,
+    so a shift scan of weight 0 alone read shift 0 and the plane printed
+    k=1: 2 and k=2: 1; the scan reads the rows through weight 1, split or
+    whole."""
+    for n in (1, 2, 3):
+        a = tangent_algebroid(("x", "y", "z")[:n])
+        conn = TopConnection(a)
+        for w in range(4):
+            whole = betti_table(a.variables, n, differential_rows(a), 1, w)
+            for table, top in [
+                (cohomology_betti(a, w), 0),
+                (whole, 0),
+                (boundary_betti(conn, w), n),
+            ]:
+                assert table.shift == -1 and table.homogeneous, (n, w)
+                assert {key for key, b in table.entries.items() if b} == {(top, 0)}
+                assert table.entry(top, 0) == 1
+    plane = cohomology_betti(tangent_algebroid(XY), 0)
+    assert plane.entries == {(0, 0): 1, (1, 0): 0, (2, 0): 0}
+
+
+XYZUV = ("x", "y", "z", "u", "v")
+SO3_TERMS = {(0, 1): "z", (1, 2): "x", (0, 2): "-y"}
+
+
+def product_structures():
+    """Products on disjoint frames and variables, by name: so(3)* and
+    Bianchi III ({x,z} = x, with y a Casimir of its own) times {u,v} = v,
+    so(3)* times sl2* on x, y, z, a, b, c, the line with anchor x d/dx
+    times aff1, and anchor y d/dx on x, y (y joins through the coefficient
+    alone) times anchor z d/dz on z."""
+    from albv.algebroid import custom_algebroid
+
+    sl2_terms = {(3, 4): "2*b", (3, 5): "-2*c", (4, 5): "a"}
+    so3_sl2 = {**SO3_TERMS, **sl2_terms}
+    return {
+        "so(3)* x {u,v}=v": PoissonStructure(XYZUV, {**SO3_TERMS, (3, 4): "v"}),
+        "Bianchi III x {u,v}=v": PoissonStructure(XYZUV, {(0, 2): "x", (3, 4): "v"}),
+        "so(3)* x sl2*": PoissonStructure(("x", "y", "z", "a", "b", "c"), so3_sl2),
+        "x d/dx x aff1": custom_algebroid(
+            ("x",), 3, [["x"], [0], [0]], {(1, 2): {2: 1}}
+        ),
+        "y d/dx x z d/dz": custom_algebroid(
+            ("x", "y", "z"), 2, [["y", 0, 0], [0, 0, "z"]], {}
+        ),
+    }
+
+
+def split_and_whole(kind, structure, max_weight, force_capped=False):
+    """Two thunks: the table of ``kind`` on ``structure`` as the library
+    computes it, and ``betti_table`` on the same rows with no split, the
+    whole engine."""
+    if kind == "cohomology":
+        a = structure
+        return lambda: cohomology_betti(a, max_weight), lambda: betti_table(
+            a.variables, a.rank, differential_rows(a), 1, max_weight, "cohomology"
+        )
+    if kind == "homology":
+        conn = structure if isinstance(structure, TopConnection) else TopConnection(structure)
+        a = conn.algebroid
+        return lambda: boundary_betti(conn, max_weight, force_capped), lambda: betti_table(
+            a.variables, a.rank, boundary_rows(conn), -1, max_weight, "homology",
+            force_capped,
+        )
+    pi = structure
+    if kind == "kb-homology":
+        return lambda: kb_betti(pi, max_weight), lambda: betti_table(
+            pi.variables, pi.base_dim, kb_rows(pi), -1, max_weight, kind
+        )
+    return lambda: lichnerowicz_betti(pi, max_weight), lambda: betti_table(
+        pi.variables, pi.base_dim, differential_rows(pi.cotangent()), 1, max_weight,
+        "poisson-cohomology",
+    )
+
+
+def assert_same_table(split, whole):
+    assert split == whole
+    assert split.to_text() == whole.to_text()
+    assert split.to_json() == whole.to_json()
+
+
+@pytest.mark.parametrize(
+    "name, kinds, top_w",
+    [
+        ("tangent 1-space", ("cohomology", "homology"), 6),
+        ("tangent 2-space", ("cohomology", "homology"), 6),
+        ("tangent 3-space", ("cohomology", "homology"), 6),
+        ("tangent 4-space", ("cohomology", "homology"), 6),
+        ("so(3)* x {u,v}=v", ("kb-homology", "poisson-cohomology"), 3),
+        ("Bianchi III x {u,v}=v", ("kb-homology", "poisson-cohomology"), 3),
+        ("so(3)* x sl2*", ("kb-homology", "poisson-cohomology"), 4),
+        ("x d/dx x aff1", ("cohomology", "homology"), 4),
+        ("y d/dx x z d/dz", ("cohomology", "homology"), 3),
+    ],
+)
+def test_a_split_table_equals_the_whole_table(name, kinds, top_w):
+    """Second route for the Kunneth split: each table of a product equals
+    ``betti_table`` on the product's own rows, ranked whole, entry for entry
+    with the same shift and header, at every weight up to ``top_w``.  Every
+    structure here has more than one factor, so the split is what runs."""
+    from albv.rows import boundary_split, differential_split, kb_split
+
+    if name.startswith("tangent"):
+        structure = tangent_algebroid(XYZUV[: int(name.split()[1][0])])
+    else:
+        structure = product_structures()[name]
+    for kind in kinds:
+        if kind == "cohomology":
+            factors = differential_split(structure)
+        elif kind == "homology":
+            factors = boundary_split(TopConnection(structure))
+        elif kind == "kb-homology":
+            factors = kb_split(structure)
+        else:
+            factors = differential_split(structure.cotangent())
+        assert len(factors) > 1 or name == "tangent 1-space", (name, kind)
+        for w in range(top_w + 1):
+            split, whole = split_and_whole(kind, structure, w)
+            assert_same_table(split(), whole())
+
+
+def outcome(make):
+    """A table's text and entries, or the type and text of what it raised."""
+    try:
+        table = make()
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    return table.to_text(), table.entries
+
+
+def unsplit_cases():
+    """(name, kind, structure, force_capped) of products whose tables do not
+    fit the split."""
+    from albv.algebroid import custom_algebroid
+
+    line_aff1 = custom_algebroid(("x",), 3, [[1], [0], [0]], {(1, 2): {2: 1}})
+    # sl2 with an extra e1 in [e1, e2], whose d has a nonzero square, times aff1
+    broken_aff1 = lie_algebra(
+        5, {(0, 1): {0: 1, 1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}, (3, 4): {4: 1}}
+    )
+    # a bivector whose self-bracket is 2z e1^e2^e3, times {u,v} = v
+    bad_pi = PoissonStructure(
+        XYZUV, {(0, 1): "z", (1, 2): "x", (0, 2): "x", (3, 4): "v"}, check=False
+    )
+    raising = custom_algebroid(XY, 2, [["x^2", 0], [0, 1]], {})
+    t3 = tangent_algebroid(("x", "y", "z"))
+    return [
+        ("tangent line x aff1, mixed shifts", "cohomology", line_aff1, False),
+        ("tangent line x aff1, mixed shifts", "homology", line_aff1, False),
+        ("capped tangent 3-space", "homology", TopConnection(t3), True),
+        ("capped x d/dx x aff1", "homology", product_structures()["x d/dx x aff1"], True),
+        ("broken sl2 x aff1", "cohomology", broken_aff1, False),
+        ("broken sl2 x aff1", "homology", broken_aff1, False),
+        ("broken bivector x {u,v}=v", "kb-homology", bad_pi, False),
+        ("broken bivector x {u,v}=v", "poisson-cohomology", bad_pi, False),
+        ("x^2 d/dx x tangent line", "cohomology", raising, False),
+        ("x^2 d/dx x tangent line", "homology", raising, False),
+    ]
+
+
+@pytest.mark.parametrize("name, kind, structure, force_capped", unsplit_cases())
+def test_a_table_that_does_not_fit_the_split_is_ranked_whole(
+    name, kind, structure, force_capped
+):
+    """Mixed shifts across the factors (a capped table), a capped table on
+    request, a factor whose square is nonzero and a factor that raises
+    weight give exactly the whole engine's table or exception text."""
+    for w in range(4):
+        split, whole = map(outcome, split_and_whole(kind, structure, w, force_capped))
+        assert split == whole, (name, kind, w)
+    if name.startswith("broken"):
+        assert whole[1].startswith("operator does not square to zero")
+
+
+def test_a_factor_whose_square_is_nonzero_sends_the_table_whole(monkeypatch):
+    """The split checks each factor's square on the slices it ranks and
+    falls back on the first nonzero one; sl2 with an extra e1 in [e1, e2]
+    fails, aff1 is never reached, and the whole table raises its witness."""
+    import albv.homology
+
+    seen = []
+    check = albv.homology._Operator.squares_to_zero
+
+    def spy(self, shift):
+        seen.append((self.shape.rank, check(self, shift)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(albv.homology._Operator, "squares_to_zero", spy)
+    broken = unsplit_cases()[4][2]
+    with pytest.raises(ValueError) as exc:
+        cohomology_betti(broken, 0)
+    assert seen == [(3, False)]
+    assert str(exc.value) == "operator does not square to zero: entry (2, 0) would be -1"
+
+
+def test_a_product_above_the_block_limit_is_refused_before_any_rank(monkeypatch):
+    """Tangent 3-space splits into three lines, whose blocks are single
+    monomials, but the limit is read on the product's blocks: at 30 the
+    slice past weight 3 has C(3, 1) C(6, 4) = 45 monomials in degree 1, and
+    the table is refused with the whole table's message, nothing ranked."""
+    import albv.homology
+    from albv.homology import TableTooLarge
+
+    ranked = []
+    monkeypatch.setattr(albv.homology, "matrix_rank", ranked.append)
+    monkeypatch.setattr(albv.homology, "MAX_BLOCK_SIZE", 30)
+    t3 = tangent_algebroid(("x", "y", "z"))
+    message = (
+        "table too large: a block of degree 1 and weight at most 4 has 45 basis "
+        "monomials, above the limit of 30"
+    )
+    for make in (
+        lambda: cohomology_betti(t3, 3),
+        lambda: betti_table(t3.variables, 3, differential_rows(t3), 1, 3),
+        lambda: boundary_betti(TopConnection(t3), 3),
+    ):
+        with pytest.raises(TableTooLarge) as exc:
+            make()
+        assert str(exc.value) == message
+    assert ranked == []
+
+
+def spy_on_ranks(monkeypatch):
+    """Record the (rows, columns) of every matrix a table ranks."""
+    import albv.homology
+
+    seen = []
+    rank = albv.homology.matrix_rank
+
+    def spy(rows):
+        seen.append((len(rows), len(rows[0])))
+        return rank(rows)
+
+    monkeypatch.setattr(albv.homology, "matrix_rank", spy)
+    return seen
+
+
+def test_the_split_is_taken_on_tangent_3_space(monkeypatch):
+    """Tangent 3-space is the product of three lines, whose slices are one
+    monomial each: its cohomology and trivial boundary tables at weight 6
+    rank no matrix larger than 1 x 1.  A table ranks afresh on every call:
+    nothing but the split is kept between calls."""
+    seen = spy_on_ranks(monkeypatch)
+    t3 = tangent_algebroid(("x", "y", "z"))
+    for make in (lambda: cohomology_betti(t3, 6), lambda: boundary_betti(TopConnection(t3), 6)):
+        seen.clear()
+        make()
+        first = list(seen)
+        assert first and set(first) == {(1, 1)}
+        seen.clear()
+        make()
+        assert seen == first
+
+
+def test_unsplit_tables_rank_the_blocks_of_the_whole_engine(monkeypatch):
+    """so(3)* is one factor, and a capped table never splits: these rank
+    exactly the blocks ``betti_table`` ranks on the same rows."""
+    seen = spy_on_ranks(monkeypatch)
+    so3 = PoissonStructure(("x", "y", "z"), SO3_TERMS)
+    cot = TopConnection(so3.cotangent())
+    t3 = TopConnection(tangent_algebroid(("x", "y", "z")))
+    cases = [
+        ("kb-homology", so3, False),
+        ("poisson-cohomology", so3, False),
+        ("homology", cot, False),
+        ("homology", cot, True),
+        ("homology", t3, True),
+    ]
+    for kind, structure, capped in cases:
+        split, whole = split_and_whole(kind, structure, 3, capped)
+        seen.clear()
+        split()
+        from_split = list(seen)
+        seen.clear()
+        whole()
+        assert from_split == seen and seen, (kind, capped)
+
+
+def test_a_capped_table_does_not_read_the_split():
+    from albv.rows import boundary_split
+
+    conn = TopConnection(tangent_algebroid(("x", "y", "z")))
+    boundary_betti(conn, 2, force_capped=True)
+    fresh = ()
+    assert conn.kept("split", lambda: fresh) is fresh
+    assert boundary_split(conn) is fresh
+
+
+def test_a_split_table_counts_the_product_once_before_any_rank(monkeypatch):
+    """``Complex.count`` runs once per table, on the product's shape, with the
+    union of the factors' shifts, and before any block is ranked.  Over x
+    and y with anchor d/dx on e1 and none on e2, the factors are the line
+    {e1, x}, the frame e2 and the variable y; the last two have no nonzero
+    row and add no shift, so the union is {-1}, as the whole rows read."""
+    import albv.homology
+    from albv.algebroid import custom_algebroid
+    from albv.homology import Complex
+    from albv.rows import differential_split
+
+    events = []
+    count = Complex.count
+
+    def count_spy(self, shifts, capped=False):
+        events.append(("count", self.variables, self.rank, self.max_weight, set(shifts)))
+        return count(self, shifts, capped)
+
+    monkeypatch.setattr(Complex, "count", count_spy)
+    monkeypatch.setattr(
+        albv.homology, "matrix_rank", lambda rows: events.append("rank") or 1
+    )
+    lonely = custom_algebroid(XY, 2, [[1, 0], [0, 0]], {})
+    assert differential_split(lonely) == (((0,), (0,)), ((1,), ()), ((), (1,)))
+    t3 = tangent_algebroid(("x", "y", "z"))
+    for a, shape in [(lonely, (XY, 2, 3)), (t3, (("x", "y", "z"), 3, 3))]:
+        for table in (
+            lambda: cohomology_betti(a, 3),
+            lambda: boundary_betti(TopConnection(a), 3),
+        ):
+            events.clear()
+            assert table().shift == -1
+            assert events[0] == ("count", *shape, {-1})
+            assert set(events[1:]) == {"rank"}
+
+
+def test_the_split_is_kept_on_its_structure_and_ordered_by_position():
+    """The split is read once per structure and kept in its memo.  Its
+    factors come in the order of their first frame, then variable, by
+    position, so the variable names and the string hash do not move them."""
+    from albv.rows import boundary_split, differential_split, kb_split
+
+    names = ("v", "u", "z", "y", "x")
+    pi = PoissonStructure(names, {(0, 2): "v", (1, 3): "1"})
+    assert kb_split(pi) is kb_split(pi)
+    assert kb_split(pi) == (((0, 2), (0, 2)), ((1, 3), (1, 3)), ((4,), (4,)))
+    so3_uv = product_structures()["so(3)* x {u,v}=v"]
+    assert kb_split(so3_uv) == (((0, 1, 2), (0, 1, 2)), ((3, 4), (3, 4)))
+    cot = so3_uv.cotangent()
+    assert differential_split(cot) is differential_split(cot)
+    assert differential_split(cot) == kb_split(so3_uv)
+    plane = tangent_algebroid(XY)
+    # a connection form joins its frame with the variables of its coefficient
+    twisted = TopConnection(plane, plane.poly("y") * plane.coframe(0))
+    assert boundary_split(twisted) == (((0, 1), (0, 1)),)
+    assert boundary_split(TopConnection(plane)) == (((0,), (0,)), ((1,), (1,)))
