@@ -11,27 +11,46 @@ capped on request.  The operator maps the window of (k, w) into the window of
 that raise weight admit no finite truncation and are refused.  A table is
 given by a row function: ``row(idx, expo)`` returns the image of one basis
 monomial as a sparse dict ``{(index tuple, exponent tuple): coefficient}``.
-It is asked once per basis monomial.  Ranks are exact and taken block by
-block, each block once.  An operator of one shift s maps weight v into weight
-v + s alone, so its matrix out of any window is block-diagonal over the
-window's weights, and its rank is the sum of the ranks of the weight slices:
-a block is one slice.  A mixed-shift matrix is only block-triangular, so
-there a block is a whole window.  A block hands ``linalg.rank`` one dense row
-per nonzero image; zero images add no rank and are not handed over, and a
-block of zero images alone takes no rank.  The shifts are read off the rows
-through weight ``max(max_weight, 1)`` over a nonempty base: every table
-operator is first order, so each of its shifts shows by weight 1, while at
-weight 0 alone d of a constant is 0 and a shift -1 does not show.
+It is asked at most once per basis monomial.  Ranks are exact and taken
+block by block, each block once.  An operator of one shift s maps weight v
+into weight v + s alone, so its matrix out of any window is block-diagonal
+over the window's weights, and its rank is the sum of the ranks of the
+weight slices: a block is one slice.  A mixed-shift matrix is only
+block-triangular, so there a block is a whole window.  A block hands
+``linalg.rank`` one dense row per nonzero image; zero images add no rank and
+are not handed over, and a block of zero images alone takes no rank.  The
+shifts are read off the rows through weight ``max(max_weight, 1)`` over a
+nonempty base: every table operator is first order, so each of its shifts
+shows by weight 1, while at weight 0 alone d of a constant is 0 and a shift
+-1 does not show.
+
+Every table operator is first order in the coefficient, so its square has
+order at most 2, and it vanishes if and only if it vanishes on the basis
+monomials of weight at most 2; a table checks exactly that, once.  When
+the square of a one-shift operator vanishes the slices are ranked by
+clearing (Chen and Kerber, *Persistent homology computation with a twist*,
+2011; Bauer, Kerber and Reininghaus, *Clear and compress*, 2014): each
+slice after the slice that maps into it, whose pivot columns
+(``linalg.rank``'s ``leads``) name basis monomials that span images.  The
+map out sends those to zero, and their pivots form a triangle, so leaving
+their rows out of the next rank leaves it exact.  A capped table of one
+shift s is read off the homogeneous table at ``max_weight + s``, which ranks
+exactly the slices up to ``max_weight``: the slice ranks come back down each
+diagonal from its entries, and the capped entries are their prefix sums.
+An operator whose square is nonzero is ranked slice by slice with no
+clearing, a capped window summing its slices, so its negative entry is
+reported as it always was.
 
 A structure that is a product of structures on disjoint frames and base
 variables (Mackenzie, *General theory of Lie groupoids and Lie algebroids*,
 2005) has the tensor product of the factor complexes as its complex; the
 four tables below read that split off the structure (``rows``) and, when
-the table is homogeneous and every factor squares to zero where it is
-ranked, convolve the factor tables by Kunneth over Q, slice by slice:
-b(k, w) = sum of b1(k1, w1) b2(k2, w2) over k1 + k2 = k and w1 + w2 = w.
-Tangent n-space is the product of n lines.  Every other table, capped or
-of mixed shifts or with a factor whose square is nonzero, is ranked whole.
+the table has one shift and every factor squares to zero, convolve the
+factor tables by Kunneth over Q, slice by slice:
+b(k, w) = sum of b1(k1, w1) b2(k2, w2) over k1 + k2 = k and w1 + w2 = w;
+a capped table is read off that convolution.  Tangent n-space is the
+product of n lines.  Every other table, of mixed shifts or with a factor
+whose square is nonzero, is ranked whole.
 
 A ``Complex`` is a table's shape, ``(variables, rank, max_weight)``, and
 owns what the shape fixes: the basis of each degree and weight, each block's
@@ -56,7 +75,8 @@ The four tables take their row functions from ``rows``, compiled from
 generator data and kept in the memo of the structure that fixes them; the
 operators defined or re-exported here stay as the route the checks use and
 as the oracle of those rows.  Nothing but the shape's caches, and the rows
-and split kept on the structure, outlives a table.
+and split kept on the structure, outlives a table, and a table leaves no
+reference cycle.
 
 Also here: the star-conjugation check of the boundary (defined in ``bv``
 and re-exported here), the Koszul-Brylinski operator on base forms, the
@@ -353,56 +373,60 @@ class Complex:
 
         ``row(idx, expo)`` is the image of the basis monomial x^expo e_idx (or
         eps_idx) as a sparse row ``{(index tuple, exponent tuple): coefficient}``
-        with no zero coefficients; it is asked once per basis monomial.  Entry
-        (k, w) is the homology at the window of (k, w): ``(w,)`` when the weight
-        shifts of the rows are one shift s, ``range(w + 1)`` when they are mixed
-        or ``force_capped`` is set.  The operator maps the window of (k, w) into
-        that of (k + k_step, w + lift), with lift s, or 0 when capped; the shifts
-        are read off the row keys through weight ``scan_weight``, where every
-        shift of a first-order operator shows.  Ranks are exact, one per block:
-        with one shift s the image of weight v lies in weight v + s alone, so
-        the matrix out of a window is block-diagonal and its rank is the sum of
-        the weight slices' ranks, and a capped window reuses the slices of the
-        windows below it; with mixed shifts a block is the whole window.  Only
-        the nonzero images of a block are ranked, and an image with a key
-        outside the block's target raises ValueError.  A negative entry can
-        only come from an operator whose square is nonzero, and raises
-        ValueError.  The blocks past the complex's own slice go through
-        ``count`` once, after the shift scan and before any rank.
+        with no zero coefficients, of an operator first order in the
+        coefficient; it is asked at most once per basis monomial.  Entry (k, w)
+        is the homology at the window of (k, w): ``(w,)`` when the weight
+        shifts of the rows are one shift s, ``range(w + 1)`` when they are
+        mixed or ``force_capped`` is set.  The operator maps the window of
+        (k, w) into that of (k + k_step, w + lift), with lift s, or 0 when
+        capped; the shifts are read off the row keys through weight
+        ``scan_weight``, where every shift of a first-order operator shows.
+        The blocks past the complex's own slice go through ``count`` once,
+        after the shift scan and before any rank.
+
+        With one shift s the image of weight v lies in weight v + s alone, so
+        the matrix out of a window is block-diagonal and a block is one
+        slice.  When the square of the operator vanishes
+        (``_Operator.squares_to_zero``, read on weights up to 2), each slice
+        is ranked after the slice that maps into it, without the rows at that
+        map's pivot columns (clearing; see ``_Operator.slice_rank``), and a
+        capped table comes from the homogeneous table at ``max_weight + s``,
+        which ranks exactly the slices up to ``max_weight`` (``_capped``).
+        When it does not, every slice is ranked whole, a capped window
+        sums its slices, and a negative entry raises ValueError.  With mixed
+        shifts a block is a whole window.  Only the nonzero images of a block
+        are ranked, and an image with a key outside the block's target raises
+        ValueError.
 
         ``_split`` is the split of the structure the rows come from, as
         ``rows`` reads it: its factors, each ``(frames, variables)`` by
         position in the product.  ``cohomology_betti``, ``boundary_betti``,
-        ``kb_betti`` and ``lichnerowicz_betti`` pass it; with more
-        than one factor, an uncapped table scans each factor's rows (the
-        product's rows asked on the factor's monomials, ``rows.factor_rows``)
-        and counts the product's blocks with the union of their shifts.  If
-        that union is one shift s, or none, and each factor squares to zero
-        on every slice it ranks, the table is the convolution of the factor
-        tables (Kunneth over Q, slice by slice):
-        b(k, w) = sum of b1(k1, w1) b2(k2, w2) over k1 + k2 = k, w1 + w2 = w.
-        Otherwise the product's rows are ranked whole, as without a split.
+        ``kb_betti`` and ``lichnerowicz_betti`` pass it; with more than one
+        factor, the table scans each factor's rows (the product's rows asked
+        on the factor's monomials, ``rows.factor_rows``) and counts the
+        product's blocks with the union of their shifts.  If that union is
+        one shift s, or none, and each factor squares to zero, the
+        homogeneous table is the convolution of the factor tables (Kunneth
+        over Q, slice by slice):
+        b(k, w) = sum of b1(k1, w1) b2(k2, w2) over k1 + k2 = k, w1 + w2 = w,
+        and a capped table is read off it.  Otherwise the product's rows are
+        ranked whole, as without a split.
         """
         if k_step not in (1, -1):
             raise ValueError("k_step must be +1 or -1")
-        factors = whole = None
-        if len(_split) > 1 and not force_capped:
-            factors = [
+        if len(_split) > 1:
+            ops = [
                 _Operator(
-                    Complex(
-                        [self.variables[mu] for mu in variables],
-                        len(frames),
-                        self.max_weight,
-                    ),
+                    [self.variables[mu] for mu in variables],
+                    len(frames),
                     factor_rows(row, frames, variables, self.m),
                     k_step,
                 )
                 for frames, variables in _split
             ]
-            shifts = set().union(*(factor.shifts() for factor in factors))
         else:
-            whole = _Operator(self, row, k_step)
-            shifts = whole.shifts()
+            ops = [_Operator(self.variables, self.rank, row, k_step)]
+        shifts = set().union(*(op.shifts(self.scan_weight) for op in ops))
         self.count(shifts, force_capped)
         if shifts and max(shifts) > 0:
             raise ValueError(
@@ -411,10 +435,20 @@ class Complex:
         homogeneous = len(shifts) <= 1
         shift = min(shifts, default=0) if homogeneous else None
         capped = force_capped or not homogeneous
-        if factors and homogeneous and all(f.squares_to_zero(shift) for f in factors):
-            entries = self._convolve(f.entries(shift, False) for f in factors)
+        # each square is read up to the highest slice the table ranks
+        clear = homogeneous and all(
+            op.squares_to_zero(self.max_weight - (0 if capped else shift)) for op in ops
+        )
+        if clear:
+            if capped:
+                entries = self._capped(shift, k_step, ops)
+            else:
+                entries = self._homogeneous(shift, ops)
         else:
-            entries = (whole or _Operator(self, row, k_step)).entries(shift, capped)
+            whole = ops[0] if len(ops) == 1 else _Operator(
+                self.variables, self.rank, row, k_step
+            )
+            entries = whole.entries(self.max_weight, shift, capped)
         return BettiTable(
             entries=entries,
             rank=self.rank,
@@ -423,6 +457,57 @@ class Complex:
             shift=None if capped else shift,
             operator_tag=operator_tag,
         )
+
+    def _homogeneous(self, shift, ops):
+        """Entries of an operator of one shift whose square vanishes, given
+        as its factors' operators: ranked with clearing, or, with more than
+        one factor, the convolution of the factor tables."""
+        if len(ops) == 1:
+            return ops[0].entries(self.max_weight, shift, False, clear=True)
+        return self._convolve(
+            Complex(op.variables, op.rank, self.max_weight)._homogeneous(shift, [op])
+            for op in ops
+        )
+
+    def _capped(self, shift, k_step, ops):
+        """Entries of the capped table of an operator of one shift s <= 0
+        whose square vanishes, read off its homogeneous table H at weight
+        W = ``max_weight`` + s, which ranks the slices up to ``max_weight``.
+
+        With d(k, v) the basis monomials of slice (k, v) and r(k, v) the rank
+        out of it, H(k, v) = d(k, v) - r(k, v) - r(k - k_step, v - s).  So the
+        rank out of (k, v) is the rank into (k + k_step, v + s):
+        r(k, v) = d(k + k_step, v + s) - H(k + k_step, v + s) - r(k + k_step, v + s),
+        read down each diagonal from the degree past which no map leaves,
+        and 0 when v + s < 0 (at W < 0 no slice maps anywhere and H is
+        empty).  The subcomplex of weight at most w keeps every slice v <= w
+        and every map between two of them, so its entry is the prefix sum
+        C(k, w) = sum over v <= w of d(k, v) - r(k, v) - r(k - k_step, v)."""
+        rank, m, max_weight = self.rank, self.m, self.max_weight
+        weight = max_weight + shift
+        hom = (
+            Complex(self.variables, rank, weight)._homogeneous(shift, ops) if weight >= 0 else {}
+        )
+        ranks = {}
+        for k in range(rank, -1, -1) if k_step == 1 else range(rank + 1):
+            k1 = k + k_step
+            if 0 <= k1 <= rank:
+                for v in range(-shift, max_weight + 1):
+                    v1 = v + shift
+                    ranks[k, v] = (
+                        len(_basis(rank, m, k1, v1)) - hom[k1, v1] - ranks.get((k1, v1), 0)
+                    )
+        entries = {}
+        for k in range(rank + 1):
+            total = 0
+            for w in range(max_weight + 1):
+                total += (
+                    len(_basis(rank, m, k, w))
+                    - ranks.get((k, w), 0)
+                    - ranks.get((k - k_step, w), 0)
+                )
+                entries[k, w] = total
+        return entries
 
     def _convolve(self, factor_entries):
         """Entries of the tensor product of complexes with the given tables,
@@ -444,98 +529,95 @@ class Complex:
 
 
 class _Operator:
-    """One row function on one shape: the images of each slice, asked once,
-    the weight shifts they show, and the ranks of its blocks."""
+    """One row function on the degrees 0 to ``rank`` over ``variables``: the
+    images of each slice, asked once, the weight shifts they show, whether
+    its square vanishes, and the ranks of its blocks.  The memos are plain
+    dicts on the operator and no method nests a function, so a table leaves
+    no reference cycle for the garbage collector."""
 
-    def __init__(self, shape, row, k_step):
-        self.shape = shape
+    def __init__(self, variables, rank, row, k_step):
+        self.variables = tuple(variables)
+        self.rank = rank
+        self.m = len(self.variables)
+        self.row = row
         self.k_step = k_step
-        rank, m = shape.rank, shape.m
+        self._images = {}  # (k, w) -> images of the slice's basis monomials
+        self._ranks = {}  # (k, weights) -> rank of the block
+        self._leads = {}  # (k, v) -> pivot columns of the map out of slice (k, v)
 
-        @cache
-        def images(k, w):
-            return [row(idx, expo) for idx, expo in _basis(rank, m, k, w)]
+    def images(self, k, w):
+        """The images of the basis monomials of degree k and weight w, in
+        table order."""
+        images = self._images.get((k, w))
+        if images is None:
+            row = self.row
+            images = [row(idx, expo) for idx, expo in _basis(self.rank, self.m, k, w)]
+            self._images[k, w] = images
+        return images
 
-        self.images = images
-
-    def shifts(self):
-        """The weight shifts of the rows through the shape's ``scan_weight``."""
+    def shifts(self, scan_weight):
+        """The weight shifts of the rows through weight ``scan_weight``."""
         return {
             sum(expo) - w
-            for k in range(self.shape.rank + 1)
-            for w in range(self.shape.scan_weight + 1)
+            for k in range(self.rank + 1)
+            for w in range(scan_weight + 1)
             for image in self.images(k, w)
             for _, expo in image
         }
 
-    def squares_to_zero(self, shift):
-        """Whether the operator of one shift squares to zero, exactly, on every
-        slice ``entries`` ranks, weights 0 to ``max_weight - shift``."""
-        rank, m, images = self.shape.rank, self.shape.m, self.images
-        k_step = self.k_step
+    def squares_to_zero(self, top):
+        """Whether the operator squares to zero, exactly, read on the basis
+        monomials of weight at most min(2, ``top``), where ``top`` is the
+        highest slice a table ranks.
+
+        Every table operator is first order in the coefficient, so its
+        square is a differential operator of order at most 2 with polynomial
+        coefficients, and such an operator is zero if and only if it is zero
+        on the monomials of weight at most 2 times each basis tuple: its
+        coefficients are read off those images, lowest weight first.  When
+        ``top`` is below 2 the table ranks no slice above ``top``, so the
+        square need vanish only there.  An image key of a degree other than
+        the next one counts as a nonzero square: ranked whole, that image is
+        refused."""
+        rank, m = self.rank, self.m
+        image_of = {}  # basis monomial -> its image, over the target slices read
         for k in range(rank + 1):
-            for v in range(self.shape.max_weight - shift + 1):
-                sources = [image for image in images(k, v) if image]
-                if not sources:
-                    continue
-                k1, v1 = k + k_step, v + shift
-                target = dict(zip(_basis(rank, m, k1, v1), images(k1, v1)))
-                for image in sources:
+            k1 = k + self.k_step
+            for v in range(min(2, top) + 1):
+                for image in self.images(k, v):
                     square = {}
                     for key, c in image.items():
-                        if key not in target:
-                            return False  # ranked whole, the image is refused
-                        for key2, c2 in target[key].items():
+                        target = image_of.get(key)
+                        if target is None:
+                            if len(key[0]) != k1:
+                                return False
+                            v1 = sum(key[1])
+                            image_of.update(zip(_basis(rank, m, k1, v1), self.images(k1, v1)))
+                            target = image_of[key]
+                        for key2, c2 in target.items():
                             square[key2] = square.get(key2, 0) + c * c2
                     if any(square.values()):
                         return False
         return True
 
-    def entries(self, shift, capped):
-        """Betti numbers at every (k, w) of the shape, for rows of weight shift
-        ``shift`` (None when mixed), over windows capped or not."""
-        rank, m, max_weight = self.shape.rank, self.shape.m, self.shape.max_weight
-        k_step, images = self.k_step, self.images
-        homogeneous = shift is not None
+    def entries(self, max_weight, shift, capped, clear=False):
+        """Betti numbers at every (k, w) of degrees 0 to ``rank`` and weights
+        0 to ``max_weight``, for rows of weight shift ``shift`` (None when
+        mixed), over windows capped or not, the slices of one shift ranked
+        by clearing if ``clear``.  A negative entry raises ValueError."""
+        rank, m, k_step = self.rank, self.m, self.k_step
         lift = 0 if capped else shift
-
-        def window(w):
-            return range(w + 1) if capped else (w,)
-
-        @cache
-        def block_rank(k, weights):
-            """Rank of the operator on the basis of degree k and ``weights``."""
-            # one-shift targets are slices of weight at most max_weight, and
-            # mixed-shift targets have the source's weights
-            targets = tuple(v + shift for v in weights) if homogeneous else weights
-            index_map = _index_map(rank, m, k + k_step, targets)
-            # a zero image adds no rank and is not handed over
-            nonzero = [image for v in weights for image in images(k, v) if image]
-            if not nonzero:
-                return 0
-            rows = [[0] * len(index_map) for _ in nonzero]
-            try:
-                for dense, image in zip(rows, nonzero):
-                    for key, c in image.items():
-                        dense[index_map[key]] = c
-            except KeyError:
-                raise ValueError("operator image leaves the expected slice") from None
-            return matrix_rank(rows)
-
-        @cache
-        def rank_out(k, w):
-            """Rank of the operator out of the window of (k, w)."""
-            if not 0 <= k <= rank:
-                return 0
-            if homogeneous:
-                return sum(block_rank(k, (v,)) for v in window(w))
-            return block_rank(k, tuple(window(w)))
-
+        top = max_weight - shift if clear else None
         entries = {}
         for k in range(rank + 1):
             for w in range(max_weight + 1):
-                dim = sum(len(_basis(rank, m, k, wp)) for wp in window(w))
-                betti = dim - rank_out(k, w) - rank_out(k - k_step, w - lift)
+                window = range(w + 1) if capped else (w,)
+                dim = sum(len(_basis(rank, m, k, v)) for v in window)
+                betti = (
+                    dim
+                    - self.rank_out(k, w, shift, capped, top)
+                    - self.rank_out(k - k_step, w - lift, shift, capped, top)
+                )
                 if betti < 0:
                     raise ValueError(
                         "operator does not square to zero: entry (%d, %d) would be %d"
@@ -543,6 +625,76 @@ class _Operator:
                     )
                 entries[(k, w)] = betti
         return entries
+
+    def rank_out(self, k, w, shift, capped, top):
+        """Rank of the operator out of the window of (k, w): one block for
+        mixed shifts, else the sum of the ranks of its slices."""
+        if not 0 <= k <= self.rank:
+            return 0
+        if shift is None:
+            weights = tuple(range(w + 1))
+            key = (k, weights)
+            if key not in self._ranks:
+                self._ranks[key] = self.block_rank(k, weights, weights)
+            return self._ranks[key]
+        if capped:
+            return sum(self.slice_rank(k, v, shift, top) for v in range(w + 1))
+        return self.slice_rank(k, w, shift, top)
+
+    def slice_rank(self, k, v, shift, top):
+        """Rank of the operator out of slice (k, v), into (k + k_step, v + shift).
+
+        With ``top`` (not None), the highest slice the table ranks, the
+        slice is cleared: the slices that map into it, down its diagonal through
+        ``top``, are ranked first, each keeping the pivot columns of its map,
+        and the rows at the pivot columns of the map into this slice are
+        left out.  Those pivot rows are images, so the map out sends them to
+        zero when the square vanishes; each is zero left of its leading
+        column, so the row at a pivot column is a combination of the rows at
+        later columns, and by induction from the last pivot, of the rows
+        left in: the rank is unchanged."""
+        k_step, ranks = self.k_step, self._ranks
+        if (k, (v,)) not in ranks:
+            chain = [(k, v)]
+            while top is not None:
+                k0, v0 = chain[-1][0] - k_step, chain[-1][1] - shift
+                if not 0 <= k0 <= self.rank or v0 > top or (k0, (v0,)) in ranks:
+                    break
+                chain.append((k0, v0))
+            for k0, v0 in reversed(chain):
+                skip = self._leads.pop((k0 - k_step, v0 - shift), ())
+                # pivot columns are kept only where the target has a map out
+                leads = (
+                    set() if top is not None and 0 <= k0 + 2 * k_step <= self.rank else None
+                )
+                ranks[k0, (v0,)] = self.block_rank(k0, (v0,), (v0 + shift,), skip, leads)
+                if leads:
+                    self._leads[k0, v0] = leads
+        return ranks[k, (v,)]
+
+    def block_rank(self, k, weights, targets, skip=(), leads=None):
+        """Rank of the operator on the basis of degree k and ``weights`` into
+        degree k + k_step and ``targets``, less the rows at the positions in
+        ``skip`` (a block of one slice); the pivot columns of the rows handed
+        over are added to ``leads`` when it is given."""
+        index_map = _index_map(self.rank, self.m, k + self.k_step, targets)
+        # a zero image adds no rank and is not handed over
+        nonzero = [
+            image
+            for v in weights
+            for pos, image in enumerate(self.images(k, v))
+            if image and pos not in skip
+        ]
+        if not nonzero:
+            return 0
+        rows = [[0] * len(index_map) for _ in nonzero]
+        try:
+            for dense, image in zip(rows, nonzero):
+                for key, c in image.items():
+                    dense[index_map[key]] = c
+        except KeyError:
+            raise ValueError("operator image leaves the expected slice") from None
+        return matrix_rank(rows, leads)
 
 
 def betti_table(
@@ -566,7 +718,8 @@ def cohomology_betti(a: LieAlgebroid, max_weight=4) -> BettiTable:
 
 
 def boundary_betti(conn: TopConnection, max_weight=4, force_capped=False) -> BettiTable:
-    """A capped table is never split, so it does not read the split."""
+    """A capped table reads the split too: it comes from the homogeneous
+    table, which a product convolves from its factors."""
     a = conn.algebroid
     return betti_table(
         a.variables,
@@ -576,7 +729,7 @@ def boundary_betti(conn: TopConnection, max_weight=4, force_capped=False) -> Bet
         max_weight,
         "homology",
         force_capped,
-        _split=() if force_capped else boundary_split(conn),
+        _split=boundary_split(conn),
     )
 
 

@@ -19,6 +19,13 @@ with the minors of the matrix rather than with the number of steps.  A row
 whose leading column has no pivot yet becomes one; a row that cancels to
 nothing, or has no nonzero entry, adds no rank.  The rank is the number of
 pivots.  There is no tolerance anywhere; an entry is zero or it is not.
+
+Given a set ``leads``, ``rank`` adds to it the leading column of every
+pivot.  Each pivot row is zero left of its leading column, so the pivots
+form a triangle on those columns: the rows of the matrix restricted to the
+``leads`` columns have full rank.  A Betti table uses this to clear: the
+pivot columns of the map into a slice name basis monomials whose rows the
+map out of it need not rank (see ``homology``).
 """
 
 from __future__ import annotations
@@ -37,9 +44,10 @@ def _primitive(vec):
     return {col: x // content for col, x in vec.items()}
 
 
-def rank(rows) -> int:
+def rank(rows, leads=None) -> int:
     """Rank of a matrix given as an iterable of equal-length sequences of ints
-    and Fractions."""
+    and Fractions; with a set ``leads``, the pivots' leading columns are
+    added to it."""
     pivots = {}  # leading column -> primitive integer row {column: entry}
     for row in rows:
         vec = {col: row[col] for col in compress(count(), row)}
@@ -72,4 +80,6 @@ def rank(rows) -> int:
                 break
             vec = _primitive(vec)
             lead = min(vec)
+    if leads is not None:
+        leads.update(pivots)
     return len(pivots)
