@@ -11,35 +11,36 @@ capped on request.  The operator maps the window of (k, w) into the window of
 that raise weight admit no finite truncation and are refused.  A table is
 given by a row function: ``row(idx, expo)`` returns the image of one basis
 monomial as a sparse dict ``{(index tuple, exponent tuple): coefficient}``.
-It is asked at most once per basis monomial.  Ranks are exact and taken
-block by block, each block once.  An operator of one shift s maps weight v
-into weight v + s alone, so its matrix out of any window is block-diagonal
-over the window's weights, and its rank is the sum of the ranks of the
-weight slices: a block is one slice.  A mixed-shift matrix is only
-block-triangular, so there a block is a whole window.  A block hands
-``linalg.rank`` one dense row per nonzero image; zero images add no rank and
-are not handed over, and a block of zero images alone takes no rank.  The
-shifts are read off the rows through weight ``max(max_weight, 1)`` over a
+It is asked at most once per basis monomial.  Ranks are exact.  An
+operator of one shift s maps weight v into weight v + s alone, so its matrix
+out of any window is block-diagonal over the window's weights: each weight
+slice is ranked once, on its own.  A mixed-shift matrix is only
+block-triangular, and its windows are ranked in filtration order (below).
+A slice hands ``linalg.rank`` one dense row per nonzero image; zero images
+add no rank and are not handed over, and a slice of zero images alone takes
+no rank.  The shifts are read off the rows through weight ``max(max_weight, 1)`` over a
 nonempty base: every table operator is first order, so each of its shifts
 shows by weight 1, while at weight 0 alone d of a constant is 0 and a shift
 -1 does not show.
 
 Every table operator is first order in the coefficient, so its square has
 order at most 2, and it vanishes if and only if it vanishes on the basis
-monomials of weight at most 2; a table checks exactly that, once.  When
-the square of a one-shift operator vanishes the slices are ranked by
-clearing (Chen and Kerber, *Persistent homology computation with a twist*,
-2011; Bauer, Kerber and Reininghaus, *Clear and compress*, 2014): each
-slice after the slice that maps into it, whose pivot columns
-(``linalg.rank``'s ``leads``) name basis monomials that span images.  The
-map out sends those to zero, and their pivots form a triangle, so leaving
-their rows out of the next rank leaves it exact.  A capped table of one
-shift s is read off the homogeneous table at ``max_weight + s``, which ranks
+monomials of weight at most 2.  A table checks exactly that before any rank,
+and refuses a nonzero square with a witness: the first basis monomial, in
+table order, whose image's image is nonzero, and that image.  Every table is
+then ranked by clearing (Chen and Kerber, *Persistent homology computation
+with a twist*, 2011; Bauer, Kerber and Reininghaus, *Clear and compress*,
+2014): the map out of a degree is ranked after the map into it, without the
+rows of the basis monomials at that map's pivot columns, which span images.
+A table of one shift is ranked slice by slice.  A capped table of one shift
+s is read off the homogeneous table at ``max_weight + s``, which ranks
 exactly the slices up to ``max_weight``: the slice ranks come back down each
-diagonal from its entries, and the capped entries are their prefix sums.
-An operator whose square is nonzero is ranked slice by slice with no
-clearing, a capped window summing its slices, so its negative entry is
-reported as it always was.
+diagonal from its entries, and the capped entries are their prefix sums.  A
+capped table of mixed shifts ranks its windows in filtration order
+(Edelsbrunner, Letscher and Zomorodian, *Topological persistence and
+simplification*, 2002): the rows of each degree, fed weight by weight to one
+elimination, give the rank out of window (k, w) as its pivot count after
+weight w.
 
 A structure that is a product of structures on disjoint frames and base
 variables (Mackenzie, *General theory of Lie groupoids and Lie algebroids*,
@@ -49,8 +50,9 @@ the table has one shift and every factor squares to zero, convolve the
 factor tables by Kunneth over Q, slice by slice:
 b(k, w) = sum of b1(k1, w1) b2(k2, w2) over k1 + k2 = k and w1 + w2 = w;
 a capped table is read off that convolution.  Tangent n-space is the
-product of n lines.  Every other table, of mixed shifts or with a factor
-whose square is nonzero, is ranked whole.
+product of n lines.  A table of mixed shifts is ranked on the product's own
+rows, and a factor whose square is nonzero refuses the table with the
+product's witness.
 
 A ``Complex`` is a table's shape, ``(variables, rank, max_weight)``, and
 owns what the shape fixes: the basis of each degree and weight, each block's
@@ -345,13 +347,13 @@ class Complex:
     def count(self, shifts, capped=False):
         """Count with ``block_size``, in the order a table of weight shifts
         ``shifts`` ranks them, its blocks past the slice at ``max_weight``:
-        every window of mixed shifts, or the slices up to ``max_weight - s``
-        of one shift s < 0 unless ``capped``; none if a shift raises weight."""
+        the window at ``max_weight`` of mixed shifts, whose columns every
+        rank of the table spans, or the slices up to ``max_weight - s`` of
+        one shift s < 0 unless ``capped``; none if a shift raises weight."""
         if not shifts or max(shifts) > 0:
             return
         if len(shifts) > 1:
-            for w in range(self.max_weight + 1):
-                self.block_size(range(w + 1))
+            self.block_size(range(self.max_weight + 1))
         elif not capped:
             for v in range(self.max_weight + 1, self.max_weight - min(shifts) + 1):
                 self.block_size((v,))
@@ -384,19 +386,12 @@ class Complex:
         The blocks past the complex's own slice go through ``count`` once,
         after the shift scan and before any rank.
 
-        With one shift s the image of weight v lies in weight v + s alone, so
-        the matrix out of a window is block-diagonal and a block is one
-        slice.  When the square of the operator vanishes
-        (``_Operator.squares_to_zero``, read on weights up to 2), each slice
-        is ranked after the slice that maps into it, without the rows at that
-        map's pivot columns (clearing; see ``_Operator.slice_rank``), and a
-        capped table comes from the homogeneous table at ``max_weight + s``,
-        which ranks exactly the slices up to ``max_weight`` (``_capped``).
-        When it does not, every slice is ranked whole, a capped window
-        sums its slices, and a negative entry raises ValueError.  With mixed
-        shifts a block is a whole window.  Only the nonzero images of a block
-        are ranked, and an image with a key outside the block's target raises
-        ValueError.
+        Then a nonzero square (``_Operator.square_witness``) raises
+        ValueError with its witness, before any rank.  The entries are
+        ranked by clearing: ``_Operator.slice_entries`` for one shift,
+        ``_capped`` when that table is capped, ``_Operator.window_entries``
+        for mixed shifts.  An image with a key outside the expected target
+        raises ValueError.
 
         ``_split`` is the split of the structure the rows come from, as
         ``rows`` reads it: its factors, each ``(frames, variables)`` by
@@ -405,27 +400,25 @@ class Complex:
         factor, the table scans each factor's rows (the product's rows asked
         on the factor's monomials, ``rows.factor_rows``) and counts the
         product's blocks with the union of their shifts.  If that union is
-        one shift s, or none, and each factor squares to zero, the
-        homogeneous table is the convolution of the factor tables (Kunneth
-        over Q, slice by slice):
-        b(k, w) = sum of b1(k1, w1) b2(k2, w2) over k1 + k2 = k, w1 + w2 = w,
-        and a capped table is read off it.  Otherwise the product's rows are
-        ranked whole, as without a split.
+        one shift s, or none, each factor's square is checked, and the
+        homogeneous table is the convolution of the factor tables
+        (``_convolve``), a capped table read off it.  A factor whose square
+        is nonzero has its witness read again on the product's rows, so the
+        text is the one the table raises without the split.  Mixed shifts
+        rank the product's rows, as without a split.
         """
         if k_step not in (1, -1):
             raise ValueError("k_step must be +1 or -1")
-        if len(_split) > 1:
-            ops = [
-                _Operator(
-                    [self.variables[mu] for mu in variables],
-                    len(frames),
-                    factor_rows(row, frames, variables, self.m),
-                    k_step,
-                )
-                for frames, variables in _split
-            ]
-        else:
-            ops = [_Operator(self.variables, self.rank, row, k_step)]
+        product = _Operator(self.variables, self.rank, row, k_step)
+        ops = [
+            _Operator(
+                [self.variables[mu] for mu in variables],
+                len(frames),
+                factor_rows(row, frames, variables, self.m),
+                k_step,
+            )
+            for frames, variables in _split
+        ] if len(_split) > 1 else [product]
         shifts = set().union(*(op.shifts(self.scan_weight) for op in ops))
         self.count(shifts, force_capped)
         if shifts and max(shifts) > 0:
@@ -435,20 +428,20 @@ class Complex:
         homogeneous = len(shifts) <= 1
         shift = min(shifts, default=0) if homogeneous else None
         capped = force_capped or not homogeneous
+        if not homogeneous:
+            ops = [product]
         # each square is read up to the highest slice the table ranks
-        clear = homogeneous and all(
-            op.squares_to_zero(self.max_weight - (0 if capped else shift)) for op in ops
-        )
-        if clear:
-            if capped:
-                entries = self._capped(shift, k_step, ops)
-            else:
-                entries = self._homogeneous(shift, ops)
-        else:
-            whole = ops[0] if len(ops) == 1 else _Operator(
-                self.variables, self.rank, row, k_step
+        top = self.max_weight - (0 if capped else shift)
+        if any(op.square_witness(top) for op in ops):
+            raise ValueError(
+                "operator does not square to zero: %s" % product.square_witness(top)
             )
-            entries = whole.entries(self.max_weight, shift, capped)
+        if not homogeneous:
+            entries = product.window_entries(self.max_weight)
+        elif capped:
+            entries = self._capped(shift, k_step, ops)
+        else:
+            entries = self._homogeneous(shift, ops)
         return BettiTable(
             entries=entries,
             rank=self.rank,
@@ -463,7 +456,7 @@ class Complex:
         as its factors' operators: ranked with clearing, or, with more than
         one factor, the convolution of the factor tables."""
         if len(ops) == 1:
-            return ops[0].entries(self.max_weight, shift, False, clear=True)
+            return ops[0].slice_entries(self.max_weight, shift)
         return self._convolve(
             Complex(op.variables, op.rank, self.max_weight)._homogeneous(shift, [op])
             for op in ops
@@ -530,10 +523,11 @@ class Complex:
 
 class _Operator:
     """One row function on the degrees 0 to ``rank`` over ``variables``: the
-    images of each slice, asked once, the weight shifts they show, whether
-    its square vanishes, and the ranks of its blocks.  The memos are plain
-    dicts on the operator and no method nests a function, so a table leaves
-    no reference cycle for the garbage collector."""
+    images of each slice, asked once, the weight shifts they show, a witness
+    when its square is nonzero, and its table's entries, ranked by clearing.
+    The memo is a plain dict on the operator and no method nests a
+    function, so a table leaves no reference cycle for the garbage
+    collector."""
 
     def __init__(self, variables, rank, row, k_step):
         self.variables = tuple(variables)
@@ -542,8 +536,6 @@ class _Operator:
         self.row = row
         self.k_step = k_step
         self._images = {}  # (k, w) -> images of the slice's basis monomials
-        self._ranks = {}  # (k, weights) -> rank of the block
-        self._leads = {}  # (k, v) -> pivot columns of the map out of slice (k, v)
 
     def images(self, k, w):
         """The images of the basis monomials of degree k and weight w, in
@@ -565,10 +557,11 @@ class _Operator:
             for _, expo in image
         }
 
-    def squares_to_zero(self, top):
-        """Whether the operator squares to zero, exactly, read on the basis
+    def square_witness(self, top):
+        """None if the operator squares to zero, exactly, read on the basis
         monomials of weight at most min(2, ``top``), where ``top`` is the
-        highest slice a table ranks.
+        highest slice a table ranks; else the first of those monomials, in
+        table order, whose image's image is nonzero, and that image, as text.
 
         Every table operator is first order in the coefficient, so its
         square is a differential operator of order at most 2 with polynomial
@@ -577,124 +570,125 @@ class _Operator:
         coefficients are read off those images, lowest weight first.  When
         ``top`` is below 2 the table ranks no slice above ``top``, so the
         square need vanish only there.  An image key of a degree other than
-        the next one counts as a nonzero square: ranked whole, that image is
-        refused."""
+        the next one raises ValueError."""
         rank, m = self.rank, self.m
         image_of = {}  # basis monomial -> its image, over the target slices read
         for k in range(rank + 1):
             k1 = k + self.k_step
             for v in range(min(2, top) + 1):
-                for image in self.images(k, v):
+                for mono, image in zip(_basis(rank, m, k, v), self.images(k, v)):
                     square = {}
                     for key, c in image.items():
                         target = image_of.get(key)
                         if target is None:
                             if len(key[0]) != k1:
-                                return False
+                                raise ValueError("operator image leaves the expected slice")
                             v1 = sum(key[1])
                             image_of.update(zip(_basis(rank, m, k1, v1), self.images(k1, v1)))
                             target = image_of[key]
                         for key2, c2 in target.items():
                             square[key2] = square.get(key2, 0) + c * c2
                     if any(square.values()):
-                        return False
-        return True
+                        return "its square sends %s to %s" % (
+                            _sparse_text(self.variables, {mono: 1}),
+                            _sparse_text(self.variables, square),
+                        )
+        return None
 
-    def entries(self, max_weight, shift, capped, clear=False):
+    def slice_entries(self, max_weight, shift):
         """Betti numbers at every (k, w) of degrees 0 to ``rank`` and weights
-        0 to ``max_weight``, for rows of weight shift ``shift`` (None when
-        mixed), over windows capped or not, the slices of one shift ranked
-        by clearing if ``clear``.  A negative entry raises ValueError."""
+        0 to ``max_weight``, for rows of the one weight shift ``shift``.
+
+        Each slice up to ``max_weight - shift``, the highest the entries
+        read, is ranked after the slice that maps into it, without the rows
+        at that map's pivot columns.  Those pivot rows are images, so the
+        map out sends them to zero, the square being zero; each is zero left
+        of its leading column, so the row at a pivot column is a combination
+        of the rows at later columns, and by induction from the last pivot,
+        of the rows left in: the rank is unchanged."""
         rank, m, k_step = self.rank, self.m, self.k_step
-        lift = 0 if capped else shift
-        top = max_weight - shift if clear else None
+        ranks, leads = {}, {}  # (k, v) -> rank out of slice (k, v), and its pivots
+        for k in range(rank) if k_step == 1 else range(rank, 0, -1):
+            for v in range(max_weight - shift + 1):
+                columns = _index_map(rank, m, k + k_step, (v + shift,))
+                skip = leads.pop((k - k_step, v - shift), ())
+                pivots = leads[k, v] = {}
+                ranks[k, v] = self.block_rank(k, v, columns, skip, pivots)
+        return {
+            (k, w): len(_basis(rank, m, k, w))
+            - ranks.get((k, w), 0)
+            - ranks.get((k - k_step, w - shift), 0)
+            for k in range(rank + 1)
+            for w in range(max_weight + 1)
+        }
+
+    def window_entries(self, max_weight):
+        """Betti numbers at every (k, w) of a capped table of mixed shifts.
+
+        All shifts are nonpositive, so the image of weight at most w lies in
+        weight at most w.  The map out of each degree is one elimination,
+        fed the rows of weights 0 to ``max_weight`` in weight order into the
+        columns of every weight, and its pivot count after weight w is the
+        rank out of window (k, w).  Each degree is ranked after the degree
+        that maps into it, without the rows at that map's pivot columns, as
+        in ``slice_entries``."""
+        rank, m, k_step = self.rank, self.m, self.k_step
+        weights = range(max_weight + 1)
+        # The columns must run from the highest weight down: a pivot then
+        # leads at its highest-weight monomial, so the row left out there is
+        # a combination of rows of no higher weight, which every window that
+        # holds it holds too.  From weight 0 up, a pivot leads at its lowest
+        # weight and the tables come out wrong (the tangent plane with
+        # alpha = dx at w=1).
+        descending = tuple(reversed(weights))
+        ranks = {}  # (k, w) -> rank out of window (k, w)
+        incoming, offset = {}, 0
+        for k in range(rank) if k_step == 1 else range(rank, 0, -1):
+            columns = _index_map(rank, m, k + k_step, descending)
+            pivots = {}
+            for w in weights:
+                # slice (k, w) starts at ``offset`` in the columns of the map in
+                offset -= len(_basis(rank, m, k, w))
+                ranks[k, w] = self.block_rank(k, w, columns, incoming, pivots, offset)
+            incoming, offset = pivots, len(columns)
         entries = {}
         for k in range(rank + 1):
-            for w in range(max_weight + 1):
-                window = range(w + 1) if capped else (w,)
-                dim = sum(len(_basis(rank, m, k, v)) for v in window)
-                betti = (
-                    dim
-                    - self.rank_out(k, w, shift, capped, top)
-                    - self.rank_out(k - k_step, w - lift, shift, capped, top)
-                )
-                if betti < 0:
-                    raise ValueError(
-                        "operator does not square to zero: entry (%d, %d) would be %d"
-                        % (k, w, betti)
-                    )
-                entries[(k, w)] = betti
+            dim = 0
+            for w in weights:
+                dim += len(_basis(rank, m, k, w))
+                entries[k, w] = dim - ranks.get((k, w), 0) - ranks.get((k - k_step, w), 0)
         return entries
 
-    def rank_out(self, k, w, shift, capped, top):
-        """Rank of the operator out of the window of (k, w): one block for
-        mixed shifts, else the sum of the ranks of its slices."""
-        if not 0 <= k <= self.rank:
-            return 0
-        if shift is None:
-            weights = tuple(range(w + 1))
-            key = (k, weights)
-            if key not in self._ranks:
-                self._ranks[key] = self.block_rank(k, weights, weights)
-            return self._ranks[key]
-        if capped:
-            return sum(self.slice_rank(k, v, shift, top) for v in range(w + 1))
-        return self.slice_rank(k, w, shift, top)
-
-    def slice_rank(self, k, v, shift, top):
-        """Rank of the operator out of slice (k, v), into (k + k_step, v + shift).
-
-        With ``top`` (not None), the highest slice the table ranks, the
-        slice is cleared: the slices that map into it, down its diagonal through
-        ``top``, are ranked first, each keeping the pivot columns of its map,
-        and the rows at the pivot columns of the map into this slice are
-        left out.  Those pivot rows are images, so the map out sends them to
-        zero when the square vanishes; each is zero left of its leading
-        column, so the row at a pivot column is a combination of the rows at
-        later columns, and by induction from the last pivot, of the rows
-        left in: the rank is unchanged."""
-        k_step, ranks = self.k_step, self._ranks
-        if (k, (v,)) not in ranks:
-            chain = [(k, v)]
-            while top is not None:
-                k0, v0 = chain[-1][0] - k_step, chain[-1][1] - shift
-                if not 0 <= k0 <= self.rank or v0 > top or (k0, (v0,)) in ranks:
-                    break
-                chain.append((k0, v0))
-            for k0, v0 in reversed(chain):
-                skip = self._leads.pop((k0 - k_step, v0 - shift), ())
-                # pivot columns are kept only where the target has a map out
-                leads = (
-                    set() if top is not None and 0 <= k0 + 2 * k_step <= self.rank else None
-                )
-                ranks[k0, (v0,)] = self.block_rank(k0, (v0,), (v0 + shift,), skip, leads)
-                if leads:
-                    self._leads[k0, v0] = leads
-        return ranks[k, (v,)]
-
-    def block_rank(self, k, weights, targets, skip=(), leads=None):
-        """Rank of the operator on the basis of degree k and ``weights`` into
-        degree k + k_step and ``targets``, less the rows at the positions in
-        ``skip`` (a block of one slice); the pivot columns of the rows handed
-        over are added to ``leads`` when it is given."""
-        index_map = _index_map(self.rank, self.m, k + self.k_step, targets)
+    def block_rank(self, k, v, columns, skip, pivots, offset=0):
+        """Rank of the rows of slice (k, v), placed by ``columns`` (basis
+        monomial -> column), less those whose position plus ``offset`` is in
+        ``skip``, continuing the elimination in ``pivots``."""
         # a zero image adds no rank and is not handed over
         nonzero = [
             image
-            for v in weights
-            for pos, image in enumerate(self.images(k, v))
+            for pos, image in enumerate(self.images(k, v), offset)
             if image and pos not in skip
         ]
         if not nonzero:
-            return 0
-        rows = [[0] * len(index_map) for _ in nonzero]
+            return len(pivots)
+        rows = [[0] * len(columns) for _ in nonzero]
         try:
             for dense, image in zip(rows, nonzero):
                 for key, c in image.items():
-                    dense[index_map[key]] = c
+                    dense[columns[key]] = c
         except KeyError:
             raise ValueError("operator image leaves the expected slice") from None
-        return matrix_rank(rows, leads)
+        return matrix_rank(rows, pivots)
+
+
+def _sparse_text(variables, sparse):
+    """A sparse row ``{(index tuple, exponent tuple): coefficient}`` as text,
+    term by term, frames numbered from 1: ``2*z [1,2] + -x [3]``."""
+    return " + ".join(
+        "%s [%s]" % (Poly(variables, {expo: c}, _checked=True), ",".join(str(i + 1) for i in idx))
+        for (idx, expo), c in sorted(sparse.items())
+        if c
+    )
 
 
 def betti_table(

@@ -20,12 +20,16 @@ whose leading column has no pivot yet becomes one; a row that cancels to
 nothing, or has no nonzero entry, adds no rank.  The rank is the number of
 pivots.  There is no tolerance anywhere; an entry is zero or it is not.
 
-Given a set ``leads``, ``rank`` adds to it the leading column of every
-pivot.  Each pivot row is zero left of its leading column, so the pivots
-form a triangle on those columns: the rows of the matrix restricted to the
-``leads`` columns have full rank.  A Betti table uses this to clear: the
-pivot columns of the map into a slice name basis monomials whose rows the
-map out of it need not rank (see ``homology``).
+Given a dict ``pivots`` from an earlier call on rows of the same columns,
+``rank`` continues that elimination: it reduces the new rows against those
+pivots, adds its own to them, and returns the rank of every row handed over
+so far.  Fed in groups, the rows give the rank of each prefix of groups, and
+the keys of ``pivots`` are the leading columns.  Each pivot row is zero left
+of its leading column, so the pivots form a triangle on those columns: the
+rows of the matrix restricted to them have full rank.  A Betti table clears
+with these columns (see ``homology``); rows fed by weight, into columns
+ordered from the highest weight down, lead each pivot at its highest-weight
+monomial, the condition under which the clearing of a capped table is exact.
 """
 
 from __future__ import annotations
@@ -44,11 +48,12 @@ def _primitive(vec):
     return {col: x // content for col, x in vec.items()}
 
 
-def rank(rows, leads=None) -> int:
+def rank(rows, pivots=None) -> int:
     """Rank of a matrix given as an iterable of equal-length sequences of ints
-    and Fractions; with a set ``leads``, the pivots' leading columns are
-    added to it."""
-    pivots = {}  # leading column -> primitive integer row {column: entry}
+    and Fractions; with a dict ``pivots``, the elimination continues from it
+    and the running rank is returned."""
+    if pivots is None:
+        pivots = {}  # leading column -> primitive integer row {column: entry}
     for row in rows:
         vec = {col: row[col] for col in compress(count(), row)}
         if not vec:
@@ -80,6 +85,4 @@ def rank(rows, leads=None) -> int:
                 break
             vec = _primitive(vec)
             lead = min(vec)
-    if leads is not None:
-        leads.update(pivots)
     return len(pivots)

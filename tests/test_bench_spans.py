@@ -40,9 +40,9 @@ def test_rank_inputs_are_dense_rows_the_tracer_can_size(monkeypatch):
     seen = []
     rank = albv.homology.matrix_rank
 
-    def capture(rows, leads=None):
+    def capture(rows, pivots=None):
         seen.append(rows)
-        return rank(rows, leads)
+        return rank(rows, pivots)
 
     monkeypatch.setattr(albv.homology, "matrix_rank", capture)
     flat = TopConnection(tangent_algebroid(("x", "y")))

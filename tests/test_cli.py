@@ -255,7 +255,7 @@ def test_gate_blocks_tables_for_broken_structure(tmp_path, capsys):
 
 def test_no_validate_skips_the_gate(tmp_path, capsys):
     # no axiom check runs, so the broken bracket reaches the table, and the
-    # table refuses the entry its nonzero square would make negative
+    # table refuses its nonzero square with a witness: d^2 eps3 = -2 eps123
     path = put(tmp_path, "broken.albv", BROKEN_TEXT)
     assert main(["cohomology", path, "--json", "--no-validate"]) == 1
     data = json.loads(capsys.readouterr().out)
@@ -263,10 +263,65 @@ def test_no_validate_skips_the_gate(tmp_path, capsys):
         {
             "name": "computation",
             "status": "fail",
-            "witness": "operator does not square to zero: entry (2, 0) would be -1",
+            "witness": "operator does not square to zero: its square sends 1 [3] to -2 [1,2,3]",
         }
     ]
     assert data["tables"] == []
+
+
+# [e1,e2] = e1, [e2,e3] = e3, [e1,e3] = e1, whose Jacobiator is e1
+JACOBI_BREAKING_TEXT = """\
+[algebroid]
+kind = "lie_algebra"
+rank = 3
+structure = [{"i": 1, "j": 2, "k": 1, "c": "1"}, {"i": 2, "j": 3, "k": 3, "c": "1"}, {"i": 1, "j": 3, "k": 1, "c": "1"}]
+"""
+
+# {x,y} = z, {y,z} = x, {x,z} = x, whose self-bracket is 2z dx^dy^dz
+NON_POISSON_TEXT = """\
+[algebroid]
+kind = "tangent"
+base_vars = ["x", "y", "z"]
+
+[poisson]
+terms = [{"i": 1, "j": 2, "c": "z"}, {"i": 2, "j": 3, "c": "x"}, {"i": 1, "j": 3, "c": "x"}]
+"""
+
+
+@pytest.mark.parametrize(
+    "text, args, witness",
+    [
+        (
+            NON_POISSON_TEXT,
+            ["homology", "--kb", "--max-weight", "2"],
+            "its square sends z [1,2] to -z []",
+        ),
+        (JACOBI_BREAKING_TEXT, ["cohomology"], "its square sends 1 [1] to -1 [1,2,3]"),
+    ],
+)
+def test_unchecked_tables_of_a_nonzero_square_are_refused(tmp_path, capsys, text, args, witness):
+    """Neither operator is a differential, and no entry of either table
+    would be negative: the Koszul-Brylinski table of the bivector read 1, 1,
+    0, 0 at every weight, and the cohomology of the bracket 1, 1, 0, 0, both
+    with exit 0.  The table now refuses the square with its witness, the
+    first basis monomial whose image's image is nonzero."""
+    path = put(tmp_path, "broken.albv", text)
+    assert main(args[:1] + [path, "--no-validate"] + args[1:]) == 1
+    assert capsys.readouterr().out == (
+        "computation: FAIL (operator does not square to zero: %s)\n" % witness
+    )
+
+
+def test_verify_refuses_the_duality_of_a_jacobi_breaking_bracket(tmp_path, capsys):
+    """The duality line compared two tables of operators that are not
+    differentials, and read PASS; now the first table refuses its square."""
+    path = put(tmp_path, "broken.albv", JACOBI_BREAKING_TEXT)
+    assert main(["verify", path, "--no-validate", "--trials", "5"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert (
+        "homology-cohomology-duality: FAIL "
+        "(operator does not square to zero: its square sends 1 [2,3] to -1 [])"
+    ) in lines
 
 
 def test_axioms_witness_is_the_first_failed_frame_check(tmp_path, capsys):
@@ -292,7 +347,7 @@ def test_verify_fails_duality_on_a_broken_bracket(tmp_path, capsys):
     assert "axioms: FAIL (sections (1, 2, 3): residual (-2) e3)" in lines
     assert (
         "homology-cohomology-duality: FAIL "
-        "(operator does not square to zero: entry (1, 0) would be -1)"
+        "(operator does not square to zero: its square sends 1 [1,2] to -2 [])"
     ) in lines
     assert not any(line.startswith("homology (") for line in lines)
 
@@ -676,8 +731,9 @@ def test_a_broken_factor_under_no_validate_reports_the_whole_witness(
     tmp_path, capsys
 ):
     """sl2 with an extra e1 in [e1, e2] times aff1, unchecked: the first
-    factor's square is nonzero, so the table is ranked whole and the report
-    names the witness of the whole table, as the split never ran."""
+    factor's square is nonzero, so its witness is read again on the whole
+    rows, and the report names the witness of the whole table, as if the
+    split never ran."""
     from albv.albvfile import Document
     from albv.homology import betti_table
     from albv.rows import differential_rows

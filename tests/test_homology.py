@@ -1,6 +1,7 @@
 """Boundary operators, weight-graded dimension tables, and the Poisson checks."""
 
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -142,9 +143,9 @@ def test_each_weight_window_is_ranked_once(monkeypatch):
     calls = []
     rank = albv.homology.matrix_rank
 
-    def counting_rank(rows, leads=None):
+    def counting_rank(rows, pivots=None):
         calls.append(len(rows))
-        return rank(rows, leads)
+        return rank(rows, pivots)
 
     monkeypatch.setattr(albv.homology, "matrix_rank", counting_rank)
     so3 = PoissonStructure(("x", "y", "z"), {(0, 1): "z", (1, 2): "x", (0, 2): "-y"})
@@ -171,9 +172,9 @@ def test_every_rank_input_of_a_table_matches_the_oracle(monkeypatch):
     seen = []
     rank = albv.homology.matrix_rank
 
-    def capture(rows, leads=None):
+    def capture(rows, pivots=None):
         seen.append(rows)
-        return rank(rows, leads)
+        return rank(rows, pivots)
 
     monkeypatch.setattr(albv.homology, "matrix_rank", capture)
     so3 = PoissonStructure(("x", "y", "z"), {(0, 1): "z", (1, 2): "x", (0, 2): "-y"})
@@ -830,12 +831,53 @@ def test_betti_table_serialization():
 
 
 def test_betti_table_refuses_an_operator_that_does_not_square_to_zero():
-    # sl2 with an extra e1 in [e1, e2]: its differential has a nonzero square,
-    # and the homogeneous count at (2, 0) would be 0 - 0 - 1
+    # sl2 with an extra e1 in [e1, e2]: its differential has a nonzero
+    # square, and the first basis monomial it does not kill is eps3
     bad = lie_algebra(3, {(0, 1): {0: 1, 1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}})
     with pytest.raises(ValueError) as exc:
         cohomology_betti(bad, max_weight=0)
-    assert str(exc.value) == "operator does not square to zero: entry (2, 0) would be -1"
+    assert str(exc.value) == (
+        "operator does not square to zero: its square sends 1 [3] to -2 [1,2,3]"
+    )
+
+
+# {x,y} = z, {y,z} = x, {x,z} = x on 3-space: its self-bracket is 2z dx^dy^dz
+NON_POISSON_TERMS = {(0, 1): "z", (1, 2): "x", (0, 2): "x"}
+
+
+def test_tables_of_a_nonzero_square_are_refused_with_a_witness():
+    """A table whose operator is not a differential is refused before any
+    rank, with the first basis monomial, in table order, whose image's image
+    is nonzero, and that image; no entry need be negative for it.  The
+    Koszul-Brylinski table of the bivector above read 1, 1, 0, 0 at every
+    weight and its Lichnerowicz table printed at weight 0; the cohomology
+    of [e1,e2] = e1, [e2,e3] = e3, [e1,e3] = e1 (Jacobiator e1) read 1, 1,
+    0, 0.  The square of the bivector's operators is first seen at weight 0
+    when the table ranks weight 0 alone, and on z at weight 1 otherwise.
+    d + eps3^ on the tangent line times aff1, whose d eps3 = -eps2 ^ eps3 is
+    not zero, has mixed shifts and is refused the same way."""
+    from albv.algebroid import custom_algebroid
+
+    pi = PoissonStructure(("x", "y", "z"), NON_POISSON_TERMS, check=False)
+    jacobi = lie_algebra(3, {(0, 1): {0: 1}, (1, 2): {2: 1}, (0, 2): {0: 1}})
+    line_aff1 = custom_algebroid(("x",), 3, [[1], [0], [0]], {(1, 2): {2: 1}})
+    twisted = differential_rows(line_aff1, line_aff1.coframe(2))
+    cases = [
+        (lambda: kb_betti(pi, 0), "1 [1,2,3] to -1 [3]"),
+        (lambda: lichnerowicz_betti(pi, 0), "1 [3] to -1 [1,2,3]"),
+        (lambda: cohomology_betti(jacobi, 0), "1 [1] to -1 [1,2,3]"),
+        (lambda: boundary_betti(TopConnection(jacobi), 0), "1 [2,3] to -1 []"),
+    ]
+    for w in range(1, 4):
+        cases += [
+            (lambda w=w: kb_betti(pi, w), "z [1,2] to -z []"),
+            (lambda w=w: lichnerowicz_betti(pi, w), "z [] to z [1,2]"),
+            (lambda w=w: betti_table(("x",), 3, twisted, 1, w), "1 [] to -1 [2,3]"),
+        ]
+    for make, witness in cases:
+        with pytest.raises(ValueError) as exc:
+            make()
+        assert str(exc.value) == "operator does not square to zero: its square sends " + witness
 
 
 # -- rank blocks of capped tables -----------------------------------------
@@ -1000,37 +1042,93 @@ def test_capped_tables_of_products_equal_whole_window_ranks(name):
         assert table.capped and table.entries == expected, (name, w)
 
 
-# one prime per source weight; the table operators have small coefficients
-WEIGHT_TAGS = (10007, 10009, 10037, 10039, 10061, 10067)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_mixed_shift_tables_equal_whole_window_ranks(n):
+    """On tangent n-space the form alpha = dx_j is closed and constant, so
+    d + alpha^ and the boundary of the connection alpha are differentials
+    of the shifts -1 (from d) and 0 (from the form).  Their capped tables
+    rank each degree's windows in filtration order, cleared, into columns
+    from the highest weight down; each equals the whole-window oracle at
+    every cap w <= 6, for every j, for the boundary and for the twisted
+    cohomology rows."""
+    a = tangent_algebroid(XYZUV[:n])
+    for j in range(n):
+        alpha = a.coframe(j)
+        conn = TopConnection(a, alpha)
+        cases = [
+            (boundary_rows(conn), -1, lambda w: boundary_betti(conn, w)),
+            (
+                differential_rows(a, alpha),
+                1,
+                lambda w: betti_table(a.variables, n, differential_rows(a, alpha), 1, w),
+            ),
+        ]
+        for rows, k_step, make in cases:
+            oracle = whole_window_betti(a.variables, n, rows, k_step, 6)
+            for w in range(7):
+                table = make(w)
+                assert table.capped and table.shift is None, (n, j, k_step, w)
+                expected = {key: b for key, b in oracle.items() if key[1] <= w}
+                assert table.entries == expected, (n, j, k_step, w)
+
+
+def test_a_mixed_shift_table_ranks_less_than_one_whole_window_per_degree(monkeypatch):
+    """The boundary of alpha = dx on tangent 3-space at w=8: the windows at
+    weight 8 of the three maps hold 165 x 495 + 495 x 495 + 495 x 165 =
+    408,375 dense cells.  Ranking every window whole handed 760,254 cells
+    to ``matrix_rank``; one elimination per degree, fed weight by weight,
+    hands fewer than one whole window per degree.  Without clearing it
+    would hand all 1,056 nonzero images; the rows at the incoming pivot
+    columns are left out."""
+    seen = spy_on_ranks(monkeypatch)
+    t3 = tangent_algebroid(("x", "y", "z"))
+    table = boundary_betti(TopConnection(t3, t3.coframe(0)), 8)
+    assert table.capped
+    assert len(seen) == 3 * 9
+    assert sum(rows * cols for rows, cols in seen) < 408375
+    assert sum(rows for rows, _ in seen) < 1056
+
+
+# one prime per (degree, weight) of a basis monomial, at 7 * degree + weight;
+# the table operators have small coefficients
+TAGS = [p for p in range(10007, 10400) if all(p % q for q in range(2, 102))][:28]
 
 
 def test_one_shift_blocks_are_single_weight_slices(monkeypatch):
-    """Each row is scaled by a prime that names its source weight, which
-    changes no rank; the rows of every ``matrix_rank`` call of a one-shift
-    capped table then carry one prime, and the mixed-shift table ranks some
-    window whose rows carry several."""
+    """Each operator is conjugated by the diagonal map that scales a basis
+    monomial by the prime of its degree and weight, which changes no rank
+    and keeps the square zero: the image of a monomial of prime t has every
+    nonzero entry over the denominator t, which names its source weight.
+    The rows of every ``matrix_rank`` call of a capped table then come from
+    one weight.  The mixed-shift table hands each degree's rows over weight
+    by weight, in weight order, into one elimination over the columns of
+    every weight: 2 x 21 of degree 1, then 21 of degree 0."""
     import albv.homology
 
     spans = []
     rank = albv.homology.matrix_rank
 
-    def tag_rank(rows, leads=None):
-        tags = set()
+    def tag_rank(rows, pivots=None):
+        weights = set()
         for row in rows:
-            nonzero = [x for x in row if x]
+            nonzero = [Fraction(x).denominator for x in row if x]
             if nonzero:
-                (tag,) = [t for t in WEIGHT_TAGS if all(x % t == 0 for x in nonzero)]
-                tags.add(tag)
-        spans.append(tags)
-        return rank(rows, leads)
+                (tag,) = [t for t in TAGS if all(d % t == 0 for d in nonzero)]
+                weights.add(TAGS.index(tag) % 7)
+        spans.append((weights, len(rows[0])))
+        return rank(rows, pivots)
 
     def tagged(row):
-        def scaled(idx, expo):
-            tag = WEIGHT_TAGS[sum(expo)]
-            return {key: c * tag for key, c in row(idx, expo).items()}
+        def conjugated(idx, expo):
+            tag = TAGS[7 * len(idx) + sum(expo)]
+            return {
+                key: Fraction(c * TAGS[7 * len(key[0]) + sum(key[1])], tag)
+                for key, c in row(idx, expo).items()
+            }
 
-        return scaled
+        return conjugated
 
+    assert len(TAGS) == 28
     for name, conn, one_shift in capped_boundaries():
         a = conn.algebroid
         expected = boundary_betti(conn, 5, force_capped=True)
@@ -1041,11 +1139,14 @@ def test_one_shift_blocks_are_single_weight_slices(monkeypatch):
         )
         monkeypatch.setattr(albv.homology, "matrix_rank", rank)
         assert table == expected, name
-        assert spans, name
-        if one_shift:
-            assert all(len(tags) <= 1 for tags in spans), name
-        else:
-            assert any(len(tags) > 1 for tags in spans), name
+        assert spans and all(len(weights) == 1 for weights, _ in spans), name
+        if not one_shift:
+            weights = [min(weights) for weights, _ in spans]
+            widths = [width for _, width in spans]
+            cut = widths.index(21)
+            assert set(widths[:cut]) == {42} and set(widths[cut:]) == {21}, name
+            for part in (weights[:cut], weights[cut:]):
+                assert part == sorted(set(part)), name
 
 
 def test_monomial_counts_come_from_binomials():
@@ -1115,14 +1216,15 @@ def test_the_largest_documented_tables_fit_the_block_limit():
 
 def test_count_names_the_blocks_a_table_ranks(monkeypatch):
     """Beyond the slice at ``max_weight``: the slices up to ``max_weight - s``
-    for one shift s < 0, every window for mixed shifts, and nothing for a
-    capped one-shift table, a shift 0 or a shift that raises weight."""
+    for one shift s < 0, the window at ``max_weight`` for mixed shifts, whose
+    columns every rank of the table spans, and nothing for a capped
+    one-shift table, a shift 0 or a shift that raises weight."""
     from albv.homology import Complex
 
     shape = Complex(XY, 2, 3)
     counted = []
     monkeypatch.setattr(shape, "block_size", lambda ws: counted.append(tuple(ws)))
-    windows = [tuple(range(w + 1)) for w in range(4)]
+    windows = [(0, 1, 2, 3)]
     for shifts, capped, blocks in [
         ({-1}, False, [(4,)]),
         ({-2}, False, [(4,), (5,)]),
@@ -1139,10 +1241,10 @@ def test_count_names_the_blocks_a_table_ranks(monkeypatch):
 
 
 def test_a_mixed_shift_table_is_refused_before_any_block_is_ranked(monkeypatch):
-    """d + eps1^ on the plane ranks whole windows; at the limit of 15 the
-    first window above it, weights 0 to 3 with C(2, 1) (1 + 2 + 3 + 4) = 20
-    monomials, is refused with the message of the table that counted each
-    block as it ranked it, now before any block is ranked."""
+    """d + eps1^ on the plane ranks its windows in filtration order, each
+    degree's rows into the columns of every weight; at the limit of 15 the
+    window at weight 5, with C(2, 1) (1 + 2 + ... + 6) = 42 monomials, is
+    refused before any block is ranked."""
     import albv.homology
     from albv.homology import TableTooLarge
 
@@ -1153,7 +1255,7 @@ def test_a_mixed_shift_table_is_refused_before_any_block_is_ranked(monkeypatch):
     with pytest.raises(TableTooLarge) as exc:
         boundary_betti(conn, 5)
     assert str(exc.value) == (
-        "table too large: a block of degree 1 and weight at most 3 has 20 basis "
+        "table too large: a block of degree 1 and weight at most 5 has 42 basis "
         "monomials, above the limit of 15"
     )
     assert ranked == []
@@ -1361,25 +1463,29 @@ def test_a_table_that_does_not_fit_the_split_is_ranked_whole(
         assert whole[1].startswith("operator does not square to zero")
 
 
-def test_a_factor_whose_square_is_nonzero_sends_the_table_whole(monkeypatch):
+def test_a_factor_whose_square_is_nonzero_is_refused_with_the_product_witness(
+    monkeypatch,
+):
     """The split checks each factor's square on the slices it ranks and
-    falls back on the first nonzero one; sl2 with an extra e1 in [e1, e2]
-    fails, aff1 is never reached, and the whole table raises its witness."""
+    stops at the first nonzero one; sl2 with an extra e1 in [e1, e2] fails,
+    aff1 is never reached, and the witness is read again on the product's
+    rows, so the table raises the text of the table without the split."""
     import albv.homology
 
     seen = []
-    check = albv.homology._Operator.squares_to_zero
+    check = albv.homology._Operator.square_witness
 
     def spy(self, top):
         seen.append((self.rank, check(self, top)))
         return seen[-1][1]
 
-    monkeypatch.setattr(albv.homology._Operator, "squares_to_zero", spy)
+    monkeypatch.setattr(albv.homology._Operator, "square_witness", spy)
     broken = unsplit_cases()[4][2]
     with pytest.raises(ValueError) as exc:
         cohomology_betti(broken, 0)
-    assert seen == [(3, False)]
-    assert str(exc.value) == "operator does not square to zero: entry (2, 0) would be -1"
+    witness = "its square sends 1 [3] to -2 [1,2,3]"
+    assert seen == [(3, witness), (5, witness)]
+    assert str(exc.value) == "operator does not square to zero: " + witness
 
 
 def test_a_product_above_the_block_limit_is_refused_before_any_rank(monkeypatch):
@@ -1416,9 +1522,9 @@ def spy_on_ranks(monkeypatch):
     seen = []
     rank = albv.homology.matrix_rank
 
-    def spy(rows, leads=None):
+    def spy(rows, pivots=None):
         seen.append((len(rows), len(rows[0])))
-        return rank(rows, leads)
+        return rank(rows, pivots)
 
     monkeypatch.setattr(albv.homology, "matrix_rank", spy)
     return seen
@@ -1499,7 +1605,7 @@ def test_a_split_table_counts_the_product_once_before_any_rank(monkeypatch):
 
     monkeypatch.setattr(Complex, "count", count_spy)
     monkeypatch.setattr(
-        albv.homology, "matrix_rank", lambda rows, leads=None: events.append("rank") or 1
+        albv.homology, "matrix_rank", lambda rows, pivots=None: events.append("rank") or 1
     )
     lonely = custom_algebroid(XY, 2, [[1, 0], [0, 0]], {})
     assert differential_split(lonely) == (((0,), (0,)), ((1,), ()), ((), (1,)))
@@ -1542,7 +1648,8 @@ def square_vanishes_on_every_slice(variables, rank, row, k_step, top):
     monomial of weight at most ``top``, each key of an image asked of
     ``row`` again: the walk over every ranked slice that the weight-2 check
     replaced, kept as its oracle.  An image key of a degree other than the
-    next one counts as a nonzero square, as it does there."""
+    next one counts as a nonzero square; the check raises there, and no
+    case below has one."""
     from itertools import combinations, product
 
     for k in range(rank + 1):
@@ -1614,25 +1721,29 @@ def square_at_weight_2(idx, expo):
     return {(idx + (1,) if idx else (0,), (b - 1,)): b}
 
 
-def test_a_square_that_shows_at_weight_2_alone_is_ranked_whole():
+def test_a_square_that_shows_at_weight_2_alone_is_refused():
     """The weight-2 check reads the square of ``square_at_weight_2`` as
-    nonzero, so its table is ranked without clearing: H(0, 0) = 1 (the
-    constants) and H(1, 0) = 1 (eps2; x^v eps1 maps to v x^(v - 1)
-    eps1 ^ eps2 and x^(v + 1) to (v + 1) x^v eps1, both rank 1), the rest 0.
-    Cleared, the row of x^v eps1, a pivot of the map from x^(v + 1), would
-    be left out of the rank out of (1, v), and H(2, w) would read 1."""
+    nonzero on x^2, so a table that ranks weight 2 is refused.  Cleared, the
+    row of x^v eps1, a pivot of the map from x^(v + 1), would be left out of
+    the rank out of (1, v), and H(2, w) would read 1 where the operator
+    ranked whole gives 0.  The table at weight 0 ranks the slices up to
+    weight 1 alone, where the square vanishes: H(0, 0) = 1 (the constants),
+    H(1, 0) = 1 (eps2; eps1 is the image of x) and H(2, 0) = 0 (eps1 ^ eps2
+    is the image of x eps1)."""
     from albv.homology import _Operator
 
-    assert not _Operator(("x",), 2, square_at_weight_2, 1).squares_to_zero(3)
-    assert _Operator(("x",), 2, square_at_weight_2, 1).squares_to_zero(1)
-    table = betti_table(("x",), 2, square_at_weight_2, 1, 3)
-    assert table.shift == -1
-    assert {key for key, b in table.entries.items() if b} == {(0, 0), (1, 0)}
-    assert table.entry(0, 0) == table.entry(1, 0) == 1
+    witness = "its square sends x^2 [] to 2 [1,2]"
+    assert _Operator(("x",), 2, square_at_weight_2, 1).square_witness(3) == witness
+    assert _Operator(("x",), 2, square_at_weight_2, 1).square_witness(1) is None
+    for w in (1, 3):
+        with pytest.raises(ValueError, match="^operator does not square to zero: "):
+            betti_table(("x",), 2, square_at_weight_2, 1, w)
+    table = betti_table(("x",), 2, square_at_weight_2, 1, 0)
+    assert table.shift == -1 and tuple_of(table) == (1, 1, 0)
 
 
 def test_the_square_check_agrees_with_every_slice():
-    """``_Operator.squares_to_zero`` reads the square on weights up to 2
+    """``_Operator.square_witness`` reads the square on weights up to 2
     only: a table operator is first order in the coefficient, so its square
     has order at most 2 and vanishes if and only if it vanishes on the
     monomials of weight at most 2.  On every table of the benchmark
@@ -1661,12 +1772,13 @@ def test_the_square_check_agrees_with_every_slice():
                 expected = square_vanishes_on_every_slice(
                     part_variables, part_rank, part_row, k_step, top
                 )
-                assert op.squares_to_zero(top) == expected, (name, part_variables, top)
-        verdicts[name] = _Operator(variables, rank, row, k_step).squares_to_zero(2)
+                verdict = op.square_witness(top) is None
+                assert verdict == expected, (name, part_variables, top)
+        verdicts[name] = _Operator(variables, rank, row, k_step).square_witness(2) is None
     for top in range(5):
         op = _Operator(("x",), 2, square_at_weight_2, 1)
         expected = square_vanishes_on_every_slice(("x",), 2, square_at_weight_2, 1, top)
-        assert op.squares_to_zero(top) == expected == (top < 2), top
+        assert (op.square_witness(top) is None) == expected == (top < 2), top
     broken = {name for name in verdicts if name.startswith("broken")}
     assert broken and not any(verdicts[name] for name in broken)
     assert all(verdict for name, verdict in verdicts.items() if name not in broken)

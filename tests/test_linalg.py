@@ -202,29 +202,54 @@ def test_every_stored_pivot_is_primitive():
         assert all(gcd(*pivot.values()) == 1 for pivot in pivots), pivots
 
 
+def random_table_matrix(rng, trial, nrows, ncols):
+    """A random sparse int, rational or bool matrix, by ``trial`` mod 3."""
+    kind = trial % 3
+    if kind == 0:
+        return [sparse_row(rng, ncols, rng.randint(0, min(3, ncols))) for _ in range(nrows)]
+    if kind == 1:
+        return random_matrix(rng, nrows, ncols, big=trial % 2 == 0)
+    return [[rng.random() < 0.4 for _ in range(ncols)] for _ in range(nrows)]
+
+
 def test_leads_are_pivot_columns_of_full_rank():
-    """Given a set ``leads``, ``rank`` adds the leading column of each pivot
-    to it: as many columns as the rank, and the rows restricted to them keep
-    that rank, since the pivots are zero left of their leading columns and
-    so form a triangle there.  A Betti table clears with these columns.
-    Random sparse int, rational and bool matrices, and ``leads`` is added
-    to, not replaced."""
+    """Given a dict ``pivots``, ``rank`` stores its pivot rows in it, keyed
+    by their leading columns: as many columns as the rank, and the rows
+    restricted to them keep that rank, since the pivots are zero left of
+    their leading columns and so form a triangle there.  A Betti table
+    clears with these columns.  Random sparse int, rational and bool
+    matrices."""
     rng = random.Random(31)
     for trial in range(300):
         nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
-        kind = trial % 3
-        if kind == 0:
-            rows = [sparse_row(rng, ncols, rng.randint(0, min(3, ncols))) for _ in range(nrows)]
-        elif kind == 1:
-            rows = random_matrix(rng, nrows, ncols, big=trial % 2 == 0)
-        else:
-            rows = [[rng.random() < 0.4 for _ in range(ncols)] for _ in range(nrows)]
+        rows = random_table_matrix(rng, trial, nrows, ncols)
         expected = oracle_rank(rows)
-        leads = set()
-        assert rank(rows, leads) == expected, rows
-        assert len(leads) == expected and leads <= set(range(ncols)), (rows, leads)
-        restricted = [[row[col] for col in sorted(leads)] for row in rows]
-        assert oracle_rank(restricted) == expected, (rows, leads)
-    leads = {7}
-    assert rank([[0, 2, 4], [0, 1, 2], [3, 0, 1]], leads) == 2
-    assert leads == {0, 1, 7}
+        pivots = {}
+        assert rank(rows, pivots) == expected, rows
+        assert len(pivots) == expected and set(pivots) <= set(range(ncols)), (rows, pivots)
+        restricted = [[row[col] for col in sorted(pivots)] for row in rows]
+        assert oracle_rank(restricted) == expected, (rows, pivots)
+    pivots = {}
+    assert rank([[0, 2, 4], [0, 1, 2], [3, 0, 1]], pivots) == 2
+    assert set(pivots) == {0, 1}
+
+
+def test_a_continued_elimination_gives_the_prefix_ranks():
+    """Rows handed over in groups, each call continuing the elimination in
+    the same ``pivots``, return the rank of every row handed over so far:
+    after each group, the Gauss-Jordan rank of the rows up to it.  This is
+    how a capped table of mixed shifts reads the rank of each weight window
+    off one elimination.  Random sparse int, rational and bool matrices cut
+    into random groups, empty ones and groups of zero rows included."""
+    rng = random.Random(47)
+    for trial in range(300):
+        nrows, ncols = rng.randint(1, 12), rng.randint(1, 9)
+        rows = random_table_matrix(rng, trial, nrows, ncols)
+        if trial % 4 == 0:
+            rows.insert(rng.randrange(len(rows) + 1), [0] * ncols)
+        cuts = sorted(rng.sample(range(nrows + 2), rng.randint(0, 3)))
+        bounds = [0] + [min(cut, len(rows)) for cut in cuts] + [len(rows)]
+        pivots = {}
+        for start, stop in zip(bounds, bounds[1:]):
+            got = rank(rows[start:stop], pivots)
+            assert got == len(pivots) == oracle_rank(rows[:stop]), (rows, bounds, stop)
