@@ -14,33 +14,34 @@ monomial as a sparse dict ``{(index tuple, exponent tuple): coefficient}``.
 It is asked at most once per basis monomial.  Ranks are exact.  An
 operator of one shift s maps weight v into weight v + s alone, so its matrix
 out of any window is block-diagonal over the window's weights: each weight
-slice is ranked once, on its own.  A mixed-shift matrix is only
-block-triangular, and its windows are ranked in filtration order (below).
-A slice hands ``linalg.rank`` one dense row per nonzero image; zero images
-add no rank and are not handed over, and a slice of zero images alone takes
-no rank.  The shifts are read off the rows through weight ``max(max_weight, 1)`` over a
-nonempty base: every table operator is first order, so each of its shifts
-shows by weight 1, while at weight 0 alone d of a constant is 0 and a shift
--1 does not show.
+slice is an elimination of its own, ranked once.  A mixed-shift matrix is
+only block-triangular, and each degree is one elimination, fed weight by
+weight (below).  ``_blocks`` lists these eliminations, the one list both
+the ranking and the size bound read.  A slice hands ``linalg.rank`` one
+dense row per nonzero image; zero images add no rank and are not handed
+over, and a slice of zero images alone takes no rank.  The shifts are read
+off the rows through weight ``max(max_weight, 1)`` over a nonempty base:
+every table operator is first order, so each of its shifts shows by weight
+1, while at weight 0 alone d of a constant is 0 and a shift -1 does not
+show.
 
 Every table operator is first order in the coefficient, so its square has
 order at most 2, and it vanishes if and only if it vanishes on the basis
 monomials of weight at most 2.  A table checks exactly that before any rank,
 and refuses a nonzero square with a witness: the first basis monomial, in
 table order, whose image's image is nonzero, and that image.  Every table is
-then ranked by clearing (Chen and Kerber, *Persistent homology computation
-with a twist*, 2011; Bauer, Kerber and Reininghaus, *Clear and compress*,
-2014): the map out of a degree is ranked after the map into it, without the
-rows of the basis monomials at that map's pivot columns, which span images.
-A table of one shift is ranked slice by slice.  A capped table of one shift
-s is read off the homogeneous table at ``max_weight + s``, which ranks
-exactly the slices up to ``max_weight``: the slice ranks come back down each
-diagonal from its entries, and the capped entries are their prefix sums.  A
-capped table of mixed shifts ranks its windows in filtration order
+then ranked by one loop, ``_Operator.entries``, in filtration order
 (Edelsbrunner, Letscher and Zomorodian, *Topological persistence and
-simplification*, 2002): the rows of each degree, fed weight by weight to one
-elimination, give the rank out of window (k, w) as its pivot count after
-weight w.
+simplification*, 2002) with clearing (Chen and Kerber, *Persistent homology
+computation with a twist*, 2011; Bauer, Kerber and Reininghaus, *Clear and
+compress*, 2014): the rows of each elimination, fed weight by weight, give
+the rank out of window (k, w) as its pivot count after weight w, and the map
+out of a degree is ranked after the map into it, without the rows of the
+basis monomials at that map's pivot columns, which span images.  A capped
+table of one shift s is read off the homogeneous table at ``max_weight +
+s``, which ranks exactly the slices up to ``max_weight``: the slice ranks
+come back down each diagonal from its entries, and the capped entries are
+their prefix sums.
 
 A structure that is a product of structures on disjoint frames and base
 variables (Mackenzie, *General theory of Lie groupoids and Lie algebroids*,
@@ -62,12 +63,14 @@ binomials in the middle exterior degree, the degree with the most index
 tuples, which bounds both sides of a block; above ``MAX_BLOCK_SIZE`` basis
 monomials it raises ``TableTooLarge``, as a complex does whose weights over
 a nonempty base run above ``MAX_WEIGHT``.  A complex counts the largest slice
-its shift scan builds when built, and ``Complex.count`` every other block a
-table of given weight shifts ranks: the table counts from the shifts of its
-rows (the union of its factors' shifts, on the product's shape, when it
-splits), the command line from those of the file's terms, so it refuses a
-table from the file alone.  The blocks of a split table's factors are never
-larger than the product's, and are not counted on their own.
+its shift scan builds when built, and ``Complex.count`` both sides of every
+block ``_blocks`` lists for a table of given weight shifts, the blocks the
+table ranks, so the count cannot drift from the ranking: the table counts
+from the shifts of its rows (the union of its factors' shifts, on the
+product's shape, when it splits), the command line from those of the file's
+terms, so it refuses a table from the file alone.  The blocks of a split
+table's factors are never larger than the product's, and are not counted on
+their own.
 ``betti_table`` is ``Complex(...).table``.
 ``Complex.basis_elems`` walks every basis monomial of the shape, the default
 probes of two checks below at ``WALK_WEIGHT``, which is also the weight of
@@ -253,6 +256,25 @@ def _index_map(rank, m, k, weights):
     return {mono: pos for pos, mono in enumerate(dst)}
 
 
+def _blocks(max_weight, shift):
+    """The eliminations of each degree of a table at weights 0 to
+    ``max_weight``, each a pair: the source weights in the order their rows
+    are fed, and the target weights in column order.  One weight shift s
+    maps weight v into v + s alone, so each slice is one elimination; mixed
+    shifts (``shift`` None) feed every weight to one elimination, whose
+    pivot count after weight w is the rank out of the window of weight at
+    most w."""
+    if shift is not None:
+        return [((v,), (v + shift,)) for v in range(max_weight - shift + 1)]
+    # The columns must run from the highest weight down: a pivot then leads
+    # at its highest-weight monomial, so the row left out there is a
+    # combination of rows of no higher weight, which every window that holds
+    # it holds too.  From weight 0 up, a pivot leads at its lowest weight
+    # and the tables come out wrong (the tangent plane with alpha = dx at
+    # w=1).
+    return [(range(max_weight + 1), range(max_weight, -1, -1))]
+
+
 @dataclass
 class BettiTable:
     """Homology dimensions per (exterior degree k, weight w), exact."""
@@ -345,18 +367,18 @@ class Complex:
         return size
 
     def count(self, shifts, capped=False):
-        """Count with ``block_size``, in the order a table of weight shifts
-        ``shifts`` ranks them, its blocks past the slice at ``max_weight``:
-        the window at ``max_weight`` of mixed shifts, whose columns every
-        rank of the table spans, or the slices up to ``max_weight - s`` of
-        one shift s < 0 unless ``capped``; none if a shift raises weight."""
+        """Count with ``block_size`` both sides of every block that
+        ``_blocks`` lists for a table of weight shifts ``shifts``, in the
+        order the table ranks them: at ``max_weight``, or, for one shift s
+        and ``capped``, at ``max_weight + s``, the homogeneous table that
+        ``_capped`` reads; none if there is no shift or one raises weight."""
         if not shifts or max(shifts) > 0:
             return
-        if len(shifts) > 1:
-            self.block_size(range(self.max_weight + 1))
-        elif not capped:
-            for v in range(self.max_weight + 1, self.max_weight - min(shifts) + 1):
-                self.block_size((v,))
+        shift = min(shifts) if len(shifts) == 1 else None
+        weight = self.max_weight + (shift if capped and shift is not None else 0)
+        for sources, targets in _blocks(weight, shift):
+            self.block_size(sources)
+            self.block_size(targets)
 
     def basis_elems(self, side):
         """Every basis monomial of the complex on ``side``, degree by degree
@@ -383,15 +405,15 @@ class Complex:
         (k, w) into that of (k + k_step, w + lift), with lift s, or 0 when
         capped; the shifts are read off the row keys through weight
         ``scan_weight``, where every shift of a first-order operator shows.
-        The blocks past the complex's own slice go through ``count`` once,
-        after the shift scan and before any rank.
+        The table's blocks go through ``count`` once, after the shift scan
+        and before any rank.
 
         Then a nonzero square (``_Operator.square_witness``) raises
         ValueError with its witness, before any rank.  The entries are
-        ranked by clearing: ``_Operator.slice_entries`` for one shift,
-        ``_capped`` when that table is capped, ``_Operator.window_entries``
-        for mixed shifts.  An image with a key outside the expected target
-        raises ValueError.
+        ranked by clearing in ``_Operator.entries``, over the blocks
+        ``_blocks`` lists: through ``_homogeneous`` for one shift,
+        ``_capped`` when that table is capped, directly for mixed shifts.
+        An image with a key outside the expected target raises ValueError.
 
         ``_split`` is the split of the structure the rows come from, as
         ``rows`` reads it: its factors, each ``(frames, variables)`` by
@@ -402,7 +424,7 @@ class Complex:
         product's blocks with the union of their shifts.  If that union is
         one shift s, or none, each factor's square is checked, and the
         homogeneous table is the convolution of the factor tables
-        (``_convolve``), a capped table read off it.  A factor whose square
+        (``_homogeneous``), a capped table read off it.  A factor whose square
         is nonzero has its witness read again on the product's rows, so the
         text is the one the table raises without the split.  Mixed shifts
         rank the product's rows, as without a split.
@@ -437,11 +459,11 @@ class Complex:
                 "operator does not square to zero: %s" % product.square_witness(top)
             )
         if not homogeneous:
-            entries = product.window_entries(self.max_weight)
+            entries = product.entries(self.max_weight)
         elif capped:
             entries = self._capped(shift, k_step, ops)
         else:
-            entries = self._homogeneous(shift, ops)
+            entries = self._homogeneous(shift, ops, self.max_weight)
         return BettiTable(
             entries=entries,
             rank=self.rank,
@@ -451,16 +473,26 @@ class Complex:
             operator_tag=operator_tag,
         )
 
-    def _homogeneous(self, shift, ops):
-        """Entries of an operator of one shift whose square vanishes, given
-        as its factors' operators: ranked with clearing, or, with more than
-        one factor, the convolution of the factor tables."""
-        if len(ops) == 1:
-            return ops[0].slice_entries(self.max_weight, shift)
-        return self._convolve(
-            Complex(op.variables, op.rank, self.max_weight)._homogeneous(shift, [op])
-            for op in ops
-        )
+    def _homogeneous(self, shift, ops, max_weight):
+        """Entries at weights 0 to ``max_weight`` of an operator of one
+        shift whose square vanishes, given as its factors' operators: the
+        convolution of the factor tables, each ranked with clearing (one
+        factor's table is its own), at every (k, w), in table order."""
+        product = {(0, 0): 1}
+        for op in ops:
+            out = {}
+            factor = op.entries(max_weight, shift)
+            for (k1, w1), b1 in product.items():
+                for (k2, w2), b2 in factor.items():
+                    if b2 and w1 + w2 <= max_weight:
+                        key = (k1 + k2, w1 + w2)
+                        out[key] = out.get(key, 0) + b1 * b2
+            product = out
+        return {
+            (k, w): product.get((k, w), 0)
+            for k in range(self.rank + 1)
+            for w in range(max_weight + 1)
+        }
 
     def _capped(self, shift, k_step, ops):
         """Entries of the capped table of an operator of one shift s <= 0
@@ -477,10 +509,7 @@ class Complex:
         and every map between two of them, so its entry is the prefix sum
         C(k, w) = sum over v <= w of d(k, v) - r(k, v) - r(k - k_step, v)."""
         rank, m, max_weight = self.rank, self.m, self.max_weight
-        weight = max_weight + shift
-        hom = (
-            Complex(self.variables, rank, weight)._homogeneous(shift, ops) if weight >= 0 else {}
-        )
+        hom = self._homogeneous(shift, ops, max_weight + shift)
         ranks = {}
         for k in range(rank, -1, -1) if k_step == 1 else range(rank + 1):
             k1 = k + k_step
@@ -502,29 +531,12 @@ class Complex:
                 entries[k, w] = total
         return entries
 
-    def _convolve(self, factor_entries):
-        """Entries of the tensor product of complexes with the given tables,
-        at every (k, w) of this shape, in table order."""
-        product = {(0, 0): 1}
-        for entries in factor_entries:
-            out = {}
-            for (k1, w1), b1 in product.items():
-                for (k2, w2), b2 in entries.items():
-                    if b2 and w1 + w2 <= self.max_weight:
-                        key = (k1 + k2, w1 + w2)
-                        out[key] = out.get(key, 0) + b1 * b2
-            product = out
-        return {
-            (k, w): product.get((k, w), 0)
-            for k in range(self.rank + 1)
-            for w in range(self.max_weight + 1)
-        }
-
 
 class _Operator:
     """One row function on the degrees 0 to ``rank`` over ``variables``: the
     images of each slice, asked once, the weight shifts they show, a witness
-    when its square is nonzero, and its table's entries, ranked by clearing.
+    when its square is nonzero, and its table's entries, ranked by clearing
+    in one loop over the blocks ``_blocks`` lists.
     The memo is a plain dict on the operator and no method nests a
     function, so a table leaves no reference cycle for the garbage
     collector."""
@@ -595,78 +607,58 @@ class _Operator:
                         )
         return None
 
-    def slice_entries(self, max_weight, shift):
+    def entries(self, max_weight, shift=None):
         """Betti numbers at every (k, w) of degrees 0 to ``rank`` and weights
-        0 to ``max_weight``, for rows of the one weight shift ``shift``.
+        0 to ``max_weight``, for rows of the one weight shift ``shift``, or,
+        when it is None, of mixed shifts, all nonpositive, as a capped table.
 
-        Each slice up to ``max_weight - shift``, the highest the entries
-        read, is ranked after the slice that maps into it, without the rows
-        at that map's pivot columns.  Those pivot rows are images, so the
-        map out sends them to zero, the square being zero; each is zero left
-        of its leading column, so the row at a pivot column is a combination
-        of the rows at later columns, and by induction from the last pivot,
-        of the rows left in: the rank is unchanged."""
+        The map out of each degree is ranked in the eliminations ``_blocks``
+        lists, and the rank out of the window of (k, v) is the pivot count
+        after the rows of weight v.  Each degree is ranked after the degree
+        that maps into it, without the rows at that map's pivot columns.
+        Those pivot rows are images, so the map out sends them to zero, the
+        square being zero; each is zero left of its leading column, so the
+        row at a pivot column is a combination of the rows at later columns,
+        and by induction from the last pivot, of the rows left in: the rank
+        is unchanged.  Entry (k, w) is the basis monomials of its window
+        less the rank out of it and the rank into it, from the window of
+        (k - k_step, w - lift)."""
         rank, m, k_step = self.rank, self.m, self.k_step
-        ranks, leads = {}, {}  # (k, v) -> rank out of slice (k, v), and its pivots
+        blocks = _blocks(max_weight, shift)
+        ranks = {}  # (k, v) -> rank out of the window of (k, v)
+        # (k, v) -> pivots of the map into slice (k, v), and the column at
+        # which the slice starts in that map
+        into = {}
         for k in range(rank) if k_step == 1 else range(rank, 0, -1):
-            for v in range(max_weight - shift + 1):
-                columns = _index_map(rank, m, k + k_step, (v + shift,))
-                skip = leads.pop((k - k_step, v - shift), ())
-                pivots = leads[k, v] = {}
-                ranks[k, v] = self.block_rank(k, v, columns, skip, pivots)
-        return {
-            (k, w): len(_basis(rank, m, k, w))
-            - ranks.get((k, w), 0)
-            - ranks.get((k - k_step, w - shift), 0)
-            for k in range(rank + 1)
-            for w in range(max_weight + 1)
-        }
-
-    def window_entries(self, max_weight):
-        """Betti numbers at every (k, w) of a capped table of mixed shifts.
-
-        All shifts are nonpositive, so the image of weight at most w lies in
-        weight at most w.  The map out of each degree is one elimination,
-        fed the rows of weights 0 to ``max_weight`` in weight order into the
-        columns of every weight, and its pivot count after weight w is the
-        rank out of window (k, w).  Each degree is ranked after the degree
-        that maps into it, without the rows at that map's pivot columns, as
-        in ``slice_entries``."""
-        rank, m, k_step = self.rank, self.m, self.k_step
-        weights = range(max_weight + 1)
-        # The columns must run from the highest weight down: a pivot then
-        # leads at its highest-weight monomial, so the row left out there is
-        # a combination of rows of no higher weight, which every window that
-        # holds it holds too.  From weight 0 up, a pivot leads at its lowest
-        # weight and the tables come out wrong (the tangent plane with
-        # alpha = dx at w=1).
-        descending = tuple(reversed(weights))
-        ranks = {}  # (k, w) -> rank out of window (k, w)
-        incoming, offset = {}, 0
-        for k in range(rank) if k_step == 1 else range(rank, 0, -1):
-            columns = _index_map(rank, m, k + k_step, descending)
-            pivots = {}
-            for w in weights:
-                # slice (k, w) starts at ``offset`` in the columns of the map in
-                offset -= len(_basis(rank, m, k, w))
-                ranks[k, w] = self.block_rank(k, w, columns, incoming, pivots, offset)
-            incoming, offset = pivots, len(columns)
+            k1 = k + k_step
+            for sources, targets in blocks:
+                columns = _index_map(rank, m, k1, targets)
+                pivots, at = {}, 0
+                for v in targets:
+                    into[k1, v] = pivots, at
+                    at += len(_basis(rank, m, k1, v))
+                for v in sources:
+                    skip, start = into.pop((k, v), ((), 0))
+                    ranks[k, v] = self.block_rank(k, v, columns, skip, start, pivots)
+        lift = 0 if shift is None else shift
         entries = {}
         for k in range(rank + 1):
-            dim = 0
-            for w in weights:
-                dim += len(_basis(rank, m, k, w))
-                entries[k, w] = dim - ranks.get((k, w), 0) - ranks.get((k - k_step, w), 0)
+            dim = 0  # basis monomials of the window of (k, w)
+            for w in range(max_weight + 1):
+                size = len(_basis(rank, m, k, w))
+                dim = size if shift is not None else dim + size
+                entries[k, w] = dim - ranks.get((k, w), 0) - ranks.get((k - k_step, w - lift), 0)
         return entries
 
-    def block_rank(self, k, v, columns, skip, pivots, offset=0):
+    def block_rank(self, k, v, columns, skip, start, pivots):
         """Rank of the rows of slice (k, v), placed by ``columns`` (basis
-        monomial -> column), less those whose position plus ``offset`` is in
-        ``skip``, continuing the elimination in ``pivots``."""
+        monomial -> column), less those whose position in the columns of
+        the map in, where the slice starts at ``start``, is in ``skip``,
+        continuing the elimination in ``pivots``."""
         # a zero image adds no rank and is not handed over
         nonzero = [
             image
-            for pos, image in enumerate(self.images(k, v), offset)
+            for pos, image in enumerate(self.images(k, v), start)
             if image and pos not in skip
         ]
         if not nonzero:

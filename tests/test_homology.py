@@ -1214,30 +1214,63 @@ def test_the_largest_documented_tables_fit_the_block_limit():
     assert calls == []
 
 
+def limited_tables():
+    """(name, thunk) of tables of every kind of block list: the boundary of
+    the tangent plane (shift -1), homogeneous and capped, so(3)* ``kb_betti``
+    (shift 0), the mixed plane (one window), tangent 3-space cohomology
+    (split into three lines) and the boundary rows of tangent 3-space
+    unsplit."""
+    plane = TopConnection(tangent_algebroid(XY))
+    so3 = PoissonStructure(("x", "y", "z"), SO3_TERMS)
+    (mixed,) = [conn for name, conn, _ in capped_boundaries() if name == "mixed plane"]
+    t3 = tangent_algebroid(("x", "y", "z"))
+    rows = boundary_rows(TopConnection(t3))
+    return [
+        ("tangent plane boundary", lambda: boundary_betti(plane, 4)),
+        ("capped tangent plane boundary", lambda: boundary_betti(plane, 4, True)),
+        ("so(3)* kb", lambda: kb_betti(so3, 3)),
+        ("mixed plane", lambda: boundary_betti(mixed, 4)),
+        ("split tangent 3-space cohomology", lambda: cohomology_betti(t3, 3)),
+        ("unsplit tangent 3-space boundary", lambda: betti_table(t3.variables, 3, rows, -1, 3)),
+    ]
+
+
 def test_count_names_the_blocks_a_table_ranks(monkeypatch):
-    """Beyond the slice at ``max_weight``: the slices up to ``max_weight - s``
-    for one shift s < 0, the window at ``max_weight`` for mixed shifts, whose
-    columns every rank of the table spans, and nothing for a capped
-    one-shift table, a shift 0 or a shift that raises weight."""
-    from albv.homology import Complex
+    """The size bound covers every block a table ranks: at the smallest
+    ``MAX_BLOCK_SIZE`` at which a table builds, no matrix handed to
+    ``matrix_rank`` has more rows or columns than the limit, and below it
+    the table is refused before any rank.  With no shift, or a shift that
+    raises weight, nothing is counted."""
+    import albv.homology
+    from albv.homology import Complex, TableTooLarge
+
+    sizes = []
+    rank = albv.homology.matrix_rank
+
+    def spy(rows, pivots=None):
+        sizes.append(max(len(rows), len(rows[0])))
+        return rank(rows, pivots)
+
+    monkeypatch.setattr(albv.homology, "matrix_rank", spy)
+    limits = []
+    for name, make in limited_tables():
+        for limit in range(1, 100):
+            monkeypatch.setattr(albv.homology, "MAX_BLOCK_SIZE", limit)
+            sizes.clear()
+            try:
+                make()
+                break
+            except TableTooLarge:
+                assert sizes == [], (name, limit)
+        assert sizes and max(sizes) <= limit, name
+        limits.append(limit)
+    assert limits == [12, 10, 30, 30, 45, 45]
 
     shape = Complex(XY, 2, 3)
-    counted = []
-    monkeypatch.setattr(shape, "block_size", lambda ws: counted.append(tuple(ws)))
-    windows = [(0, 1, 2, 3)]
-    for shifts, capped, blocks in [
-        ({-1}, False, [(4,)]),
-        ({-2}, False, [(4,), (5,)]),
-        ({-1}, True, []),
-        ({0}, False, []),
-        (set(), False, []),
-        ({-1, 0}, False, windows),
-        ({-1, 0}, True, windows),
-        ({-1, 1}, False, []),
-    ]:
-        counted.clear()
-        shape.count(shifts, capped)
-        assert counted == blocks, (shifts, capped)
+    monkeypatch.setattr(shape, "block_size", lambda ws: pytest.fail("counted %s" % (ws,)))
+    for shifts in (set(), {1}, {-1, 1}):
+        for capped in (False, True):
+            shape.count(shifts, capped)
 
 
 def test_a_mixed_shift_table_is_refused_before_any_block_is_ranked(monkeypatch):
@@ -1419,8 +1452,11 @@ def outcome(make):
 
 def unsplit_cases():
     """(name, kind, structure, force_capped) of products whose tables do not
-    fit the split, and two capped tables of one shift, which fit it since
-    capped tables are read off the homogeneous table."""
+    fit the split: mixed shifts across the factors, ranked on the product's
+    rows; a factor whose square is nonzero, refused with the product's
+    witness; a factor that raises weight, refused.  And two capped tables of
+    one shift, which fit it since capped tables are read off the homogeneous
+    table."""
     from albv.algebroid import custom_algebroid
 
     line_aff1 = custom_algebroid(("x",), 3, [[1], [0], [0]], {(1, 2): {2: 1}})
@@ -1449,13 +1485,14 @@ def unsplit_cases():
 
 
 @pytest.mark.parametrize("name, kind, structure, force_capped", unsplit_cases())
-def test_a_table_that_does_not_fit_the_split_is_ranked_whole(
+def test_a_table_that_does_not_fit_the_split_agrees_with_the_whole_rows(
     name, kind, structure, force_capped
 ):
     """Mixed shifts across the factors (a capped table), a factor whose
     square is nonzero and a factor that raises weight give exactly the
-    whole engine's table or exception text; so do the two capped tables of
-    one shift, now read off the split homogeneous table."""
+    table or exception text of ``betti_table`` on the product's rows with
+    no split; so do the two capped tables of one shift, read off the split
+    homogeneous table."""
     for w in range(4):
         split, whole = map(outcome, split_and_whole(kind, structure, w, force_capped))
         assert split == whole, (name, kind, w)

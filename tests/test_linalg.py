@@ -212,7 +212,7 @@ def random_table_matrix(rng, trial, nrows, ncols):
     return [[rng.random() < 0.4 for _ in range(ncols)] for _ in range(nrows)]
 
 
-def test_leads_are_pivot_columns_of_full_rank():
+def test_pivots_are_keyed_by_columns_of_full_rank():
     """Given a dict ``pivots``, ``rank`` stores its pivot rows in it, keyed
     by their leading columns: as many columns as the rank, and the rows
     restricted to them keep that rank, since the pivots are zero left of
