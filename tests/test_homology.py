@@ -1485,7 +1485,7 @@ def unsplit_cases():
 
 
 @pytest.mark.parametrize("name, kind, structure, force_capped", unsplit_cases())
-def test_a_table_that_does_not_fit_the_split_agrees_with_the_whole_rows(
+def test_a_table_off_the_split_agrees_with_the_whole_rows(
     name, kind, structure, force_capped
 ):
     """Mixed shifts across the factors (a capped table), a factor whose
