@@ -51,9 +51,10 @@ the table has one shift and every factor squares to zero, convolve the
 factor tables by Kunneth over Q, slice by slice:
 b(k, w) = sum of b1(k1, w1) b2(k2, w2) over k1 + k2 = k and w1 + w2 = w;
 a capped table is read off that convolution.  Tangent n-space is the
-product of n lines.  A table of mixed shifts is ranked on the product's own
-rows, and a factor whose square is nonzero refuses the table with the
-product's witness.
+product of n lines.  Both Poisson tables read the split of the cotangent
+algebroid (``rows`` says why the Koszul-Brylinski operator splits with it).
+A table of mixed shifts is ranked on the product's own rows, and a factor
+whose square is nonzero refuses the table with the product's witness.
 
 A ``Complex`` is a table's shape, ``(variables, rank, max_weight)``, and
 owns what the shape fixes: the basis of each degree and weight, each block's
@@ -63,7 +64,7 @@ binomials in the middle exterior degree, the degree with the most index
 tuples, which bounds both sides of a block; above ``MAX_BLOCK_SIZE`` basis
 monomials it raises ``TableTooLarge``, as a complex does whose weights over
 a nonempty base run above ``MAX_WEIGHT``.  A complex counts the largest slice
-its shift scan builds when built, and ``Complex.count`` both sides of every
+its shift scan builds when built, and ``Complex.count`` the sources of every
 block ``_blocks`` lists for a table of given weight shifts, the blocks the
 table ranks, so the count cannot drift from the ranking: the table counts
 from the shifts of its rows (the union of its factors' shifts, on the
@@ -96,7 +97,7 @@ only and kept on the bivector, so every check reads one computation;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, lru_cache
 from math import comb
 
@@ -137,7 +138,6 @@ from .rows import (
     differential_split,
     factor_rows,
     kb_rows,
-    kb_split,
 )
 
 __all__ = [
@@ -367,18 +367,19 @@ class Complex:
         return size
 
     def count(self, shifts, capped=False):
-        """Count with ``block_size`` both sides of every block that
+        """Count with ``block_size`` the sources of every block that
         ``_blocks`` lists for a table of weight shifts ``shifts``, in the
         order the table ranks them: at ``max_weight``, or, for one shift s
         and ``capped``, at ``max_weight + s``, the homogeneous table that
-        ``_capped`` reads; none if there is no shift or one raises weight."""
+        ``_capped`` reads; none if there is no shift or one raises weight.
+        The targets need no count: a window's are its sources, and a slice's,
+        when nonnegative, is the source of that block or an earlier one."""
         if not shifts or max(shifts) > 0:
             return
         shift = min(shifts) if len(shifts) == 1 else None
         weight = self.max_weight + (shift if capped and shift is not None else 0)
-        for sources, targets in _blocks(weight, shift):
+        for sources, _ in _blocks(weight, shift):
             self.block_size(sources)
-            self.block_size(targets)
 
     def basis_elems(self, side):
         """Every basis monomial of the complex on ``side``, degree by degree
@@ -411,8 +412,8 @@ class Complex:
         Then a nonzero square (``_Operator.square_witness``) raises
         ValueError with its witness, before any rank.  The entries are
         ranked by clearing in ``_Operator.entries``, over the blocks
-        ``_blocks`` lists: through ``_homogeneous`` for one shift,
-        ``_capped`` when that table is capped, directly for mixed shifts.
+        ``_blocks`` lists: through ``_capped`` for a capped table of one
+        shift, and through ``_homogeneous`` for every other table.
         An image with a key outside the expected target raises ValueError.
 
         ``_split`` is the split of the structure the rows come from, as
@@ -458,9 +459,7 @@ class Complex:
             raise ValueError(
                 "operator does not square to zero: %s" % product.square_witness(top)
             )
-        if not homogeneous:
-            entries = product.entries(self.max_weight)
-        elif capped:
+        if capped and homogeneous:
             entries = self._capped(shift, k_step, ops)
         else:
             entries = self._homogeneous(shift, ops, self.max_weight)
@@ -474,10 +473,12 @@ class Complex:
         )
 
     def _homogeneous(self, shift, ops, max_weight):
-        """Entries at weights 0 to ``max_weight`` of an operator of one
-        shift whose square vanishes, given as its factors' operators: the
-        convolution of the factor tables, each ranked with clearing (one
-        factor's table is its own), at every (k, w), in table order."""
+        """Entries at weights 0 to ``max_weight`` of an operator whose
+        square vanishes, given as its factors' operators: the convolution of
+        the factor tables, each ranked with clearing (one factor's table is
+        its own), at every (k, w), in table order.  For one shift the table
+        is homogeneous; for mixed shifts (``shift`` None, one operator, the
+        product's) it is the capped table of its windows."""
         product = {(0, 0): 1}
         for op in ops:
             out = {}
@@ -689,8 +690,8 @@ def betti_table(
 ) -> BettiTable:
     """The table of ``row`` on ``Complex(variables, rank, max_weight)``; see
     ``Complex.table``.  The four tables below all come through here, each with
-    the split of its structure, kept in the structure's memo next to its rows;
-    ``betti_table`` called without one ranks the rows whole."""
+    the split kept in a structure's memo (the Poisson tables' on the cotangent
+    algebroid); ``betti_table`` called without one ranks the rows whole."""
     return Complex(variables, rank, max_weight).table(
         row, k_step, operator_tag, force_capped, _split=_split
     )
@@ -720,24 +721,18 @@ def boundary_betti(conn: TopConnection, max_weight=4, force_capped=False) -> Bet
 
 
 def kb_betti(pi: PoissonStructure, max_weight=4) -> BettiTable:
+    """The operator splits with the cotangent algebroid (``rows``)."""
     return betti_table(
         pi.variables, pi.base_dim, kb_rows(pi), -1, max_weight, "kb-homology",
-        _split=kb_split(pi),
+        _split=differential_split(pi.cotangent()),
     )
 
 
 def lichnerowicz_betti(pi: PoissonStructure, max_weight=4) -> BettiTable:
     """The bracket with the bivector is the differential of the cotangent
-    algebroid, row for row, and splits with it."""
-    cot = pi.cotangent()
-    return betti_table(
-        pi.variables,
-        pi.base_dim,
-        differential_rows(cot),
-        1,
-        max_weight,
-        "poisson-cohomology",
-        _split=differential_split(cot),
+    algebroid, so this is that algebroid's cohomology table, retagged."""
+    return replace(
+        cohomology_betti(pi.cotangent(), max_weight), operator_tag="poisson-cohomology"
     )
 
 

@@ -44,13 +44,22 @@ algebroid, so ``differential_rows(a, alpha)`` builds fresh rows; the
 boundary reaches a twist only through its own connection, which keeps them.
 
 The split of a structure into factors on disjoint frames and base variables
-is kept next to its rows, under the key "split": ``differential_split``,
-``boundary_split`` and ``kb_split`` each run one union-find over the frames
-and the variables, joining what each generator image, connection term or
-bivector component connects, with the variables of its coefficient.  Each
-operator sends the unit of the other factors to zero, so a factor's rows
-are the product's rows asked on the factor's monomials and relabelled,
-``factor_rows``; ``homology`` convolves the factor tables.
+is kept next to its rows, under the key "split": ``differential_split`` and
+``boundary_split`` each run one union-find over the frames and the
+variables, joining what each generator image or connection term connects,
+with the variables of its coefficient.  Each operator sends the unit of the
+other factors to zero, so a factor's rows are the product's rows asked on the
+factor's monomials and relabelled, ``factor_rows``; ``homology`` convolves
+the factor tables.
+
+The Koszul-Brylinski operator has no split of its own: it reads the split of
+the cotangent algebroid (T*M)_pi, frame mu being dx_mu.  It is second order,
+zero on 1 and on every generator x_mu and dx_mu, and its bracket on the
+generators is that algebroid's anchor and bracket, [x_mu, dx_nu] = +-pi^(mu nu)
+and [dx_a, dx_b] = +-d pi^(ab) (the Koszul bracket).  So wherever the
+cotangent differential splits, the operator is the sum of its factors'
+operators, each zero on the others' generators, for every bivector, Poisson
+or not.
 """
 
 from __future__ import annotations
@@ -69,7 +78,6 @@ __all__ = [
     "kb_rows",
     "differential_split",
     "boundary_split",
-    "kb_split",
     "factor_rows",
 ]
 
@@ -339,23 +347,6 @@ def boundary_split(conn: TopConnection):
             yield [i, *_variable_nodes(c, a.rank)]
 
     return conn.kept("split", lambda: _components(a.rank, a.base_dim, links()))
-
-
-def kb_split(pi: PoissonStructure):
-    """The factors of ``pi`` on base forms, kept on ``pi``: frame mu is dx_mu,
-    joined with x_mu, and a component pi^(mu nu) joins mu and nu with the
-    variables of its coefficient.  On forms in disjoint variables the
-    operator of pi1 + pi2 is the sum of the two, each zero on the other's
-    forms and on constants."""
-    m = pi.base_dim
-
-    def links():
-        for mu in range(m):
-            yield [mu, m + mu]
-        for (mu, nu), c in pi.components.items():
-            yield [mu, nu, *_variable_nodes(c, m)]
-
-    return pi.kept("split", lambda: _components(m, m, links()))
 
 
 def factor_rows(row, frames, variables, m):

@@ -349,8 +349,14 @@ def test_rows_are_kept_on_the_structure_that_fixes_them():
 
 def test_kb_table_builds_no_element_per_basis_monomial(monkeypatch):
     """so(3)* has 160 basis monomials up to weight 3 and 448 up to weight 5;
-    the Poly and GradedElem objects a table builds do not depend on that."""
-    so3 = PoissonStructure(("x", "y", "z"), {(0, 1): "z", (1, 2): "x", (0, 2): "-y"})
+    the Poly and GradedElem objects a table builds do not depend on that.
+    Each weight gets its own bivector, built before counting, so each count
+    holds everything its table builds, the kept cotangent algebroid whose
+    split the table reads included."""
+    bivectors = {
+        w: PoissonStructure(("x", "y", "z"), {(0, 1): "z", (1, 2): "x", (0, 2): "-y"})
+        for w in (3, 5)
+    }
     built = []
     for cls in (Poly, GradedElem):
         init = cls.__init__
@@ -361,7 +367,7 @@ def test_kb_table_builds_no_element_per_basis_monomial(monkeypatch):
 
         monkeypatch.setattr(cls, "__init__", counting_init)
     counts = []
-    for w in (3, 5):
+    for w, so3 in bivectors.items():
         built.clear()
         table = kb_betti(so3, max_weight=w)
         counts.append(len(built))
@@ -1273,6 +1279,31 @@ def test_count_names_the_blocks_a_table_ranks(monkeypatch):
             shape.count(shifts, capped)
 
 
+def test_count_sizes_each_block_once(monkeypatch):
+    """``Complex.count`` calls ``block_size`` once per block ``_blocks``
+    lists, on its sources: the capped boundary table of tangent 3-space at
+    w=4 reads the homogeneous table at weight 3, whose five slices 0 to 4
+    are counted after the shift scan at weight 4; the mixed plane counts its
+    one window."""
+    from albv.homology import Complex, _blocks
+
+    sized = []
+    block_size = Complex.block_size
+
+    def spy(self, weights):
+        sized.append(tuple(weights))
+        return block_size(self, weights)
+
+    monkeypatch.setattr(Complex, "block_size", spy)
+    boundary_betti(TopConnection(tangent_algebroid(("x", "y", "z"))), 4, force_capped=True)
+    assert sized == [(4,), (0,), (1,), (2,), (3,), (4,)]
+    assert sized[1:] == [tuple(sources) for sources, _ in _blocks(3, -1)]
+    (mixed,) = [conn for name, conn, _ in capped_boundaries() if name == "mixed plane"]
+    sized.clear()
+    boundary_betti(mixed, 4)
+    assert sized == [(4,), (0, 1, 2, 3, 4)]
+
+
 def test_a_mixed_shift_table_is_refused_before_any_block_is_ranked(monkeypatch):
     """d + eps1^ on the plane ranks its windows in filtration order, each
     degree's rows into the columns of every weight; at the limit of 15 the
@@ -1348,9 +1379,11 @@ SO3_TERMS = {(0, 1): "z", (1, 2): "x", (0, 2): "-y"}
 def product_structures():
     """Products on disjoint frames and variables, by name: so(3)* and
     Bianchi III ({x,z} = x, with y a Casimir of its own) times {u,v} = v,
-    so(3)* times sl2* on x, y, z, a, b, c, the line with anchor x d/dx
-    times aff1, and anchor y d/dx on x, y (y joins through the coefficient
-    alone) times anchor z d/dz on z."""
+    so(3)* times sl2* on x, y, z, a, b, c, {v,z} = v times {u,y} = 1 on
+    v, u, z, y, x (five cotangent factors: dv and dz with v and z, du with
+    y, dy with u, dx alone and x alone), the line with anchor x d/dx times
+    aff1, and anchor y d/dx on x, y (y joins through the coefficient alone)
+    times anchor z d/dz on z."""
     from albv.algebroid import custom_algebroid
 
     sl2_terms = {(3, 4): "2*b", (3, 5): "-2*c", (4, 5): "a"}
@@ -1359,6 +1392,9 @@ def product_structures():
         "so(3)* x {u,v}=v": PoissonStructure(XYZUV, {**SO3_TERMS, (3, 4): "v"}),
         "Bianchi III x {u,v}=v": PoissonStructure(XYZUV, {(0, 2): "x", (3, 4): "v"}),
         "so(3)* x sl2*": PoissonStructure(("x", "y", "z", "a", "b", "c"), so3_sl2),
+        "{v,z}=v x {u,y}=1": PoissonStructure(
+            ("v", "u", "z", "y", "x"), {(0, 2): "v", (1, 3): "1"}
+        ),
         "x d/dx x aff1": custom_algebroid(
             ("x",), 3, [["x"], [0], [0]], {(1, 2): {2: 1}}
         ),
@@ -1413,14 +1449,18 @@ def assert_same_table(split, whole):
         ("so(3)* x sl2*", ("kb-homology", "poisson-cohomology"), 4),
         ("x d/dx x aff1", ("cohomology", "homology"), 4),
         ("y d/dx x z d/dz", ("cohomology", "homology"), 3),
+        ("{v,z}=v x {u,y}=1", ("kb-homology", "poisson-cohomology"), 3),
     ],
 )
 def test_a_split_table_equals_the_whole_table(name, kinds, top_w):
     """Second route for the Kunneth split: each table of a product equals
     ``betti_table`` on the product's own rows, ranked whole, entry for entry
     with the same shift and header, at every weight up to ``top_w``.  Every
-    structure here has more than one factor, so the split is what runs."""
-    from albv.rows import boundary_split, differential_split, kb_split
+    structure here has more than one factor, so the split is what runs; both
+    Poisson tables read the cotangent algebroid's split.  On {v,z}=v x
+    {u,y}=1 the factors' shifts are 0 and -1, so the split gives the shifts
+    and the product's rows are ranked as a capped table."""
+    from albv.rows import boundary_split, differential_split
 
     if name.startswith("tangent"):
         structure = tangent_algebroid(XYZUV[: int(name.split()[1][0])])
@@ -1431,8 +1471,6 @@ def test_a_split_table_equals_the_whole_table(name, kinds, top_w):
             factors = differential_split(structure)
         elif kind == "homology":
             factors = boundary_split(TopConnection(structure))
-        elif kind == "kb-homology":
-            factors = kb_split(structure)
         else:
             factors = differential_split(structure.cotangent())
         assert len(factors) > 1 or name == "tangent 1-space", (name, kind)
@@ -1662,22 +1700,52 @@ def test_the_split_is_kept_on_its_structure_and_ordered_by_position():
     """The split is read once per structure and kept in its memo.  Its
     factors come in the order of their first frame, then variable, by
     position, so the variable names and the string hash do not move them."""
-    from albv.rows import boundary_split, differential_split, kb_split
+    from albv.rows import boundary_split, differential_split
 
-    names = ("v", "u", "z", "y", "x")
-    pi = PoissonStructure(names, {(0, 2): "v", (1, 3): "1"})
-    assert kb_split(pi) is kb_split(pi)
-    assert kb_split(pi) == (((0, 2), (0, 2)), ((1, 3), (1, 3)), ((4,), (4,)))
-    so3_uv = product_structures()["so(3)* x {u,v}=v"]
-    assert kb_split(so3_uv) == (((0, 1, 2), (0, 1, 2)), ((3, 4), (3, 4)))
-    cot = so3_uv.cotangent()
+    cot = product_structures()["{v,z}=v x {u,y}=1"].cotangent()
     assert differential_split(cot) is differential_split(cot)
-    assert differential_split(cot) == kb_split(so3_uv)
+    assert differential_split(cot) == (
+        ((0, 2), (0, 2)), ((1,), (3,)), ((3,), (1,)), ((4,), ()), ((), (4,))
+    )
+    so3_uv = product_structures()["so(3)* x {u,v}=v"].cotangent()
+    assert differential_split(so3_uv) == (((0, 1, 2), (0, 1, 2)), ((3, 4), (3, 4)))
     plane = tangent_algebroid(XY)
     # a connection form joins its frame with the variables of its coefficient
     twisted = TopConnection(plane, plane.poly("y") * plane.coframe(0))
     assert boundary_split(twisted) == (((0, 1), (0, 1)),)
     assert boundary_split(TopConnection(plane)) == (((0,), (0,)), ((1,), (1,)))
+
+
+def test_both_poisson_tables_read_the_cotangent_split(monkeypatch):
+    """The Koszul-Brylinski and Lichnerowicz tables of a bivector hand
+    ``betti_table`` one split, the very object kept on its cotangent
+    algebroid.  The operator vanishes on 1 and on every generator x_mu and
+    dx_mu, the premise of reading that split."""
+    import albv.homology
+    from albv.rows import differential_split
+
+    read = []
+    table = albv.homology.betti_table
+
+    def spy(*args, _split=(), **kwargs):
+        read.append(_split)
+        return table(*args, _split=_split, **kwargs)
+
+    monkeypatch.setattr(albv.homology, "betti_table", spy)
+    for name in ("so(3)* x {u,v}=v", "{v,z}=v x {u,y}=1"):
+        pi = product_structures()[name]
+        read.clear()
+        assert kb_betti(pi, 1).operator_tag == "kb-homology"
+        assert lichnerowicz_betti(pi, 1).operator_tag == "poisson-cohomology"
+        split = differential_split(pi.cotangent())
+        assert len(read) == 2 and all(s is split for s in read), name
+        m = pi.base_dim
+        zero = (0,) * m
+        row = kb_rows(pi)
+        generators = [((), zero)]
+        generators += [((), zero[:mu] + (1,) + zero[mu + 1 :]) for mu in range(m)]
+        generators += [((mu,), zero) for mu in range(m)]
+        assert all(row(*mono) == {} for mono in generators), name
 
 
 def square_vanishes_on_every_slice(variables, rank, row, k_step, top):
@@ -1709,7 +1777,7 @@ def square_cases():
     """(name, variables, rank, row, k_step, split) of the tables on the
     benchmark structures, on ``product_structures()`` and on every
     ``unsplit_cases()`` fixture, broken ones included."""
-    from albv.rows import boundary_split, differential_split, kb_split
+    from albv.rows import boundary_split, differential_split
 
     shared = shared_structures()
     structures = [
@@ -1736,7 +1804,10 @@ def square_cases():
             a = conn.algebroid
             case = (a.variables, a.rank, boundary_rows(conn), -1, boundary_split(conn))
         elif kind == "kb-homology":
-            case = (structure.variables, structure.base_dim, kb_rows(structure), -1, kb_split(structure))
+            case = (
+                structure.variables, structure.base_dim, kb_rows(structure), -1,
+                differential_split(structure.cotangent()),
+            )
         else:
             cot = structure.cotangent()
             case = (
